@@ -30,6 +30,7 @@ from .diffusion import (
     ancestral_step,
     linear_schedule,
     mixture_log_density,
+    run_trajectories,
     sample,
 )
 from .guidance import (
@@ -41,6 +42,7 @@ from .guidance import (
     combined_noise,
     edit_condition,
     in_window,
+    resolve_steering,
 )
 from .controller import (
     Cluster,

@@ -8,8 +8,10 @@ alpha_bar*Sigma_k + (1-alpha_bar)*I.  The noise predictor is exact:
 
 which lets the sampler and every steering experiment run without any trained
 network.  Cheap per-step evaluation matters here (millions of calls per
-experiment), so mixtures are prepared once per condition and responsibilities
-are computed in log space.
+experiment), so mixtures are prepared once per condition, responsibilities
+are computed in log space, and `run_trajectories` advances many independent
+streams as one batch.  `sample` with `analytic_epsilon` and `ancestral_step`
+is the one-point reference path the engine is tested against.
 """
 
 from __future__ import annotations
@@ -93,41 +95,62 @@ class LatentState:
     t_index: int
 
 
-def _score_and_logp(mix: ConditionalMixture, x: np.ndarray, a_bar: float) -> tuple[np.ndarray, float]:
-    """Score (grad log density) and log density of the noised mixture at x."""
+def _logits(mix: ConditionalMixture, x: np.ndarray, a_bar: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-component log joint densities of the noised mixture at a (B, d) batch.
+
+    The (B, K) logits are log w_k + log N(x; sqrt(a_bar) mu_k, a_bar Sigma_k +
+    (1 - a_bar) I) without the -d/2 log(2 pi) term.  Also returns what the
+    score needs: each component's offset x - sqrt(a_bar) mu_k, or with full
+    covariances that offset in the eigenbasis divided by the marginal
+    eigenvalues.  No operation mixes rows, so a point's bits do not depend on
+    the batch it is evaluated in.
+    """
     sab = math.sqrt(a_bar)
-    d = x.shape[0]
+    diff = x[:, None, :] - sab * mix.means                  # (B, K, d)
     if mix.identity_cov:
         # Sigma_k = I makes every marginal covariance exactly I.
         if mix.means.shape[0] == 1:
-            diff = x - sab * mix.means[0]
-            logp = -0.5 * (float(diff @ diff) + d * _LOG_2PI)
-            return -diff, logp
-        diff = x[None, :] - sab * mix.means
-        logits = mix.log_weights - 0.5 * np.einsum("kd,kd->k", diff, diff)
-        m = logits.max()
-        w = np.exp(logits - m)
-        z = w.sum()
-        return -(w @ diff) / z, m + math.log(z) - 0.5 * d * _LOG_2PI
-
-    diff = x[None, :] - sab * mix.means
-    s = a_bar * mix.eig_vals + (1.0 - a_bar)            # marginal eigenvalues (K, d)
-    y = np.einsum("kji,kj->ki", mix.eig_vecs, diff)     # rotate into eigenbasis
+            sq = np.matmul(diff, diff.transpose(0, 2, 1))[:, :, 0]
+        else:
+            sq = np.einsum("bkd,bkd->bk", diff, diff)
+        return mix.log_weights - 0.5 * sq, diff
+    s = a_bar * mix.eig_vals + (1.0 - a_bar)                # marginal eigenvalues (K, d)
+    y = np.einsum("kji,bkj->bki", mix.eig_vecs, diff)       # rotate into eigenbasis
     ys = y / s
-    logits = (
-        mix.log_weights
-        - 0.5 * (np.einsum("ki,ki->k", y, ys) + np.log(s).sum(axis=1))
-    )
-    m = logits.max()
+    logits = mix.log_weights - 0.5 * (np.einsum("bki,bki->bk", y, ys) + np.log(s).sum(axis=1))
+    return logits, ys
+
+
+def _score(mix: ConditionalMixture, x: np.ndarray, a_bar: float) -> np.ndarray:
+    """Score (grad log density) of the noised mixture at every row of a (B, d) batch."""
+    logits, offsets = _logits(mix, x, a_bar)
+    if not mix.identity_cov:
+        offsets = np.einsum("kij,bkj->bki", mix.eig_vecs, offsets)
+    elif mix.means.shape[0] == 1:
+        return -offsets[:, 0, :]
+    m = logits.max(axis=1, keepdims=True)
     w = np.exp(logits - m)
-    z = w.sum()
-    sinv_diff = np.einsum("kij,kj->ki", mix.eig_vecs, ys)
-    return -(w @ sinv_diff) / z, m + math.log(z) - 0.5 * d * _LOG_2PI
+    return -np.matmul(w[:, None, :], offsets)[:, 0, :] / w.sum(axis=1, keepdims=True)
+
+
+def _logsumexp(logits: np.ndarray) -> float:
+    m = logits.max()
+    return m + math.log(np.exp(logits - m).sum())
 
 
 def mixture_log_density(mix: ConditionalMixture, x: np.ndarray, a_bar: float = 1.0) -> float:
     """Log density of the conditional mixture noised to level a_bar (1 = data level)."""
-    return _score_and_logp(mix, np.asarray(x, dtype=float), a_bar)[1]
+    x = np.asarray(x, dtype=float)
+    logits = _logits(mix, x[None, :], a_bar)[0][0]
+    return _logsumexp(logits) - 0.5 * x.shape[0] * _LOG_2PI
+
+
+def _noise(mix: ConditionalMixture, x: np.ndarray, schedule: NoiseSchedule, t: int) -> np.ndarray:
+    """Exact noise prediction for every row of a (B, d) batch at step t."""
+    eps = -schedule.sqrt_one_minus_alpha_bar[t] * _score(mix, x, float(schedule.alpha_bar[t]))
+    if not math.isfinite(eps.sum()):  # non-finite entries poison the sum
+        raise NumericsError(f"non-finite noise estimate at step {t}")
+    return eps
 
 
 def analytic_epsilon(
@@ -137,12 +160,8 @@ def analytic_epsilon(
     t = state.t_index
     if not 0 <= t < schedule.steps:
         raise ValueError(f"t_index {t} outside schedule range [0, {schedule.steps})")
-    mix = conditional_components(world, cond)
-    score, _ = _score_and_logp(mix, state.x, float(schedule.alpha_bar[t]))
-    eps = -schedule.sqrt_one_minus_alpha_bar[t] * score
-    if not math.isfinite(float(eps.sum())):  # non-finite entries poison the sum
-        raise NumericsError(f"non-finite noise estimate at step {t}")
-    return eps
+    x = np.asarray(state.x, dtype=float)[None, :]
+    return _noise(conditional_components(world, cond), x, schedule, t)[0]
 
 
 def ancestral_step(
@@ -172,10 +191,76 @@ def sample(
 ) -> np.ndarray:
     """Full reverse trajectory from x_T ~ N(0, I) down to a clean sample.
 
-    noise_fn(state, cond) supplies the per-step noise estimate, which is how
-    steering hooks are injected without the sampler knowing about them.
+    noise_fn(state, cond) supplies the per-step noise estimate.  This is the
+    one-point reference for `run_trajectories`.
     """
     state = LatentState(rng.standard_normal(world.dimension), schedule.steps - 1)
     while state.t_index >= 0:
         state = ancestral_step(schedule, state, noise_fn(state, cond), rng)
     return state.x
+
+
+@dataclass(frozen=True)
+class Steering:
+    """A guidance plan resolved for the trajectory engine.
+
+    active[t] marks the steps whose noise estimate is blended.  Each pair
+    holds a plan entry's sign and the mixtures of its target- and
+    reference-edited conditions.  The probe, if any, receives one row per
+    stream and steered step.
+    """
+
+    active: np.ndarray
+    pairs: tuple[tuple[int, ConditionalMixture, ConditionalMixture], ...]
+    gamma: float
+    scale: float
+    probe: object = None
+
+
+def _steer(steering: Steering, base: np.ndarray, x: np.ndarray,
+           schedule: NoiseSchedule, t: int) -> np.ndarray:
+    acc = np.zeros_like(base)
+    for scalar, target_mix, reference_mix in steering.pairs:
+        acc += scalar * (_noise(target_mix, x, schedule, t) - _noise(reference_mix, x, schedule, t))
+    attr_term = steering.scale * acc / len(steering.pairs)
+    if steering.probe is not None:
+        for b in range(len(x)):
+            steering.probe.record(t, base[b], attr_term[b])
+    out = steering.gamma * base + (1.0 - steering.gamma) * attr_term
+    if not math.isfinite(out.sum()):
+        raise NumericsError(f"non-finite steered noise at step {t}")
+    return out
+
+
+def run_trajectories(
+    world: MixtureWorld,
+    schedule: NoiseSchedule,
+    cond: Condition,
+    rngs: list[np.random.Generator],
+    steering: Steering | None = None,
+) -> np.ndarray:
+    """Clean samples of independent streams, advanced together as one (B, d) batch.
+
+    Stream b draws its whole noise tape up front with one
+    standard_normal(steps * d) call: row 0 is x_T and row i the fresh noise of
+    reverse step i (the final step adds none).  That consumes each generator
+    exactly as `sample` does, and every operation is row-wise, so row b
+    equals `sample` with the same steering run on rngs[b] alone.
+    """
+    steps, d = schedule.steps, world.dimension
+    tapes = np.empty((steps, len(rngs), d))
+    for b, rng in enumerate(rngs):
+        tapes[:, b, :] = rng.standard_normal(steps * d).reshape(steps, d)
+    mix = conditional_components(world, cond)
+    x = tapes[0]
+    for i in range(steps):
+        t = steps - 1 - i
+        eps = _noise(mix, x, schedule, t)
+        if steering is not None and steering.active[t]:
+            eps = _steer(steering, eps, x, schedule, t)
+        x = schedule.inv_sqrt_alpha[t] * (x - schedule.noise_coef[t] * eps)
+        if t >= 1:
+            x = x + schedule.sqrt_beta[t] * tapes[i + 1]
+        if not math.isfinite(x.sum()):
+            raise NumericsError(f"non-finite latent produced at step {t}")
+    return x

@@ -10,7 +10,6 @@ per-attribute scores and then into one combined number.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,21 +22,13 @@ from .world import (
     TargetDistribution,
     conditional_components,
 )
-from .diffusion import mixture_log_density
+from .diffusion import _logits, _logsumexp, mixture_log_density
 
 
 def _log_posteriors(mix: ConditionalMixture, x: np.ndarray) -> np.ndarray:
     """Per-component log posterior responsibilities at the data level."""
-    diff = x[None, :] - mix.means
-    if mix.identity_cov:
-        logits = mix.log_weights - 0.5 * np.einsum("kd,kd->k", diff, diff)
-    else:
-        y = np.einsum("kji,kj->ki", mix.eig_vecs, diff)
-        logits = mix.log_weights - 0.5 * (
-            np.einsum("ki,ki->k", y, y / mix.eig_vals) + np.log(mix.eig_vals).sum(axis=1)
-        )
-    m = logits.max()
-    return logits - (m + math.log(np.exp(logits - m).sum()))
+    logits = _logits(mix, x[None, :], 1.0)[0][0]
+    return logits - _logsumexp(logits)
 
 
 def discriminate(world: MixtureWorld, x0: np.ndarray) -> tuple[dict[str, str], dict[str, float]]:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .diffusion import LatentState, NoiseSchedule, analytic_epsilon
+from .diffusion import LatentState, NoiseSchedule, Steering, analytic_epsilon
 from .errors import NumericsError
 from .world import Condition, MixtureWorld, conditional_components
 
@@ -159,3 +159,31 @@ def combined_noise(
     if not math.isfinite(float(out.sum())):
         raise NumericsError(f"non-finite steered noise at step {state.t_index}")
     return out
+
+
+def resolve_steering(
+    world: MixtureWorld,
+    schedule: NoiseSchedule,
+    cond: Condition,
+    plan: GuidancePlan,
+    config: GuidanceConfig,
+    probe: GuidanceProbe | None = None,
+) -> Steering | None:
+    """The plan as `run_trajectories` applies it: the blend of `combined_noise`.
+
+    Edited conditions are resolved once, in plan order.  None when no step
+    would be blended (gamma = 1, an empty plan, or a window holding no step);
+    then, as in combined_noise, no edited condition is evaluated.
+    """
+    if config.gamma == 1.0 or len(plan) == 0:
+        return None
+    active = np.array([in_window(schedule, t, config) for t in range(schedule.steps)])
+    if not active.any():
+        return None
+    pairs = tuple(
+        (entry.scalar,
+         conditional_components(world, edit_condition(world, cond, attribute, entry.target)),
+         conditional_components(world, edit_condition(world, cond, attribute, entry.reference)))
+        for attribute, entry in plan.entries
+    )
+    return Steering(active, pairs, config.gamma, config.attribute_scale, probe)

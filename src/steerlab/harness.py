@@ -4,8 +4,10 @@ A run walks its prompt list in order; each prompt instance gets a fresh
 deterministic RNG stream per sample, derived from (master seed, global prompt
 ordinal, sample index), so arms with the same seed share identical streams
 and artifacts are byte-reproducible.  For every generation the harness asks
-the controller for a plan, samples with the steering hook, discriminates the
-outcome, and feeds it back into the memory — in that order.
+the controller for a plan, samples its trajectory with that plan's steering,
+discriminates the outcome, and feeds it back into the memory — in that order.
+Vanilla generations read no memory, so a prompt's samples are drawn as one
+batch of independent streams.
 
 A persisted memory file carries the count of prompts already processed, so a
 run that resumes from it continues the ordinal sequence exactly where the
@@ -33,10 +35,10 @@ from .controller import (
     restore_memory,
     snapshot_memory,
 )
-from .diffusion import analytic_epsilon, linear_schedule, mixture_log_density, sample
+from .diffusion import linear_schedule, mixture_log_density, run_trajectories
 from .errors import SteerlabError
 from .evaluate import BiasReport, QualityScores, build_report, discriminate, write_report_csv
-from .guidance import GuidanceConfig, GuidanceProbe, combined_noise
+from .guidance import GuidanceConfig, GuidanceProbe, resolve_steering
 from .render import render_scatter
 from .world import Condition, MixtureWorld, TargetDistribution, conditional_components, make_condition
 from .worldfile import load_world
@@ -99,6 +101,8 @@ class ExperimentSpec:
                 prompts.append(PromptSpec(**p))
             except TypeError as exc:
                 raise ValueError(f"bad prompt entry {p!r}: {exc}") from None
+            if not (isinstance(prompts[-1].count, int) and prompts[-1].count >= 1):
+                raise ValueError(f"bad prompt entry {p!r}: count must be an integer >= 1")
         data["prompts"] = prompts
         if not os.path.isabs(data["world_path"]):
             data["world_path"] = os.path.join(base_dir, data["world_path"])
@@ -234,14 +238,16 @@ def run_generate(
                 prompt_outcomes: list[dict[str, str]] = []
                 hits = 0
                 logdens = 0.0
-                for s_i in range(spec.samples_per_prompt):
-                    ss = np.random.SeedSequence([spec.seed, ordinal, s_i])
-                    rng = np.random.default_rng(ss)
-                    stream_seed = int(ss.generate_state(1)[0])
+                streams = [np.random.SeedSequence([spec.seed, ordinal, s_i])
+                           for s_i in range(spec.samples_per_prompt)]
+                if policy is None:
+                    # Vanilla samples share no state: one batch for the prompt.
+                    points = run_trajectories(
+                        world, schedule, cond, [np.random.default_rng(ss) for ss in streams]
+                    )
+                for s_i, ss in enumerate(streams):
                     if policy is None:
-                        plan = None
-                        def hook(state, c):
-                            return analytic_epsilon(world, schedule, state, c)
+                        x0 = points[s_i]
                     else:
                         if policy.kind == "probabilistic":
                             policy.rng = np.random.default_rng(
@@ -249,9 +255,10 @@ def run_generate(
                             )
                         plan = decide(memory, cond, schema, target, policy)
                         probe = GuidanceProbe() if spec.diagnostics else None
-                        def hook(state, c, _plan=plan, _probe=probe):
-                            return combined_noise(world, schedule, state, c, _plan, config, _probe)
-                    x0 = sample(world, schedule, cond, hook, rng)
+                        steering = resolve_steering(world, schedule, cond, plan, config, probe)
+                        x0 = run_trajectories(
+                            world, schedule, cond, [np.random.default_rng(ss)], steering
+                        )[0]
                     labels, concept_post = discriminate(world, x0)
                     if policy is not None:
                         if spec.record_intent:
@@ -267,7 +274,8 @@ def run_generate(
                     prompt_outcomes.append(labels)
                     rows.append(GeneratedSample(
                         prompt_id=prompt_id, prompt_ordinal=ordinal, sample_index=s_i,
-                        stream_seed=stream_seed, concept=prompt.concept, x=x0, labels=labels,
+                        stream_seed=int(ss.generate_state(1)[0]), concept=prompt.concept,
+                        x=x0, labels=labels,
                     ))
                 samples.extend(rows)
                 prompt_ids.append(prompt_id)

@@ -308,6 +308,9 @@ class TargetDistribution:
     def __init__(self, proportions: dict[str, dict[str, float]]):
         self.proportions = {a: dict(v) for a, v in proportions.items()}
         for attr, dist in self.proportions.items():
+            for v, p in dist.items():
+                if not math.isfinite(p):
+                    raise WorldValidationError(f"non-finite proportion {p!r} for {attr}={v}")
             total = sum(dist.values())
             if abs(total - 1.0) > 1e-9:
                 raise WorldValidationError(

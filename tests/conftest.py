@@ -66,17 +66,22 @@ def single_gaussian_world(mean=(0.0, 0.0)) -> MixtureWorld:
     )
 
 
-def two_attribute_world() -> MixtureWorld:
-    """gender x age world where the joint (male, old) slice is empty."""
+def two_attribute_world(covariances: dict | None = None) -> MixtureWorld:
+    """gender x age world where the joint (male, old) slice is empty.
+
+    covariances maps (gender, age) to a component covariance (default I).
+    """
     schema = AttributeSchema([
         Attribute("gender", ("male", "female")),
         Attribute("age", ("young", "old")),
     ])
+    covs = covariances or {}
 
     def comp(mean, weight, gender, age):
         return Component(
-            mean=np.array(mean, dtype=float), covariance=np.eye(2), weight=weight,
-            concept="worker", tags={"gender": gender, "age": age},
+            mean=np.array(mean, dtype=float),
+            covariance=np.array(covs.get((gender, age), np.eye(2)), dtype=float),
+            weight=weight, concept="worker", tags={"gender": gender, "age": age},
         )
 
     return MixtureWorld(2, schema, [

@@ -39,8 +39,8 @@ from steerlab import (
     restore_memory,
     run_generate,
     run_sweep,
+    run_trajectories,
     run_window_ablation,
-    sample,
     snapshot_memory,
 )
 from steerlab.cli import main as cli_main
@@ -140,14 +140,14 @@ def test_c01_noise_prediction_matches_score_oracle(default_world, verdict):
 
 def test_c02_sampler_reproduces_unit_gaussian(verdict):
     """5,000 full reverse trajectories on the unit-Gaussian world under the
-    default 1,000-step schedule: sample moments must match N(0, I)."""
+    default 1,000-step schedule, drawn by the trajectory engine from 5,000
+    independent streams: sample moments must match N(0, I)."""
     t0 = time.perf_counter()
     world = single_gaussian_world()
     schedule = linear_schedule(1000)
     cond = make_condition(world, "origin")
-    hook = lambda state, c: analytic_epsilon(world, schedule, state, c)
-    rng = np.random.default_rng(202)
-    draws = np.array([sample(world, schedule, cond, hook, rng) for _ in range(5000)])
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(202).spawn(5000)]
+    draws = run_trajectories(world, schedule, cond, rngs)
     mean_err = float(np.abs(draws.mean(axis=0)).max())
     cov_err = float(np.abs(np.cov(draws.T) - np.eye(2)).max())
     elapsed = time.perf_counter() - t0

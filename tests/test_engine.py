@@ -1,0 +1,207 @@
+"""The batched trajectory engine against the one-point reference path.
+
+`run_trajectories` must reproduce `sample` driven by `analytic_epsilon` (or,
+when steering, by `combined_noise`) bit for bit, stream by stream, whatever
+the batch size.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from steerlab import (
+    EMPTY_PLAN,
+    GuidanceConfig,
+    GuidancePlan,
+    InfeasibleConditionError,
+    NumericsError,
+    PlanEntry,
+    analytic_epsilon,
+    combined_noise,
+    default_world_path,
+    linear_schedule,
+    load_world,
+    make_condition,
+    resolve_steering,
+    run_generate,
+    run_trajectories,
+    sample,
+)
+from steerlab.guidance import GuidanceProbe
+from steerlab.harness import ExperimentSpec, PromptSpec
+
+from conftest import build_gender_world, two_attribute_world
+
+FULL_COV = {
+    ("engineer", "male"): [[2.0, 0.6], [0.6, 1.0]],
+    ("engineer", "female"): [[0.7, -0.2], [-0.2, 1.3]],
+    ("teacher", "female"): [[0.5, -0.2], [-0.2, 1.5]],
+}
+WORLDS = {
+    "identity": lambda: build_gender_world(male_weight=0.65),
+    "full-cov": lambda: build_gender_world(male_weight=0.65, covariances=FULL_COV),
+}
+TWO_ATTR_WORLDS = {
+    "identity": two_attribute_world,
+    "full-cov": lambda: two_attribute_world(covariances={
+        ("male", "young"): [[1.5, 0.4], [0.4, 0.8]],
+        ("female", "old"): [[0.6, 0.1], [0.1, 1.2]],
+    }),
+}
+CONFIG = GuidanceConfig(gamma=0.6, window=(0.2, 0.55), attribute_scale=4.0)
+ONE_ATTR = GuidancePlan.from_dict({"gender": PlanEntry("female", "male")})
+TWO_ATTR = GuidancePlan.from_dict({
+    "gender": PlanEntry("female", "male"),
+    "age": PlanEntry("old", "young", scalar=-1),
+})
+
+
+def _rngs(n, seed=0):
+    return [np.random.default_rng(np.random.SeedSequence([seed, 7, i])) for i in range(n)]
+
+
+def _reference(world, schedule, cond, rng, plan=None, probe=None):
+    if plan is None:
+        def hook(state, c):
+            return analytic_epsilon(world, schedule, state, c)
+    else:
+        def hook(state, c):
+            return combined_noise(world, schedule, state, c, plan, CONFIG, probe)
+    return sample(world, schedule, cond, hook, rng)
+
+
+def _engine(world, schedule, cond, rngs, plan=None, probe=None):
+    steering = None
+    if plan is not None:
+        steering = resolve_steering(world, schedule, cond, plan, CONFIG, probe)
+    return run_trajectories(world, schedule, cond, rngs, steering)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_one_tape_draw_equals_per_step_draws(d):
+    steps = 1000
+    a, b = np.random.default_rng(42), np.random.default_rng(42)
+    tape = a.standard_normal(steps * d)
+    per_step = np.concatenate([b.standard_normal(d) for _ in range(steps)])
+    np.testing.assert_array_equal(tape, per_step)
+
+
+@pytest.mark.parametrize("name", WORLDS)
+def test_vanilla_batch_equals_reference_per_stream(name):
+    world = WORLDS[name]()
+    schedule = linear_schedule(120, beta_end=0.1)
+    cond = make_condition(world, "engineer", jitter_seed=3, jitter_scale=0.2)
+    batch = _engine(world, schedule, cond, _rngs(6))
+    for b, rng in enumerate(_rngs(6)):
+        np.testing.assert_array_equal(batch[b], _reference(world, schedule, cond, rng))
+
+
+@pytest.mark.parametrize("name", WORLDS)
+def test_one_attribute_plan_equals_reference_with_probe_rows(name):
+    world = WORLDS[name]()
+    schedule = linear_schedule(120, beta_end=0.1)
+    cond = make_condition(world, "teacher")
+    for rng_a, rng_b in zip(_rngs(3, seed=1), _rngs(3, seed=1)):
+        probe_a, probe_b = GuidanceProbe(), GuidanceProbe()
+        ours = _engine(world, schedule, cond, [rng_a], ONE_ATTR, probe_a)[0]
+        theirs = _reference(world, schedule, cond, rng_b, ONE_ATTR, probe_b)
+        np.testing.assert_array_equal(ours, theirs)
+        assert probe_a.rows and probe_a.rows == probe_b.rows
+
+
+@pytest.mark.parametrize("name", TWO_ATTR_WORLDS)
+def test_two_attribute_plan_with_negative_scalar_equals_reference(name):
+    world = TWO_ATTR_WORLDS[name]()
+    schedule = linear_schedule(120, beta_end=0.1)
+    cond = make_condition(world, "worker")
+    for rng_a, rng_b in zip(_rngs(3, seed=2), _rngs(3, seed=2)):
+        probe_a, probe_b = GuidanceProbe(), GuidanceProbe()
+        ours = _engine(world, schedule, cond, [rng_a], TWO_ATTR, probe_a)[0]
+        theirs = _reference(world, schedule, cond, rng_b, TWO_ATTR, probe_b)
+        np.testing.assert_array_equal(ours, theirs)
+        assert probe_a.rows and probe_a.rows == probe_b.rows
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    world_name=st.sampled_from(sorted(WORLDS)),
+    n=st.integers(2, 12),
+    seed=st.integers(0, 2**32 - 1),
+    steps=st.integers(1, 40),
+    steered=st.booleans(),
+)
+def test_batch_size_never_changes_a_stream(world_name, n, seed, steps, steered):
+    world = WORLDS[world_name]()
+    schedule = linear_schedule(steps, beta_end=0.3)
+    cond = make_condition(world, "engineer")
+    plan = ONE_ATTR if steered else None
+    batch = _engine(world, schedule, cond, _rngs(n, seed), plan)
+    for b, rng in enumerate(_rngs(n, seed)):
+        np.testing.assert_array_equal(batch[b], _engine(world, schedule, cond, [rng], plan)[0])
+
+
+def test_steering_resolves_to_none_when_no_step_is_blended():
+    world = two_attribute_world()
+    cond = make_condition(world, "worker", {"age": "old"})
+    infeasible = GuidancePlan.from_dict({"gender": PlanEntry("male", "female")})
+    schedule = linear_schedule(2)          # reverse progress hits only 0 and 1
+    assert resolve_steering(world, schedule, cond, infeasible,
+                            GuidanceConfig(window=(0.3, 0.6))) is None
+    schedule = linear_schedule(20)
+    assert resolve_steering(world, schedule, cond, infeasible, GuidanceConfig(gamma=1.0)) is None
+    assert resolve_steering(world, schedule, cond, EMPTY_PLAN, CONFIG) is None
+    with pytest.raises(InfeasibleConditionError, match="gender='male'"):
+        resolve_steering(world, schedule, cond, infeasible, CONFIG)
+
+
+class _Tape:
+    """A generator stand-in whose draws are fixed values."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+        self.at = 0
+
+    def standard_normal(self, n):
+        out = self.values[self.at:self.at + n]
+        self.at += n
+        return out
+
+
+@pytest.mark.parametrize("poison, message", [
+    ((0, 0), "non-finite noise estimate at step 9"),
+    ((4, 1), "non-finite latent produced at step 6"),
+])
+def test_finiteness_failures_match_reference(poison, message):
+    world = build_gender_world()
+    schedule = linear_schedule(10)
+    cond = make_condition(world, "engineer")
+    values = np.zeros((10, 2))
+    values[poison] = np.nan if poison == (0, 0) else np.inf
+    with pytest.raises(NumericsError, match=message):
+        _reference(world, schedule, cond, _Tape(values.ravel()))
+    with pytest.raises(NumericsError, match=message):
+        _engine(world, schedule, cond, [_Tape(values.ravel())])
+
+
+def test_vanilla_run_equals_reference_sampler():
+    spec = ExperimentSpec(
+        world_path=default_world_path(),
+        prompts=[PromptSpec("engineer", count=2, jitter_seed=5), PromptSpec("teacher")],
+        target={"gender": {"male": 0.5, "female": 0.5}},
+        policy="vanilla", samples_per_prompt=3, steps=60, beta_end=0.2, seed=9,
+    )
+    world = load_world(spec.world_path)
+    schedule = linear_schedule(spec.steps, spec.beta_start, spec.beta_end)
+    result = run_generate(spec, world=world)
+    assert len(result.samples) == 9
+    for s in result.samples:
+        instance = s.prompt_ordinal if s.concept == "engineer" else 0
+        jitter = spec.prompts[0].jitter_seed if s.concept == "engineer" else 0
+        cond = make_condition(
+            world, s.concept,
+            jitter_seed=int(np.random.SeedSequence([jitter, instance]).generate_state(1)[0]),
+            jitter_scale=spec.jitter_scale,
+        )
+        rng = np.random.default_rng(np.random.SeedSequence([spec.seed, s.prompt_ordinal,
+                                                            s.sample_index]))
+        np.testing.assert_array_equal(s.x, _reference(world, schedule, cond, rng))

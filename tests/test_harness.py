@@ -92,6 +92,13 @@ class TestExperimentSpec:
         with pytest.raises(ValueError, match="bad prompt entry"):
             ExperimentSpec.from_dict(data)
 
+    @pytest.mark.parametrize("count", [-3, 0])
+    def test_non_positive_prompt_count_rejected(self, count):
+        data = self.config_dict()
+        data["prompts"] = [{"concept": "engineer", "count": count}]
+        with pytest.raises(ValueError, match="bad prompt entry.*count"):
+            ExperimentSpec.from_dict(data)
+
     def test_policy_validated(self):
         data = self.config_dict()
         data["policy"] = "greedy"

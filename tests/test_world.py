@@ -232,6 +232,11 @@ class TestTargetDistribution:
         with pytest.raises(WorldValidationError, match="negative"):
             TargetDistribution({"gender": {"male": -0.1, "female": 1.1}})
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_proportion_rejected(self, bad):
+        with pytest.raises(WorldValidationError, match="gender"):
+            TargetDistribution({"gender": {"male": bad, "female": 0.5}})
+
     def test_degenerate_point_mass_is_legal(self):
         t = TargetDistribution({"gender": {"male": 1.0, "female": 0.0}})
         assert t.of("gender", "female") == 0.0
