@@ -96,14 +96,10 @@ class LatentState:
 
 
 def _logits(mix: ConditionalMixture, x: np.ndarray, a_bar: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per-component log joint densities of the noised mixture at a (B, d) batch.
-
-    The (B, K) logits are log w_k + log N(x; sqrt(a_bar) mu_k, a_bar Sigma_k +
-    (1 - a_bar) I) without the -d/2 log(2 pi) term.  Also returns what the
-    score needs: each component's offset x - sqrt(a_bar) mu_k, or with full
-    covariances that offset in the eigenbasis divided by the marginal
-    eigenvalues.  No operation mixes rows, so a point's bits do not depend on
-    the batch it is evaluated in.
+    """(B, K) logits log w_k + log N(x; sqrt(a_bar) mu_k, a_bar Sigma_k + (1 - a_bar) I),
+    less d/2 log(2 pi), at a (B, d) batch, plus the per-component offsets the
+    score needs (in the eigenbasis, over the marginal eigenvalues, for full
+    covariances).  No operation mixes rows, so bits do not depend on B.
     """
     sab = math.sqrt(a_bar)
     diff = x[:, None, :] - sab * mix.means                  # (B, K, d)

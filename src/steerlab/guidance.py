@@ -7,6 +7,9 @@ under two edited conditions (value pinned to target vs. reference), which
 points along the latent separation between those attribute values at the
 current noise level.  Outside the window the base estimate passes through
 untouched and no edited condition is ever evaluated.
+
+`resolve_steering` hands a plan to the trajectory engine, which applies the
+blend; `combined_noise` is the one-point reference of the same blend.
 """
 
 from __future__ import annotations

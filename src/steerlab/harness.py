@@ -58,6 +58,10 @@ class PromptSpec:
     jitter_seed: int = 0
     constraints: dict[str, str] = field(default_factory=dict)
 
+    def __post_init__(self):
+        if not (isinstance(self.count, int) and self.count >= 1):
+            raise ValueError(f"count must be an integer >= 1, got {self.count!r}")
+
 
 @dataclass
 class ExperimentSpec:
@@ -99,10 +103,8 @@ class ExperimentSpec:
                 continue
             try:
                 prompts.append(PromptSpec(**p))
-            except TypeError as exc:
+            except (TypeError, ValueError) as exc:
                 raise ValueError(f"bad prompt entry {p!r}: {exc}") from None
-            if not (isinstance(prompts[-1].count, int) and prompts[-1].count >= 1):
-                raise ValueError(f"bad prompt entry {p!r}: count must be an integer >= 1")
         data["prompts"] = prompts
         if not os.path.isabs(data["world_path"]):
             data["world_path"] = os.path.join(base_dir, data["world_path"])

@@ -98,6 +98,8 @@ class TestExperimentSpec:
         data["prompts"] = [{"concept": "engineer", "count": count}]
         with pytest.raises(ValueError, match="bad prompt entry.*count"):
             ExperimentSpec.from_dict(data)
+        with pytest.raises(ValueError, match="count"):
+            PromptSpec("engineer", count=count)
 
     def test_policy_validated(self):
         data = self.config_dict()
