@@ -234,7 +234,7 @@ class TestTargetDistribution:
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_proportion_rejected(self, bad):
-        with pytest.raises(WorldValidationError, match="gender"):
+        with pytest.raises(WorldValidationError, match="non-finite proportion .* gender=male"):
             TargetDistribution({"gender": {"male": bad, "female": 0.5}})
 
     def test_degenerate_point_mass_is_legal(self):
