@@ -110,10 +110,14 @@ def _logits(mix: ConditionalMixture, x: np.ndarray, a_bar: float) -> tuple[np.nd
         else:
             sq = np.einsum("bkd,bkd->bk", diff, diff)
         return mix.log_weights - 0.5 * sq, diff
-    s = a_bar * mix.eig_vals + (1.0 - a_bar)                # marginal eigenvalues (K, d)
+    marginal = mix.marginals.get(a_bar)
+    if marginal is None:  # depends only on (mixture, level), so later samples reuse it
+        s = a_bar * mix.eig_vals + (1.0 - a_bar)            # marginal eigenvalues (K, d)
+        marginal = mix.marginals[a_bar] = (s, np.log(s).sum(axis=1))
+    s, log_det = marginal
     y = np.einsum("kji,bkj->bki", mix.eig_vecs, diff)       # rotate into eigenbasis
     ys = y / s
-    logits = mix.log_weights - 0.5 * (np.einsum("bki,bki->bk", y, ys) + np.log(s).sum(axis=1))
+    logits = mix.log_weights - 0.5 * (np.einsum("bki,bki->bk", y, ys) + log_det)
     return logits, ys
 
 

@@ -95,6 +95,8 @@ class ConditionalMixture:
     identity_cov: bool           # True when every covariance is the identity
     eig_vals: np.ndarray | None  # (K, d) eigenvalues of each covariance
     eig_vecs: np.ndarray | None  # (K, d, d) matching eigenvectors (columns)
+    # noise level -> (marginal eigenvalues, their log-determinants), filled by the kernel
+    marginals: dict = field(default_factory=dict, repr=False)
 
 
 def _prepare(components: list[Component], weights: np.ndarray) -> ConditionalMixture:
