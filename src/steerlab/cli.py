@@ -15,12 +15,14 @@ from . import __version__
 from .controller import cluster_rows, restore_memory
 from .errors import SteerlabError
 from .harness import (
+    ArmsResult,
     ExperimentSpec,
-    render_run_scatter,
+    load_samples_csv,
     run_generate,
     run_sweep,
     run_window_ablation,
 )
+from .render import render_scatter
 from .worldfile import default_world_path, load_world
 
 
@@ -77,21 +79,22 @@ def _cmd_generate(args) -> int:
     return 1 if result.failures else 0
 
 
-def _cmd_sweep(args) -> int:
-    result = run_sweep(_load_spec(args), out_dir=args.out)
+def _print_arms(result: ArmsResult) -> int:
+    """Print one line per arm; the exit code is 1 if any arm lost prompts."""
     for row in result.rows:
         print(f"arm {row.arm}: {row.label} bias={row.bias:.6f} quality={row.quality:.6f}")
+    return 1 if any(r.failures for r in result.results) else 0
+
+
+def _cmd_sweep(args) -> int:
+    result = run_sweep(_load_spec(args), out_dir=args.out)
+    code = _print_arms(result)
     print(f"avg_bias={result.avg_bias:.6f} std_bias={result.std_bias:.6f}")
-    failed = any(r.failures for r in result.results)
-    return 1 if failed else 0
+    return code
 
 
 def _cmd_ablate_window(args) -> int:
-    result = run_window_ablation(_load_spec(args), out_dir=args.out)
-    for row in result.rows:
-        print(f"arm {row.arm}: {row.label} bias={row.bias:.6f} quality={row.quality:.6f}")
-    failed = any(r.failures for r in result.results)
-    return 1 if failed else 0
+    return _print_arms(run_window_ablation(_load_spec(args), out_dir=args.out))
 
 
 def _cmd_inspect_memory(args) -> int:
@@ -116,7 +119,8 @@ def _cmd_inspect_memory(args) -> int:
 
 def _cmd_render(args) -> int:
     world = load_world(args.world if args.world else default_world_path())
-    render_run_scatter(args.samples, world, args.out, attribute=args.attribute)
+    points, labels, _ = load_samples_csv(args.samples)
+    render_scatter(points, labels, world, args.out, attribute=args.attribute)
     print(f"wrote {args.out}")
     return 0
 

@@ -63,7 +63,6 @@ class MemoryModule:
 class IndicatorPolicy:
     kind: str
     static_pairs: dict[str, tuple[str, str]] | None = None
-    rng: np.random.Generator | None = None
 
     def __post_init__(self):
         if self.kind not in POLICY_KINDS:
@@ -110,8 +109,12 @@ def decide(
     schema: AttributeSchema,
     target: TargetDistribution,
     policy: IndicatorPolicy,
+    rng: np.random.Generator | None = None,
 ) -> GuidancePlan:
-    """Choose a steering plan for one generation; never mutates the memory."""
+    """Choose a steering plan for one generation; never mutates the memory.
+
+    `rng` is the generation's stream; only the probabilistic policy draws from it.
+    """
     target.validate_for(schema)
     idx = lookup(memory, cond.embedding)
     counts = memory.clusters[idx].counts if idx is not None else {}
@@ -127,12 +130,12 @@ def decide(
             rest = tuple(v for v in values if v != tgt)
             ref = _argmax_schema_order(rest, lambda v: observed(v) - target.of(attr.name, v))
         elif policy.kind == "probabilistic":
-            if policy.rng is None:
+            if rng is None:
                 raise ValueError("probabilistic policy needs an rng stream")
             probs = np.array([target.of(attr.name, v) for v in values])
-            tgt = values[int(policy.rng.choice(len(values), p=probs / probs.sum()))]
+            tgt = values[int(rng.choice(len(values), p=probs / probs.sum()))]
             rest = tuple(v for v in values if v != tgt)
-            ref = rest[int(policy.rng.integers(len(rest)))]
+            ref = rest[int(rng.integers(len(rest)))]
         else:  # static
             try:
                 tgt, ref = policy.static_pairs[attr.name]
@@ -228,12 +231,13 @@ def snapshot_memory(
 
 
 def restore_memory(
-    path: str, schema: AttributeSchema | None = None
+    path: str, schema: AttributeSchema | None = None, dimension: int | None = None
 ) -> tuple[MemoryModule, int]:
     """Load a persisted memory; returns (memory, prompts_seen).
 
-    Any structural problem (bad magic, version, schema mismatch, checksum,
-    truncation) raises MemorySnapshotError before any state is exposed.
+    Any structural problem (bad magic, version, schema or dimension mismatch,
+    checksum, truncation) raises MemorySnapshotError before any state is
+    exposed.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -270,6 +274,10 @@ def restore_memory(
         raise MemorySnapshotError(f"malformed memory container {path!r}: {exc}") from exc
     if len(memory.clusters) > memory.budget:
         raise MemorySnapshotError(f"memory file {path!r} exceeds its own budget")
+    if dimension is not None and any(c.centroid.shape != (dimension,) for c in memory.clusters):
+        raise MemorySnapshotError(
+            f"memory file {path!r} was written for a world of another dimension than {dimension}"
+        )
     return memory, prompts_seen
 
 

@@ -205,13 +205,13 @@ class Steering:
     """A guidance plan resolved for the trajectory engine.
 
     active[t] marks the steps whose noise estimate is blended.  Each pair
-    holds a plan entry's sign and the mixtures of its target- and
-    reference-edited conditions.  The probe, if any, receives one row per
-    stream and steered step.
+    holds the mixtures of a plan entry's target- and reference-edited
+    conditions.  The probe, if any, receives one row per stream and
+    steered step.
     """
 
     active: np.ndarray
-    pairs: tuple[tuple[int, ConditionalMixture, ConditionalMixture], ...]
+    pairs: tuple[tuple[ConditionalMixture, ConditionalMixture], ...]
     gamma: float
     scale: float
     probe: object = None
@@ -220,8 +220,8 @@ class Steering:
 def _steer(steering: Steering, base: np.ndarray, x: np.ndarray,
            schedule: NoiseSchedule, t: int) -> np.ndarray:
     acc = np.zeros_like(base)
-    for scalar, target_mix, reference_mix in steering.pairs:
-        acc += scalar * (_noise(target_mix, x, schedule, t) - _noise(reference_mix, x, schedule, t))
+    for target_mix, reference_mix in steering.pairs:
+        acc += _noise(target_mix, x, schedule, t) - _noise(reference_mix, x, schedule, t)
     attr_term = steering.scale * acc / len(steering.pairs)
     if steering.probe is not None:
         for b in range(len(x)):

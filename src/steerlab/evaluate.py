@@ -195,24 +195,24 @@ def build_report(
     )
 
 
-def write_report_csv(report: BiasReport, path: str, schema: AttributeSchema) -> None:
-    """One row per prompt per attribute, then a summary comment block."""
-    lines = ["# steerlab-report v1", f"# config_digest={report.config_digest}",
-             f"# master_seed={report.master_seed}"]
-    lines.append("prompt_id,concept,attribute,t_samples,observed,deviation")
-    for row in report.rows:
-        observed = "|".join(
-            f"{v}:{row.observed[v]!r}" for v in schema.values_of(row.attribute)
-        )
-        lines.append(
-            f"{row.prompt_id},{row.concept},{row.attribute},{row.t_samples},"
-            f"{observed},{row.deviation!r}"
-        )
-    for attr in schema.names():
-        lines.append(f"# summary bias[{attr}]={report.per_attribute[attr]!r}")
-    lines.append(f"# summary bias_combined={report.combined!r}")
-    lines.append(f"# summary quality={report.quality!r}")
-    lines.append(f"# summary mean_log_density={report.mean_log_density!r}")
-    lines.append(f"# summary n_prompts={report.n_prompts} t_samples={report.t_samples}")
+def write_csv(path: str, kind: str, meta: dict, header: list[str], rows, summary=()) -> None:
+    """A `# steerlab-<kind> v1` tag, `# key=value` meta lines, header, rows, `# summary` lines."""
+    lines = [f"# steerlab-{kind} v1", *(f"# {k}={v}" for k, v in meta.items()), ",".join(header)]
+    lines += [",".join(map(str, row)) for row in rows] + [f"# summary {s}" for s in summary]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def write_report_csv(report: BiasReport, path: str, schema: AttributeSchema) -> None:
+    """One row per prompt per attribute, then a summary comment block."""
+    rows = [(r.prompt_id, r.concept, r.attribute, r.t_samples,
+             "|".join(f"{v}:{r.observed[v]!r}" for v in schema.values_of(r.attribute)),
+             repr(r.deviation)) for r in report.rows]
+    summary = [f"bias[{a}]={report.per_attribute[a]!r}" for a in schema.names()]
+    summary += [f"bias_combined={report.combined!r}", f"quality={report.quality!r}",
+                f"mean_log_density={report.mean_log_density!r}",
+                f"n_prompts={report.n_prompts} t_samples={report.t_samples}"]
+    write_csv(path, "report",
+              {"config_digest": report.config_digest, "master_seed": report.master_seed},
+              ["prompt_id", "concept", "attribute", "t_samples", "observed", "deviation"],
+              rows, summary)

@@ -46,13 +46,10 @@ class PlanEntry:
 
     target: str
     reference: str
-    scalar: int = 1
 
     def __post_init__(self):
         if self.target == self.reference:
             raise ValueError(f"target and reference must differ, both {self.target!r}")
-        if self.scalar not in (1, -1):
-            raise ValueError(f"scalar must be +1 or -1, got {self.scalar}")
 
 
 @dataclass(frozen=True)
@@ -152,7 +149,7 @@ def combined_noise(
         return base
     acc = np.zeros_like(base)
     for attribute, entry in plan.entries:
-        acc += entry.scalar * adaptive_latent_direction(
+        acc += adaptive_latent_direction(
             world, schedule, state, cond, attribute, (entry.target, entry.reference)
         )
     attr_term = config.attribute_scale * acc / len(plan)
@@ -184,8 +181,7 @@ def resolve_steering(
     if not active.any():
         return None
     pairs = tuple(
-        (entry.scalar,
-         conditional_components(world, edit_condition(world, cond, attribute, entry.target)),
+        (conditional_components(world, edit_condition(world, cond, attribute, entry.target)),
          conditional_components(world, edit_condition(world, cond, attribute, entry.reference)))
         for attribute, entry in plan.entries
     )

@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import numbers
 import os
 import time
 from dataclasses import dataclass, field, fields, replace
@@ -37,9 +38,8 @@ from .controller import (
 )
 from .diffusion import linear_schedule, mixture_log_density, run_trajectories
 from .errors import SteerlabError
-from .evaluate import BiasReport, QualityScores, build_report, discriminate, write_report_csv
+from .evaluate import BiasReport, QualityScores, build_report, discriminate, write_csv, write_report_csv
 from .guidance import GuidanceConfig, GuidanceProbe, resolve_steering
-from .render import render_scatter
 from .world import Condition, MixtureWorld, TargetDistribution, conditional_components, make_condition
 from .worldfile import load_world
 
@@ -49,6 +49,11 @@ _POLICY_NS = 7919   # namespace constants keeping derived seed streams disjoint
 _ARM_NS = 104729
 
 DEFAULT_ABLATION_WINDOWS = ((0.0, 0.25), (0.375, 0.625), (0.75, 1.0))
+_NUMBER_KEYS = {
+    **dict.fromkeys(("samples_per_prompt", "steps", "seed", "memory_budget"), numbers.Integral),
+    **dict.fromkeys(("beta_start", "beta_end", "gamma", "attribute_scale", "jitter_scale",
+                     "memory_tau"), numbers.Real),
+}
 
 
 @dataclass
@@ -95,6 +100,13 @@ class ExperimentSpec:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         if "world_path" not in data or "prompts" not in data:
             raise ValueError("config needs at least 'world_path' and 'prompts'")
+        for key, value in data.items():
+            kind = _NUMBER_KEYS.get(key)
+            if kind is None or (key == "memory_tau" and value is None):
+                continue
+            if isinstance(value, bool) or not isinstance(value, kind):
+                what = "an integer" if kind is numbers.Integral else "a number"
+                raise ValueError(f"config key {key!r} must be {what}, got {value!r}")
         data = dict(data)
         prompts = []
         for p in data["prompts"]:
@@ -210,7 +222,7 @@ def run_generate(
     if policy is not None:
         tau = spec.memory_tau if spec.memory_tau is not None else default_match_threshold(world)
         if spec.memory_path and os.path.exists(spec.memory_path):
-            memory, prompts_seen = restore_memory(spec.memory_path, schema)
+            memory, prompts_seen = restore_memory(spec.memory_path, schema, world.dimension)
         else:
             memory = MemoryModule(budget=spec.memory_budget, tau=tau)
 
@@ -251,11 +263,12 @@ def run_generate(
                     if policy is None:
                         x0 = points[s_i]
                     else:
+                        rng = None
                         if policy.kind == "probabilistic":
-                            policy.rng = np.random.default_rng(
+                            rng = np.random.default_rng(
                                 np.random.SeedSequence([spec.seed, _POLICY_NS, ordinal, s_i])
                             )
-                        plan = decide(memory, cond, schema, target, policy)
+                        plan = decide(memory, cond, schema, target, policy, rng)
                         probe = GuidanceProbe() if spec.diagnostics else None
                         steering = resolve_steering(world, schedule, cond, plan, config, probe)
                         x0 = run_trajectories(
@@ -308,7 +321,10 @@ def run_generate(
             write_report_csv(report, os.path.join(out_dir, "report.csv"), schema)
             outputs.append("report.csv")
         if spec.diagnostics and probe_rows:
-            _write_probe_csv(probe_rows, os.path.join(out_dir, "diagnostics.csv"), digest)
+            write_csv(os.path.join(out_dir, "diagnostics.csv"), "diagnostics",
+                      {"config_digest": digest},
+                      ["prompt_id", "sample_index", "t_index", "cosine", "base_norm", "attr_norm"],
+                      probe_rows)
             outputs.append("diagnostics.csv")
     if spec.memory_path and memory is not None:
         snapshot_memory(memory, spec.memory_path, schema, prompts_seen=ordinal)
@@ -331,24 +347,16 @@ def write_samples_csv(
     samples: list[GeneratedSample], world: MixtureWorld, spec: ExperimentSpec, path: str
 ) -> None:
     attrs = world.schema.names()
-    coord_cols = [f"x{i}" for i in range(world.dimension)]
-    lines = [
-        "# steerlab-samples v1",
-        f"# config_digest={spec.digest()}",
-        f"# world_digest={world.digest()}",
-        f"# master_seed={spec.seed}",
-        ",".join(["prompt_id", "prompt_ordinal", "sample_index", "stream_seed", "concept"]
-                 + coord_cols + list(attrs)),
-    ]
-    for s in samples:
-        coords = [repr(float(v)) for v in s.x]
-        labels = [s.labels[a] for a in attrs]
-        lines.append(",".join(
-            [s.prompt_id, str(s.prompt_ordinal), str(s.sample_index),
-             str(s.stream_seed), s.concept] + coords + labels
-        ))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    header = ["prompt_id", "prompt_ordinal", "sample_index", "stream_seed", "concept"]
+    header += [f"x{i}" for i in range(world.dimension)] + list(attrs)
+    rows = (
+        [s.prompt_id, s.prompt_ordinal, s.sample_index, s.stream_seed, s.concept]
+        + [repr(float(v)) for v in s.x] + [s.labels[a] for a in attrs]
+        for s in samples
+    )
+    meta = {"config_digest": spec.digest(), "world_digest": world.digest(),
+            "master_seed": spec.seed}
+    write_csv(path, "samples", meta, header, rows)
 
 
 def load_samples_csv(path: str) -> tuple[np.ndarray, list[dict[str, str]], list[str]]:
@@ -369,15 +377,6 @@ def load_samples_csv(path: str) -> tuple[np.ndarray, list[dict[str, str]], list[
         points.append([float(cells[i]) for i in coord_idx])
         labels.append({a: cells[header.index(a)] for a in attr_cols})
     return np.array(points).reshape(len(labels), len(coord_idx)), labels, header
-
-
-def _write_probe_csv(rows: list[tuple], path: str, digest: str) -> None:
-    lines = ["# steerlab-diagnostics v1", f"# config_digest={digest}",
-             "prompt_id,sample_index,t_index,cosine,base_norm,attr_norm"]
-    for pid, s_i, t, cosine, nb, na in rows:
-        lines.append(f"{pid},{s_i},{t},{cosine!r},{nb!r},{na!r}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 def _describe_target(target: dict[str, dict[str, float]]) -> str:
@@ -418,82 +417,52 @@ class ArmRow:
 
 
 @dataclass
-class SweepResult:
+class ArmsResult:
     rows: list[ArmRow]
     avg_bias: float
     std_bias: float
     results: list[RunResult]
 
 
-def run_sweep(spec: ExperimentSpec, out_dir: str | None = None) -> SweepResult:
-    """One arm per sweep target, each with a fresh memory and derived seed."""
-    world = load_world(spec.world_path)
-    targets = sweep_targets(spec, world)
+def _run_arms(spec: ExperimentSpec, world: MixtureWorld, arms: list[tuple[str, dict]],
+              kind: str, out_dir: str | None) -> ArmsResult:
+    """One arm per (label, spec overrides), each with a fresh memory and derived seed.
+
+    Writes `<kind>.csv`; only a sweep's carries the avg/std summary lines.
+    """
     rows: list[ArmRow] = []
     results: list[RunResult] = []
-    for i, target in enumerate(targets):
-        arm_spec = replace(
-            spec, target=target, sweep=None, memory_path=None,
-            seed=_child_seed(spec.seed, _ARM_NS, i),
-        )
+    for i, (label, overrides) in enumerate(arms):
+        arm_spec = replace(spec, **overrides, memory_path=None,
+                           seed=_child_seed(spec.seed, _ARM_NS, i))
         arm_dir = os.path.join(out_dir, f"arm_{i:02d}") if out_dir else None
         result = run_generate(arm_spec, out_dir=arm_dir, world=world)
         if result.report is None:
-            raise SteerlabError(f"sweep arm {i} produced no successful prompts")
-        rows.append(ArmRow(i, _describe_target(target), result.report.combined,
-                           result.report.quality))
+            raise SteerlabError(f"{kind} arm {i} produced no successful prompts")
+        rows.append(ArmRow(i, label, result.report.combined, result.report.quality))
         results.append(result)
     biases = np.array([r.bias for r in rows])
     avg = float(biases.mean())
     std = float(biases.std(ddof=1)) if len(biases) > 1 else 0.0
     if out_dir is not None:
-        _write_arm_csv(rows, os.path.join(out_dir, "sweep.csv"), "steerlab-sweep",
-                       spec.digest(), [f"# summary avg_bias={avg!r}",
-                                       f"# summary std_bias={std!r}"])
-    return SweepResult(rows, avg, std, results)
+        summary = (f"avg_bias={avg!r}", f"std_bias={std!r}") if kind == "sweep" else ()
+        write_csv(os.path.join(out_dir, f"{kind}.csv"), kind, {"config_digest": spec.digest()},
+                  ["arm", "label", "bias", "quality"],
+                  ((r.arm, r.label, repr(r.bias), repr(r.quality)) for r in rows), summary)
+    return ArmsResult(rows, avg, std, results)
 
 
-@dataclass
-class AblationResult:
-    rows: list[ArmRow]
-    results: list[RunResult]
-
-
-def run_window_ablation(spec: ExperimentSpec, out_dir: str | None = None) -> AblationResult:
-    """One arm per guidance window (defaults: early, middle, late)."""
+def run_sweep(spec: ExperimentSpec, out_dir: str | None = None) -> ArmsResult:
+    """One arm per sweep target; writes sweep.csv."""
     world = load_world(spec.world_path)
-    windows = [tuple(w) for w in (spec.windows or DEFAULT_ABLATION_WINDOWS)]
-    rows: list[ArmRow] = []
-    results: list[RunResult] = []
-    for i, window in enumerate(windows):
-        arm_spec = replace(
-            spec, window=window, windows=None, memory_path=None,
-            seed=_child_seed(spec.seed, _ARM_NS, i),
-        )
-        arm_dir = os.path.join(out_dir, f"arm_{i:02d}") if out_dir else None
-        result = run_generate(arm_spec, out_dir=arm_dir, world=world)
-        if result.report is None:
-            raise SteerlabError(f"ablation arm {i} produced no successful prompts")
-        rows.append(ArmRow(i, f"window={window[0]:g},{window[1]:g}",
-                           result.report.combined, result.report.quality))
-        results.append(result)
-    if out_dir is not None:
-        _write_arm_csv(rows, os.path.join(out_dir, "ablation.csv"), "steerlab-ablation",
-                       spec.digest(), [])
-    return AblationResult(rows, results)
+    arms = [(_describe_target(t), {"target": t, "sweep": None})
+            for t in sweep_targets(spec, world)]
+    return _run_arms(spec, world, arms, "sweep", out_dir)
 
 
-def _write_arm_csv(rows: list[ArmRow], path: str, kind: str, digest: str,
-                   summary: list[str]) -> None:
-    lines = [f"# {kind} v1", f"# config_digest={digest}", "arm,label,bias,quality"]
-    for r in rows:
-        lines.append(f"{r.arm},{r.label},{r.bias!r},{r.quality!r}")
-    lines.extend(summary)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def render_run_scatter(samples_csv: str, world: MixtureWorld, out_path: str,
-                       attribute: str | None = None) -> None:
-    points, labels, _ = load_samples_csv(samples_csv)
-    render_scatter(points, labels, world, out_path, attribute=attribute)
+def run_window_ablation(spec: ExperimentSpec, out_dir: str | None = None) -> ArmsResult:
+    """One arm per guidance window (defaults: early, middle, late); writes ablation.csv."""
+    world = load_world(spec.world_path)
+    arms = [(f"window={lo:g},{hi:g}", {"window": (lo, hi), "windows": None})
+            for lo, hi in (spec.windows or DEFAULT_ABLATION_WINDOWS)]
+    return _run_arms(spec, world, arms, "ablation", out_dir)

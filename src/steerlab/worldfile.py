@@ -14,6 +14,7 @@ Directives:
                                  entries by ','), plus one ATTR=VALUE pair per
                                  declared attribute
 
+Concept, attribute and value names match [A-Za-z0-9_.-]+.
 All structural problems are reported as WorldFileError with the offending
 line number; whole-world invariants (value coverage per concept, etc.) are
 reported against the file as a whole.
@@ -22,6 +23,7 @@ reported against the file as a whole.
 from __future__ import annotations
 
 import importlib.resources
+import re
 
 import numpy as np
 
@@ -29,6 +31,7 @@ from .errors import WorldFileError, WorldValidationError
 from .world import Attribute, AttributeSchema, Component, MixtureWorld
 
 _RESERVED_KEYS = {"mean", "weight", "cov"}
+_NAME = re.compile(r"[A-Za-z0-9_.-]+")   # keeps names free of the artifacts' separators
 
 
 def default_world_path() -> str:
@@ -74,6 +77,8 @@ def parse_world(text: str, path: str = "<world>") -> MixtureWorld:
                     "attribute needs a name and at least 2 values", path, lineno
                 )
             name, values = rest[0], tuple(rest[1:])
+            for token in rest:
+                _check_name(token, path, lineno)
             if name in seen_attrs:
                 raise WorldFileError(f"attribute {name!r} declared twice", path, lineno)
             if len(set(values)) != len(values):
@@ -87,6 +92,7 @@ def parse_world(text: str, path: str = "<world>") -> MixtureWorld:
             if not rest:
                 raise WorldFileError("component needs a concept name", path, lineno)
             concept = rest[0]
+            _check_name(concept, path, lineno)
             comp = _parse_component(concept, rest[1:], dimension, attributes, path, lineno)
             raw_components.append((lineno, comp))
 
@@ -103,6 +109,11 @@ def parse_world(text: str, path: str = "<world>") -> MixtureWorld:
                             [c for _, c in raw_components])
     except WorldValidationError as exc:
         raise WorldFileError(str(exc), path) from exc
+
+
+def _check_name(name, path, lineno) -> None:
+    if not _NAME.fullmatch(name):
+        raise WorldFileError(f"name {name!r} must match {_NAME.pattern}", path, lineno)
 
 
 def _parse_component(concept, pairs, dimension, attributes, path, lineno) -> Component:

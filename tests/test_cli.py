@@ -101,6 +101,36 @@ class TestGenerateCommand:
         assert code == 2
         assert "unknown config keys" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("samples_per_prompt", 2.5), ("samples_per_prompt", True), ("steps", "10"),
+        ("gamma", "0.5"), ("seed", 1.5), ("memory_budget", "4"), ("memory_tau", "1"),
+    ])
+    def test_mistyped_numeric_key_exits_2(self, workspace, capsys, key, value):
+        cfg = workspace / "typed.json"
+        data = json.loads((workspace / "run.json").read_text())
+        data[key] = value
+        cfg.write_text(json.dumps(data))
+        code = main(["generate", "--config", str(cfg)])
+        assert code == 2
+        assert repr(key) in capsys.readouterr().err
+
+    def test_memory_from_world_of_other_dimension_exits_2(self, workspace, capsys):
+        (workspace / "cube.world").write_text(
+            "dimension 3\nattribute gender male female\n"
+            "component engineer gender=male mean=4,0,0 weight=0.5\n"
+            "component engineer gender=female mean=0,0,0 weight=0.5\n")
+        data = json.loads((workspace / "run.json").read_text())
+        data["world_path"] = "cube.world"
+        data["prompts"] = [{"concept": "engineer", "count": 1}]
+        (workspace / "cube.json").write_text(json.dumps(data))
+        mem = str(workspace / "memory.json")
+        assert main(["generate", "--config", str(workspace / "cube.json"), "--memory", mem]) == 0
+        capsys.readouterr()
+        code = main(["generate", "--config", str(workspace / "run.json"), "--memory", mem])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "memory.json" in err and "dimension" in err
+
     def test_failed_prompts_exit_1(self, workspace, capsys):
         cfg = workspace / "partial.json"
         data = json.loads((workspace / "run.json").read_text())

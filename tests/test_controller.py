@@ -99,7 +99,6 @@ class TestDecideDeficit:
         entry = plan.as_dict()["gender"]
         assert entry.target == "female"
         assert entry.reference == "male"
-        assert entry.scalar == 1
 
     def test_unmatched_prompt_uses_target_alone(self):
         mem = MemoryModule(budget=4, tau=1.0)
@@ -172,10 +171,10 @@ class TestDecideProbabilistic:
     def test_target_follows_proportions(self):
         mem = MemoryModule(budget=2, tau=1.0)
         target = TargetDistribution({"gender": {"male": 0.8, "female": 0.2}})
-        policy = IndicatorPolicy("probabilistic", rng=np.random.default_rng(5))
+        policy, rng = IndicatorPolicy("probabilistic"), np.random.default_rng(5)
         males = 0
         for _ in range(300):
-            entry = decide(mem, cond_at(0, 0), GENDER, target, policy).as_dict()["gender"]
+            entry = decide(mem, cond_at(0, 0), GENDER, target, policy, rng).as_dict()["gender"]
             males += entry.target == "male"
             assert entry.reference != entry.target
         assert 210 <= males <= 270  # ~Binomial(300, 0.8)
@@ -183,10 +182,10 @@ class TestDecideProbabilistic:
     def test_reference_uniform_over_rest(self):
         mem = MemoryModule(budget=2, tau=1.0)
         target = TargetDistribution({"shade": {"a": 1.0, "b": 0.0, "c": 0.0}})
-        policy = IndicatorPolicy("probabilistic", rng=np.random.default_rng(6))
+        policy, rng = IndicatorPolicy("probabilistic"), np.random.default_rng(6)
         refs = {"b": 0, "c": 0}
         for _ in range(400):
-            entry = decide(mem, cond_at(0, 0), TRI, target, policy).as_dict()["shade"]
+            entry = decide(mem, cond_at(0, 0), TRI, target, policy, rng).as_dict()["shade"]
             assert entry.target == "a"
             refs[entry.reference] += 1
         assert 140 <= refs["b"] <= 260
@@ -195,9 +194,9 @@ class TestDecideProbabilistic:
         mem = MemoryModule(budget=2, tau=1.0)
 
         def run(seed):
-            policy = IndicatorPolicy("probabilistic", rng=np.random.default_rng(seed))
+            policy, rng = IndicatorPolicy("probabilistic"), np.random.default_rng(seed)
             return [
-                decide(mem, cond_at(0, 0), GENDER, UNIFORM, policy).as_dict()["gender"].target
+                decide(mem, cond_at(0, 0), GENDER, UNIFORM, policy, rng).as_dict()["gender"].target
                 for _ in range(20)
             ]
 
@@ -468,12 +467,10 @@ class TestVarianceContrast:
             for trial in range(n_trials):
                 mem = MemoryModule(budget=2, tau=1.0)
                 rng = np.random.default_rng(1000 + trial)
-                policy = IndicatorPolicy(
-                    kind, rng=rng if kind == "probabilistic" else None
-                )
+                policy = IndicatorPolicy(kind)
                 females = 0
                 for _ in range(n_gen):
-                    plan = decide(mem, cond_at(0, 0), GENDER, UNIFORM, policy)
+                    plan = decide(mem, cond_at(0, 0), GENDER, UNIFORM, policy, rng)
                     chosen = plan.as_dict()["gender"].target
                     record(mem, cond_at(0, 0), {"gender": chosen})
                     females += chosen == "female"

@@ -52,7 +52,7 @@ CONFIG = GuidanceConfig(gamma=0.6, window=(0.2, 0.55), attribute_scale=4.0)
 ONE_ATTR = GuidancePlan.from_dict({"gender": PlanEntry("female", "male")})
 TWO_ATTR = GuidancePlan.from_dict({
     "gender": PlanEntry("female", "male"),
-    "age": PlanEntry("old", "young", scalar=-1),
+    "age": PlanEntry("young", "old"),
 })
 
 
@@ -110,7 +110,7 @@ def test_one_attribute_plan_equals_reference_with_probe_rows(name):
 
 
 @pytest.mark.parametrize("name", TWO_ATTR_WORLDS)
-def test_two_attribute_plan_with_negative_scalar_equals_reference(name):
+def test_two_attribute_plan_equals_reference(name):
     world = TWO_ATTR_WORLDS[name]()
     schedule = linear_schedule(120, beta_end=0.1)
     cond = make_condition(world, "worker")

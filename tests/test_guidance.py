@@ -50,10 +50,6 @@ class TestConfigAndPlan:
         with pytest.raises(ValueError, match="differ"):
             PlanEntry("male", "male")
 
-    def test_plan_entry_scalar_domain(self):
-        with pytest.raises(ValueError, match="scalar"):
-            PlanEntry("male", "female", scalar=2)
-
     def test_plan_round_trip(self):
         plan = GuidancePlan.from_dict({"gender": PlanEntry("female", "male")})
         assert len(plan) == 1
@@ -205,18 +201,21 @@ class TestCombinedNoise:
         cond = make_condition(world, "worker")
         plan = GuidancePlan.from_dict({
             "gender": PlanEntry("female", "male"),
-            "age": PlanEntry("young", "old", scalar=-1),
+            "age": PlanEntry("old", "young"),
         })
-        directions = {"gender": np.array([2.0, 0.0]), "age": np.array([0.0, 4.0])}
+        # antisymmetric in the pair, like the real direction
+        directions = {("female", "male"): np.array([2.0, 0.0]),
+                      ("young", "old"): np.array([0.0, 4.0])}
         monkeypatch.setattr(guidance, "analytic_epsilon",
                             lambda *a, **k: np.zeros(2))
         monkeypatch.setattr(
             guidance, "adaptive_latent_direction",
-            lambda world, sched, state, cond, attribute, pair: directions[attribute],
+            lambda world, sched, state, cond, attribute, pair:
+                directions[pair] if pair in directions else -directions[pair[::-1]],
         )
         cfg = GuidanceConfig(gamma=0.5, window=(0.0, 1.0), attribute_scale=1.0)
         out = combined_noise(world, sched, LatentState(np.zeros(2), 50), cond, plan, cfg)
-        # mean of (+1)*(2,0) and (-1)*(0,4) is (1,-2); blend halves it
+        # mean of (2,0) and -(0,4) is (1,-2); blend halves it
         np.testing.assert_allclose(out, [0.5, -1.0], atol=1e-15)
 
     def test_no_edited_evaluations_outside_window(self, monkeypatch):

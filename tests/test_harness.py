@@ -15,7 +15,7 @@ from steerlab import (
     run_sweep,
     run_window_ablation,
 )
-from steerlab.harness import load_samples_csv, render_run_scatter, sweep_targets
+from steerlab.harness import load_samples_csv, sweep_targets
 
 from conftest import build_gender_world, single_gaussian_world
 
@@ -410,7 +410,11 @@ class TestSweeps:
         result = run_window_ablation(spec, out_dir=str(out))
         assert len(result.rows) == 3
         assert result.rows[0].label == "window=0,0.25"
-        assert (out / "ablation.csv").exists()
+        lines = (out / "ablation.csv").read_text().splitlines()
+        assert lines[0] == "# steerlab-ablation v1"
+        assert lines[1] == f"# config_digest={spec.digest()}"
+        assert lines[2] == "arm,label,bias,quality"
+        assert lines[3:] == [f"{r.arm},{r.label},{r.bias!r},{r.quality!r}" for r in result.rows]
         assert (out / "arm_02" / "samples.csv").exists()
 
     def test_window_ablation_custom_windows(self, world_path):
@@ -430,7 +434,7 @@ class TestRender:
         result = run_generate(base_spec(world_path), out_dir=str(out))
         svg_path = str(tmp_path / "plot.svg")
         world = build_gender_world(male_weight=0.65)
-        render_run_scatter(str(out / "samples.csv"), world, svg_path)
+        render_scatter(*load_samples_csv(str(out / "samples.csv"))[:2], world, svg_path)
 
         root = ET.parse(svg_path).getroot()
         ns = "{http://www.w3.org/2000/svg}"
@@ -447,8 +451,9 @@ class TestRender:
         run_generate(base_spec(world_path), out_dir=str(out))
         world = build_gender_world()
         a, b = str(tmp_path / "a.svg"), str(tmp_path / "b.svg")
-        render_run_scatter(str(out / "samples.csv"), world, a)
-        render_run_scatter(str(out / "samples.csv"), world, b)
+        points, labels, _ = load_samples_csv(str(out / "samples.csv"))
+        render_scatter(points, labels, world, a)
+        render_scatter(points, labels, world, b)
         assert open(a, "rb").read() == open(b, "rb").read()
 
     def test_empty_sample_set_renders_axes_and_means(self, tmp_path):

@@ -138,6 +138,17 @@ class TestLineAnchoredErrors:
                       "expected key=value")
 
 
+    @pytest.mark.parametrize("text, lineno", [
+        ("dimension 2\nattribute gen,der male female\n", 2),
+        ("dimension 2\nattribute gender ma|le female\n", 2),
+        ("dimension 2\nattribute gender male fe:male\n", 2),
+        ("dimension 2\nattribute gender male female\n"
+         "component eng,ineer gender=male mean=0,0 weight=1\n", 3),
+    ])
+    def test_names_outside_the_safe_charset(self, text, lineno):
+        _expect_error(text, lineno, "must match [A-Za-z0-9_.-]+")
+
+
 class TestFileLevelErrors:
     def test_missing_dimension(self):
         with pytest.raises(WorldFileError, match="missing dimension"):
