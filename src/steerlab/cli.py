@@ -12,7 +12,7 @@ import sys
 from dataclasses import replace
 
 from . import __version__
-from .controller import cluster_rows, restore_memory
+from .controller import POLICY_KINDS, cluster_rows, restore_memory
 from .errors import SteerlabError
 from .harness import (
     ArmsResult,
@@ -148,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override master seed")
         p.add_argument("--memory", default=None, help="override memory file path")
         p.add_argument("--policy", default=None,
-                       choices=["vanilla", "deficit", "probabilistic", "static"])
+                       choices=["vanilla", *POLICY_KINDS])
         p.add_argument("--gamma", type=float, default=None, help="override blend ratio")
         p.add_argument("--window", default=None, help="override window as 'lo,hi'")
         p.add_argument("--target", default=None,

@@ -159,29 +159,36 @@ class BiasReport:
 
 
 def build_report(
-    prompt_ids: list[str],
-    concepts: list[str],
-    outcomes: list[list[dict[str, str]]],
+    samples: list,
     qualities: list[QualityScores],
     target: TargetDistribution,
     schema: AttributeSchema,
     master_seed: int,
     config_digest: str,
 ) -> BiasReport:
+    """Bias and quality over a run's samples, grouped by prompt in order of appearance.
+
+    Each sample carries `prompt_id`, `concept` and `labels`; qualities[n] scores
+    the n-th prompt.
+    """
+    prompts: dict[str, list] = {}
+    for s in samples:
+        prompts.setdefault(s.prompt_id, []).append(s)
+    groups = list(prompts.values())
+    outcomes = [[s.labels for s in group] for group in groups]
     scores = bias_score(outcomes, target, schema)
-    rows = []
-    for n, prompt_id in enumerate(prompt_ids):
-        for attr in schema.attributes:
-            rows.append(
-                ReportRow(
-                    prompt_id=prompt_id,
-                    concept=concepts[n],
-                    attribute=attr.name,
-                    t_samples=len(outcomes[n]),
-                    observed=scores.proportions[n][attr.name],
-                    deviation=scores.per_prompt[n][attr.name],
-                )
-            )
+    rows = [
+        ReportRow(
+            prompt_id=group[0].prompt_id,
+            concept=group[0].concept,
+            attribute=attr.name,
+            t_samples=len(group),
+            observed=scores.proportions[n][attr.name],
+            deviation=scores.per_prompt[n][attr.name],
+        )
+        for n, group in enumerate(groups)
+        for attr in schema.attributes
+    ]
     return BiasReport(
         rows=rows,
         per_attribute=scores.per_attribute,

@@ -7,7 +7,10 @@ and artifacts are byte-reproducible.  For every generation the harness asks
 the controller for a plan, samples its trajectory with that plan's steering,
 discriminates the outcome, and feeds it back into the memory — in that order.
 Vanilla generations read no memory, so a prompt's samples are drawn as one
-batch of independent streams.
+batch of independent streams.  A prompt works on a copy of the memory and
+stages its rows; both are committed only when all its samples succeed, so a
+failed prompt leaves memory and artifacts as if it had not run, apart from
+the ordinal slot it used.
 
 A persisted memory file carries the count of prompts already processed, so a
 run that resumes from it continues the ordinal sequence exactly where the
@@ -17,17 +20,19 @@ run.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import logging
 import numbers
 import os
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
 from .controller import (
+    POLICY_KINDS,
     IndicatorPolicy,
     MemoryModule,
     decide,
@@ -49,10 +54,48 @@ _POLICY_NS = 7919   # namespace constants keeping derived seed streams disjoint
 _ARM_NS = 104729
 
 DEFAULT_ABLATION_WINDOWS = ((0.0, 0.25), (0.375, 0.625), (0.75, 1.0))
-_NUMBER_KEYS = {
-    **dict.fromkeys(("samples_per_prompt", "steps", "seed", "memory_budget"), numbers.Integral),
-    **dict.fromkeys(("beta_start", "beta_end", "gamma", "attribute_scale", "jitter_scale",
-                     "memory_tau"), numbers.Real),
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def _is_pair(v) -> bool:
+    return isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_is_number, v))
+
+
+def _is_target(v) -> bool:
+    return isinstance(v, dict) and all(
+        isinstance(d, dict) and all(map(_is_number, d.values())) for d in v.values())
+
+
+def _is_sweep(v) -> bool:
+    if isinstance(v, dict):
+        return (set(v) == {"attribute", "value", "proportions"}
+                and isinstance(v["proportions"], list) and all(map(_is_number, v["proportions"])))
+    return v is None or isinstance(v, list) and all(map(_is_target, v))
+
+
+# Config key -> (check, what the key must be); keys not listed take any value.
+_KEY_CHECKS = {
+    **dict.fromkeys(("samples_per_prompt", "steps", "seed", "memory_budget"),
+                    (_is_int, "an integer")),
+    **dict.fromkeys(("beta_start", "beta_end", "gamma", "attribute_scale", "jitter_scale"),
+                    (_is_number, "a number")),
+    "memory_tau": (lambda v: v is None or _is_number(v), "a number"),
+    "window": (_is_pair, "a [lo, hi] pair of numbers"),
+    "windows": (lambda v: v is None or isinstance(v, list) and all(map(_is_pair, v)),
+                "a list of [lo, hi] pairs of numbers"),
+    "target": (_is_target, "an object of {attribute: {value: proportion}}"),
+    "static_pairs": (lambda v: v is None or isinstance(v, dict) and all(
+        isinstance(p, (list, tuple)) and len(p) == 2 for p in v.values()),
+        "an object of {attribute: [toward, away]}"),
+    "sweep": (_is_sweep, "a list of targets or an object with exactly "
+                         "'attribute', 'value' and 'proportions' (a list of numbers)"),
 }
 
 
@@ -64,8 +107,14 @@ class PromptSpec:
     constraints: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
-        if not (isinstance(self.count, int) and self.count >= 1):
+        if not (_is_int(self.count) and self.count >= 1):
             raise ValueError(f"count must be an integer >= 1, got {self.count!r}")
+        if not (_is_int(self.jitter_seed) and self.jitter_seed >= 0):
+            raise ValueError(f"jitter_seed must be an integer >= 0, got {self.jitter_seed!r}")
+        if not (isinstance(self.constraints, dict)
+                and all(isinstance(x, str) for kv in self.constraints.items() for x in kv)):
+            raise ValueError(f"constraints must map attribute names to values, "
+                             f"got {self.constraints!r}")
 
 
 @dataclass
@@ -101,11 +150,8 @@ class ExperimentSpec:
         if "world_path" not in data or "prompts" not in data:
             raise ValueError("config needs at least 'world_path' and 'prompts'")
         for key, value in data.items():
-            kind = _NUMBER_KEYS.get(key)
-            if kind is None or (key == "memory_tau" and value is None):
-                continue
-            if isinstance(value, bool) or not isinstance(value, kind):
-                what = "an integer" if kind is numbers.Integral else "a number"
+            check, what = _KEY_CHECKS.get(key, (None, ""))
+            if check is not None and not check(value):
                 raise ValueError(f"config key {key!r} must be {what}, got {value!r}")
         data = dict(data)
         prompts = []
@@ -123,7 +169,7 @@ class ExperimentSpec:
         if "window" in data:
             data["window"] = tuple(data["window"])
         spec = cls(**data)
-        if spec.policy not in ("vanilla", "deficit", "probabilistic", "static"):
+        if spec.policy not in ("vanilla", *POLICY_KINDS):
             raise ValueError(f"unknown policy {spec.policy!r}")
         if spec.samples_per_prompt < 1:
             raise ValueError("samples_per_prompt must be >= 1")
@@ -135,23 +181,8 @@ class ExperimentSpec:
             data = json.load(fh)
         return cls.from_dict(data, base_dir=os.path.dirname(os.path.abspath(path)))
 
-    def canonical(self) -> dict:
-        out = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if f.name == "prompts":
-                v = [
-                    {"concept": p.concept, "count": p.count, "jitter_seed": p.jitter_seed,
-                     "constraints": dict(sorted(p.constraints.items()))}
-                    for p in v
-                ]
-            elif isinstance(v, tuple):
-                v = list(v)
-            out[f.name] = v
-        return out
-
     def digest(self) -> str:
-        body = json.dumps(self.canonical(), sort_keys=True, separators=(",", ":"))
+        body = json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(body.encode()).hexdigest()[:16]
 
 
@@ -204,8 +235,8 @@ def run_generate(
 ) -> RunResult:
     """Execute one arm: decide, sample, discriminate, record — per generation.
 
-    A failing prompt is logged and skipped; the rest of the run continues and
-    the failure list marks the run as partial.
+    A failing prompt is logged and skipped with none of its state committed;
+    the rest of the run continues and the failure list marks the run as partial.
     """
     t_start = time.perf_counter()
     if world is None:
@@ -228,88 +259,78 @@ def run_generate(
 
     digest = spec.digest()
     samples: list[GeneratedSample] = []
-    failures: list[list[str]] = []
-    prompt_ids: list[str] = []
-    prompt_concepts: list[str] = []
-    outcomes: list[list[dict[str, str]]] = []
     qualities: list[QualityScores] = []
     probe_rows: list[tuple] = []
+    failures: list[list[str]] = []
+    n = spec.samples_per_prompt
+    # Vanilla plans read no memory, so a prompt's samples run as one batch;
+    # steered samples run one at a time, each deciding on the previous records.
+    batches = [range(n)] if policy is None else [[s_i] for s_i in range(n)]
 
     ordinal = prompts_seen
     for prompt in spec.prompts:
         for instance in range(prompt.count):
             prompt_id = f"{prompt.concept}-{ordinal:05d}"
             try:
-                emb_seed = _child_seed(prompt.jitter_seed, instance)
                 cond = make_condition(
                     world, prompt.concept, prompt.constraints,
-                    jitter_seed=emb_seed, jitter_scale=spec.jitter_scale,
+                    jitter_seed=_child_seed(prompt.jitter_seed, instance),
+                    jitter_scale=spec.jitter_scale,
                 )
                 marg_mix = conditional_components(
                     world, Condition(prompt.concept, {}, cond.embedding)
                 )
+                # Staged until the whole prompt succeeds, so a failure leaves no trace.
+                staged_memory = copy.deepcopy(memory)
                 rows: list[GeneratedSample] = []
-                prompt_outcomes: list[dict[str, str]] = []
+                probes: list[tuple] = []
                 hits = 0
                 logdens = 0.0
-                streams = [np.random.SeedSequence([spec.seed, ordinal, s_i])
-                           for s_i in range(spec.samples_per_prompt)]
-                if policy is None:
-                    # Vanilla samples share no state: one batch for the prompt.
-                    points = run_trajectories(
-                        world, schedule, cond, [np.random.default_rng(ss) for ss in streams]
-                    )
-                for s_i, ss in enumerate(streams):
-                    if policy is None:
-                        x0 = points[s_i]
-                    else:
+                streams = [np.random.SeedSequence([spec.seed, ordinal, s_i]) for s_i in range(n)]
+                for batch in batches:
+                    plan = steering = probe = None
+                    if policy is not None:
                         rng = None
                         if policy.kind == "probabilistic":
                             rng = np.random.default_rng(
-                                np.random.SeedSequence([spec.seed, _POLICY_NS, ordinal, s_i])
+                                np.random.SeedSequence([spec.seed, _POLICY_NS, ordinal, batch[0]])
                             )
-                        plan = decide(memory, cond, schema, target, policy, rng)
+                        plan = decide(staged_memory, cond, schema, target, policy, rng)
                         probe = GuidanceProbe() if spec.diagnostics else None
                         steering = resolve_steering(world, schedule, cond, plan, config, probe)
-                        x0 = run_trajectories(
-                            world, schedule, cond, [np.random.default_rng(ss)], steering
-                        )[0]
-                    labels, concept_post = discriminate(world, x0)
-                    if policy is not None:
-                        if spec.record_intent:
-                            outcome = {a: e.target for a, e in plan.entries}
-                        else:
-                            outcome = labels
-                        record(memory, cond, outcome)
-                        if spec.diagnostics and probe is not None:
-                            probe_rows.extend((prompt_id, s_i) + r for r in probe.rows)
-                    if max(concept_post, key=lambda c: concept_post[c]) == prompt.concept:
-                        hits += 1
-                    logdens += mixture_log_density(marg_mix, x0, 1.0)
-                    prompt_outcomes.append(labels)
-                    rows.append(GeneratedSample(
-                        prompt_id=prompt_id, prompt_ordinal=ordinal, sample_index=s_i,
-                        stream_seed=int(ss.generate_state(1)[0]), concept=prompt.concept,
-                        x=x0, labels=labels,
-                    ))
-                samples.extend(rows)
-                prompt_ids.append(prompt_id)
-                prompt_concepts.append(prompt.concept)
-                outcomes.append(prompt_outcomes)
-                qualities.append(QualityScores(
-                    hits / spec.samples_per_prompt, logdens / spec.samples_per_prompt
-                ))
+                    points = run_trajectories(
+                        world, schedule, cond,
+                        [np.random.default_rng(streams[s_i]) for s_i in batch], steering,
+                    )
+                    for s_i, x0 in zip(batch, points):
+                        labels, concept_post = discriminate(world, x0)
+                        if plan is not None:
+                            outcome = ({a: e.target for a, e in plan.entries}
+                                       if spec.record_intent else labels)
+                            record(staged_memory, cond, outcome)
+                        if probe is not None:
+                            probes.extend((prompt_id, s_i) + r for r in probe.rows)
+                        if max(concept_post, key=lambda c: concept_post[c]) == prompt.concept:
+                            hits += 1
+                        logdens += mixture_log_density(marg_mix, x0, 1.0)
+                        rows.append(GeneratedSample(
+                            prompt_id=prompt_id, prompt_ordinal=ordinal, sample_index=s_i,
+                            stream_seed=int(streams[s_i].generate_state(1)[0]),
+                            concept=prompt.concept, x=x0, labels=labels,
+                        ))
             except SteerlabError as exc:
                 log.warning("prompt %s failed: %s", prompt_id, exc)
                 failures.append([prompt_id, str(exc)])
+            else:
+                memory = staged_memory
+                samples.extend(rows)
+                probe_rows.extend(probes)
+                qualities.append(QualityScores(hits / n, logdens / n))
             ordinal += 1
 
     report = None
-    if outcomes:
-        report = build_report(
-            prompt_ids, prompt_concepts, outcomes, qualities,
-            target, schema, spec.seed, digest,
-        )
+    if qualities:
+        report = build_report(samples, qualities, target, schema, spec.seed, digest)
 
     outputs: list[str] = []
     if out_dir is not None:

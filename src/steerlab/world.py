@@ -17,8 +17,6 @@ import numpy as np
 
 from .errors import InfeasibleConditionError, WorldValidationError
 
-_LOG_2PI = math.log(2.0 * math.pi)
-
 
 @dataclass(frozen=True)
 class Attribute:
@@ -134,6 +132,8 @@ class MixtureWorld:
         self.components = components
         self._validate()
         total = sum(c.weight for c in components)
+        if not math.isfinite(total):
+            raise WorldValidationError(f"component weights sum to {total}, expected a finite total")
         for c in components:
             c.weight = c.weight / total
             c.mean.setflags(write=False)
@@ -163,8 +163,10 @@ class MixtureWorld:
                 raise WorldValidationError(
                     f"{where}: covariance not positive definite (min eigenvalue {eigvals.min():g})"
                 )
-            if not (c.weight > 0):
-                raise WorldValidationError(f"{where}: weight must be positive, got {c.weight}")
+            if not 0 < c.weight < math.inf:
+                raise WorldValidationError(
+                    f"{where}: weight must be positive and finite, got {c.weight}"
+                )
             if set(c.tags) != names:
                 raise WorldValidationError(
                     f"{where}: tags {sorted(c.tags)} must cover exactly the schema "

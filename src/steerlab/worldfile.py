@@ -23,6 +23,7 @@ reported against the file as a whole.
 from __future__ import annotations
 
 import importlib.resources
+import math
 import re
 
 import numpy as np
@@ -30,7 +31,6 @@ import numpy as np
 from .errors import WorldFileError, WorldValidationError
 from .world import Attribute, AttributeSchema, Component, MixtureWorld
 
-_RESERVED_KEYS = {"mean", "weight", "cov"}
 _NAME = re.compile(r"[A-Za-z0-9_.-]+")   # keeps names free of the artifacts' separators
 
 
@@ -134,8 +134,9 @@ def _parse_component(concept, pairs, dimension, attributes, path, lineno) -> Com
                 weight = float(value)
             except ValueError:
                 raise WorldFileError(f"bad weight {value!r}", path, lineno) from None
-            if not weight > 0:
-                raise WorldFileError(f"weight must be positive, got {value}", path, lineno)
+            if not 0 < weight < math.inf:
+                raise WorldFileError(f"weight must be positive and finite, got {value}",
+                                     path, lineno)
         elif key == "cov":
             cov = _parse_matrix(value, dimension, path, lineno)
         elif key in known_attrs:
@@ -173,6 +174,8 @@ def _parse_vector(text, dimension, path, lineno) -> np.ndarray:
         vec = np.array([float(x) for x in text.split(",")])
     except ValueError:
         raise WorldFileError(f"bad vector {text!r}", path, lineno) from None
+    if not np.all(np.isfinite(vec)):
+        raise WorldFileError(f"vector {text!r} has non-finite entries", path, lineno)
     if vec.shape != (dimension,):
         raise WorldFileError(
             f"vector {text!r} has {vec.size} entries, expected {dimension}", path, lineno

@@ -114,6 +114,27 @@ class TestGenerateCommand:
         assert code == 2
         assert repr(key) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, patch", [
+        ("window", {"window": [0.1, "x"]}),
+        ("windows", {"windows": [0.5]}),
+        ("jitter_seed", {"prompts": [{"concept": "engineer", "jitter_seed": 1.5}]}),
+        ("count", {"prompts": [{"concept": "engineer", "count": True}]}),
+        ("constraints", {"prompts": [{"concept": "engineer", "constraints": ["gender"]}]}),
+        ("target", {"target": {"gender": {"male": "0.5", "female": 0.5}}}),
+        ("target", {"target": [{"gender": {"male": 0.5, "female": 0.5}}]}),
+        ("sweep", {"sweep": {"value": "male", "proportions": [0.5]}}),
+        ("static_pairs", {"policy": "static", "static_pairs": {"gender": ["female"]}}),
+    ], ids=["window", "windows", "jitter_seed", "count", "constraints", "target-proportion",
+            "target-list", "sweep", "static_pairs"])
+    def test_malformed_config_value_exits_2(self, workspace, capsys, key, patch):
+        cfg = workspace / "shaped.json"
+        data = json.loads((workspace / "run.json").read_text())
+        data.update(patch)
+        cfg.write_text(json.dumps(data))
+        code = main(["generate", "--config", str(cfg)])
+        assert code == 2
+        assert key in capsys.readouterr().err
+
     def test_memory_from_world_of_other_dimension_exits_2(self, workspace, capsys):
         (workspace / "cube.world").write_text(
             "dimension 3\nattribute gender male female\n"

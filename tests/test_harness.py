@@ -9,6 +9,8 @@ from steerlab import (
     ExperimentSpec,
     PromptSpec,
     RenderError,
+    load_world,
+    quality_score,
     render_scatter,
     restore_memory,
     run_generate,
@@ -35,6 +37,18 @@ attribute age young old
 component worker gender=male   age=young mean=0,0 weight=0.4
 component worker gender=female age=old   mean=4,0 weight=0.3
 component worker gender=female age=young mean=0,4 weight=0.3
+"""
+
+# No shade=c age=old component: steering an age=old prompt toward shade=c is infeasible.
+SHADE_WORLD_TEXT = """\
+dimension 2
+attribute shade a b c
+attribute age young old
+component worker shade=a age=young mean=0,0 weight=0.2
+component worker shade=a age=old   mean=4,0 weight=0.2
+component worker shade=b age=young mean=0,4 weight=0.2
+component worker shade=b age=old   mean=4,4 weight=0.2
+component worker shade=c age=young mean=-4,0 weight=0.2
 """
 
 
@@ -231,6 +245,26 @@ class TestRunGenerate:
         ordinals = sorted({s.prompt_ordinal for s in result.samples})
         assert ordinals == [0, 1, 3, 4]
 
+    def test_prompt_failing_mid_run_leaves_no_state(self, tmp_path):
+        """Samples 0 and 1 succeed, then deficit steers toward shade=c and
+        sample 2 fails: none of the prompt's records or probe rows survive."""
+        world = tmp_path / "shade.world"
+        world.write_text(SHADE_WORLD_TEXT)
+        spec = ExperimentSpec(
+            world_path=str(world),
+            prompts=[PromptSpec("worker", constraints={"age": "old"})],
+            target={"shade": {"a": 1 / 3, "b": 1 / 3, "c": 1 / 3},
+                    "age": {"young": 0.5, "old": 0.5}},
+            samples_per_prompt=6, steps=30, beta_end=0.3, seed=0, diagnostics=True,
+        )
+        out = tmp_path / "run"
+        result = run_generate(spec, out_dir=str(out))
+        assert len(result.failures) == 1 and "shade='c'" in result.failures[0][1]
+        assert result.samples == [] and result.report is None
+        assert result.memory.clusters == []
+        assert result.prompts_seen == 1
+        assert not (out / "diagnostics.csv").exists()
+
     def test_unknown_concept_fails_entire_prompt_not_run(self, world_path):
         spec = base_spec(world_path, prompts=[
             PromptSpec("engineer", count=1),
@@ -299,6 +333,27 @@ class TestSamplesCsv:
                    if l.startswith("# summary bias[gender]=")][0]
         reported = float(summary.split("=", 1)[1])
         assert abs(reported - expected) <= 1e-12
+
+
+    def test_report_quality_matches_quality_score(self, world_path, tmp_path):
+        """report.csv's quality and mean_log_density equal evaluate.quality_score
+        over each prompt's samples read back from samples.csv, averaged per prompt."""
+        out = tmp_path / "run"
+        result = run_generate(base_spec(world_path, jitter_scale=0.5), out_dir=str(out))
+        points, _, _ = load_samples_csv(str(out / "samples.csv"))
+        world = load_world(world_path)
+        by_prompt: dict[str, list[int]] = {}
+        for i, s in enumerate(result.samples):
+            by_prompt.setdefault(s.prompt_id, []).append(i)
+        scores = [quality_score(world, result.samples[idx[0]].concept, points[idx])
+                  for idx in by_prompt.values()]
+        summary = dict(l[len("# summary "):].split("=", 1)
+                       for l in (out / "report.csv").read_text().splitlines()
+                       if l.startswith("# summary quality=")
+                       or l.startswith("# summary mean_log_density="))
+        assert float(summary["quality"]) == sum(q.adherence for q in scores) / len(scores)
+        assert float(summary["mean_log_density"]) == \
+            sum(q.mean_log_density for q in scores) / len(scores)
 
 
 class TestMemoryContinuity:

@@ -77,6 +77,14 @@ class TestMixtureWorldValidation:
                 make_component(gender="female", weight=1.0),
             ])
 
+    @pytest.mark.parametrize("weights", [(np.inf, 1.0), (1e308, 1e308)])
+    def test_non_finite_weight_or_total_rejected(self, weights):
+        with pytest.raises(WorldValidationError, match="finite"):
+            MixtureWorld(2, GENDER, [
+                make_component(weight=weights[0]),
+                make_component(gender="female", weight=weights[1]),
+            ])
+
     def test_wrong_mean_dimension_rejected(self):
         bad = Component(np.zeros(3), np.eye(3), 1.0, "engineer", {"gender": "male"})
         ok = make_component(gender="female")

@@ -93,6 +93,19 @@ class TestLineAnchoredErrors:
     def test_nonpositive_weight(self):
         _expect_error("dimension 2\ncomponent a mean=0,0 weight=0\n", 2, "positive")
 
+    @pytest.mark.parametrize("pairs", [
+        "mean=0,0 weight=inf", "mean=nan,0 weight=1",
+        "mean=0,0 weight=1 cov=1,0;0,inf",
+    ])
+    def test_non_finite_numbers(self, pairs):
+        _expect_error(f"dimension 2\ncomponent a {pairs}\n", 2, "finite")
+
+    def test_weights_summing_past_float_range(self):
+        text = ("dimension 1\ncomponent a mean=0 weight=1e308\n"
+                "component a mean=1 weight=1e308\n")
+        with pytest.raises(WorldFileError, match="finite total"):
+            parse_world(text)
+
     def test_wrong_vector_length(self):
         _expect_error("dimension 2\ncomponent a mean=0,0,0 weight=1\n", 2, "entries")
 
