@@ -82,6 +82,10 @@ def _is_sweep(v) -> bool:
 
 # Config key -> (check, what the key must be); keys not listed take any value.
 _KEY_CHECKS = {
+    "world_path": (lambda v: isinstance(v, str), "a string"),
+    "memory_path": (lambda v: v is None or isinstance(v, str), "a string"),
+    "prompts": (lambda v: isinstance(v, list), "a list"),
+    **dict.fromkeys(("record_intent", "diagnostics"), (lambda v: isinstance(v, bool), "a boolean")),
     **dict.fromkeys(("samples_per_prompt", "steps", "seed", "memory_budget"),
                     (_is_int, "an integer")),
     **dict.fromkeys(("beta_start", "beta_end", "gamma", "attribute_scale", "jitter_scale"),

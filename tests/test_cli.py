@@ -124,8 +124,13 @@ class TestGenerateCommand:
         ("target", {"target": [{"gender": {"male": 0.5, "female": 0.5}}]}),
         ("sweep", {"sweep": {"value": "male", "proportions": [0.5]}}),
         ("static_pairs", {"policy": "static", "static_pairs": {"gender": ["female"]}}),
+        ("world_path", {"world_path": 5}),
+        ("memory_path", {"memory_path": 5}),
+        ("prompts", {"prompts": 5}),
+        ("record_intent", {"record_intent": "no"}),
     ], ids=["window", "windows", "jitter_seed", "count", "constraints", "target-proportion",
-            "target-list", "sweep", "static_pairs"])
+            "target-list", "sweep", "static_pairs", "world_path", "memory_path", "prompts",
+            "record_intent"])
     def test_malformed_config_value_exits_2(self, workspace, capsys, key, patch):
         cfg = workspace / "shaped.json"
         data = json.loads((workspace / "run.json").read_text())

@@ -339,7 +339,7 @@ class TestSamplesCsv:
         """report.csv's quality and mean_log_density equal evaluate.quality_score
         over each prompt's samples read back from samples.csv, averaged per prompt."""
         out = tmp_path / "run"
-        result = run_generate(base_spec(world_path, jitter_scale=0.5), out_dir=str(out))
+        result = run_generate(base_spec(world_path), out_dir=str(out))
         points, _, _ = load_samples_csv(str(out / "samples.csv"))
         world = load_world(world_path)
         by_prompt: dict[str, list[int]] = {}
