@@ -30,6 +30,7 @@ from .diffusion import (
     ancestral_step,
     linear_schedule,
     mixture_log_density,
+    noise_tapes,
     run_trajectories,
     sample,
 )
@@ -43,6 +44,7 @@ from .guidance import (
     edit_condition,
     in_window,
     resolve_steering,
+    window_mask,
 )
 from .controller import (
     Cluster,

@@ -206,8 +206,8 @@ class Steering:
 
     active[t] marks the steps whose noise estimate is blended.  Each pair
     holds the mixtures of a plan entry's target- and reference-edited
-    conditions.  The probe, if any, receives one row per stream and
-    steered step.
+    conditions.  The probe, if any, receives at each steered step one row per
+    stream, in batch order.
     """
 
     active: np.ndarray
@@ -232,28 +232,45 @@ def _steer(steering: Steering, base: np.ndarray, x: np.ndarray,
     return out
 
 
+def noise_tapes(rngs: list[np.random.Generator], steps: int, d: int) -> np.ndarray:
+    """The (steps, B, d) noise tapes of independent streams.
+
+    Stream b draws its whole tape with one standard_normal(steps * d) call:
+    row 0 is x_T and row i the fresh noise of reverse step i (the final step
+    adds none).  That consumes each generator exactly as `sample` does.
+    """
+    tapes = np.empty((steps, len(rngs), d))
+    for b, rng in enumerate(rngs):
+        tapes[:, b, :] = rng.standard_normal(steps * d).reshape(steps, d)
+    return tapes
+
+
 def run_trajectories(
     world: MixtureWorld,
     schedule: NoiseSchedule,
     cond: Condition,
-    rngs: list[np.random.Generator],
+    tapes: np.ndarray,
     steering: Steering | None = None,
+    start: int = 0,
+    stop: int | None = None,
+    x: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Clean samples of independent streams, advanced together as one (B, d) batch.
+    """Independent streams advanced together as one (B, d) batch.
 
-    Stream b draws its whole noise tape up front with one
-    standard_normal(steps * d) call: row 0 is x_T and row i the fresh noise of
-    reverse step i (the final step adds none).  That consumes each generator
-    exactly as `sample` does, and every operation is row-wise, so row b
-    equals `sample` with the same steering run on rngs[b] alone.
+    Runs reverse steps start..stop-1 (stop defaults to the last step, so the
+    result is the clean samples) from x, the batch's latents after `start`
+    steps; x defaults to x_T, row 0 of the tapes.  Every operation is
+    row-wise, so row b equals `sample` with the same steering run on stream
+    b's generator alone, however the trajectory is split and the rows grouped.
     """
-    steps, d = schedule.steps, world.dimension
-    tapes = np.empty((steps, len(rngs), d))
-    for b, rng in enumerate(rngs):
-        tapes[:, b, :] = rng.standard_normal(steps * d).reshape(steps, d)
+    steps = schedule.steps
+    stop = steps if stop is None else stop
+    if x is None:
+        if start:
+            raise ValueError("x is needed to start past step 0")
+        x = tapes[0].copy()
     mix = conditional_components(world, cond)
-    x = tapes[0]
-    for i in range(steps):
+    for i in range(start, stop):
         t = steps - 1 - i
         eps = _noise(mix, x, schedule, t)
         if steering is not None and steering.active[t]:

@@ -161,24 +161,27 @@ def combined_noise(
     return out
 
 
+def window_mask(schedule: NoiseSchedule, config: GuidanceConfig) -> np.ndarray:
+    """active[t] = in_window(schedule, t, config) for every step t."""
+    return np.array([in_window(schedule, t, config) for t in range(schedule.steps)])
+
+
 def resolve_steering(
     world: MixtureWorld,
-    schedule: NoiseSchedule,
     cond: Condition,
     plan: GuidancePlan,
     config: GuidanceConfig,
+    active: np.ndarray,
     probe: GuidanceProbe | None = None,
 ) -> Steering | None:
     """The plan as `run_trajectories` applies it: the blend of `combined_noise`.
 
-    Edited conditions are resolved once, in plan order.  None when no step
-    would be blended (gamma = 1, an empty plan, or a window holding no step);
-    then, as in combined_noise, no edited condition is evaluated.
+    `active` is the config's `window_mask`.  Edited conditions are resolved
+    once, in plan order.  None when no step would be blended (gamma = 1, an
+    empty plan, or a window holding no step); then, as in combined_noise, no
+    edited condition is evaluated.
     """
-    if config.gamma == 1.0 or len(plan) == 0:
-        return None
-    active = np.array([in_window(schedule, t, config) for t in range(schedule.steps)])
-    if not active.any():
+    if config.gamma == 1.0 or len(plan) == 0 or not active.any():
         return None
     pairs = tuple(
         (conditional_components(world, edit_condition(world, cond, attribute, entry.target)),

@@ -6,11 +6,15 @@ ordinal, sample index), so arms with the same seed share identical streams
 and artifacts are byte-reproducible.  For every generation the harness asks
 the controller for a plan, samples its trajectory with that plan's steering,
 discriminates the outcome, and feeds it back into the memory — in that order.
-Vanilla generations read no memory, so a prompt's samples are drawn as one
-batch of independent streams.  A prompt works on a copy of the memory and
-stages its rows; both are committed only when all its samples succeed, so a
-failed prompt leaves memory and artifacts as if it had not run, apart from
-the ordinal slot it used.
+Steps before the guidance window are the same under every plan, so a
+prompt's streams take them as one batch (unsteered, that is the whole
+trajectory).  Probabilistic and static plans read no memory: they are decided
+up front and the streams of each distinct plan finish as one batch.  Deficit
+plans read the records before them, so those streams finish one at a time.
+Every row is computed as if alone, so none of this changes a bit of output.
+A prompt works on a copy of the memory and stages its rows; both are
+committed only when all its samples succeed, so a failed prompt leaves memory
+and artifacts as if it had not run, apart from the ordinal slot it used.
 
 A persisted memory file carries the count of prompts already processed, so a
 run that resumes from it continues the ordinal sequence exactly where the
@@ -41,10 +45,10 @@ from .controller import (
     restore_memory,
     snapshot_memory,
 )
-from .diffusion import linear_schedule, mixture_log_density, run_trajectories
+from .diffusion import linear_schedule, mixture_log_density, noise_tapes, run_trajectories
 from .errors import SteerlabError
 from .evaluate import BiasReport, QualityScores, build_report, discriminate, write_csv, write_report_csv
-from .guidance import GuidanceConfig, GuidanceProbe, resolve_steering
+from .guidance import GuidanceConfig, GuidancePlan, GuidanceProbe, resolve_steering, window_mask
 from .world import Condition, MixtureWorld, TargetDistribution, conditional_components, make_condition
 from .worldfile import load_world
 
@@ -111,6 +115,8 @@ class PromptSpec:
     constraints: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
+        if not isinstance(self.concept, str):
+            raise ValueError(f"concept must be a string, got {self.concept!r}")
         if not (_is_int(self.count) and self.count >= 1):
             raise ValueError(f"count must be an integer >= 1, got {self.count!r}")
         if not (_is_int(self.jitter_seed) and self.jitter_seed >= 0):
@@ -267,9 +273,22 @@ def run_generate(
     probe_rows: list[tuple] = []
     failures: list[list[str]] = []
     n = spec.samples_per_prompt
-    # Vanilla plans read no memory, so a prompt's samples run as one batch;
-    # steered samples run one at a time, each deciding on the previous records.
-    batches = [range(n)] if policy is None else [[s_i] for s_i in range(n)]
+    active = window_mask(schedule, config)
+    # Steps before the first steered one are the same under every plan, so a
+    # prompt's streams take them as one batch; unsteered, that is every step.
+    prefix = schedule.steps
+    if policy is not None and config.gamma != 1.0 and active.any():
+        prefix = schedule.steps - 1 - int(np.flatnonzero(active).max())
+
+    def finish(cond, tapes, x, batch, plan, traces):
+        """Rows `batch` of x, run under one plan from the prefix to the end, in place."""
+        probe = GuidanceProbe() if spec.diagnostics else None
+        steering = resolve_steering(world, cond, plan, config, active, probe)
+        x[batch] = run_trajectories(world, schedule, cond, tapes[:, batch], steering,
+                                    prefix, x=x[batch])
+        if probe is not None:  # at each steered step, one row per stream in batch order
+            for j, s_i in enumerate(batch):
+                traces[s_i] = probe.rows[j::len(batch)]
 
     ordinal = prompts_seen
     for prompt in spec.prompts:
@@ -291,37 +310,44 @@ def run_generate(
                 hits = 0
                 logdens = 0.0
                 streams = [np.random.SeedSequence([spec.seed, ordinal, s_i]) for s_i in range(n)]
-                for batch in batches:
-                    plan = steering = probe = None
-                    if policy is not None:
+                tapes = noise_tapes([np.random.default_rng(s) for s in streams],
+                                    schedule.steps, world.dimension)
+                x = run_trajectories(world, schedule, cond, tapes, stop=prefix)
+                plans: list[GuidancePlan | None] = [None] * n
+                traces: list[list[tuple]] = [[] for _ in range(n)]
+                if policy is not None and policy.kind != "deficit":
+                    # These plans read no memory: decide them all, then finish
+                    # each distinct plan's streams as one batch.
+                    for s_i in range(n):
                         rng = None
                         if policy.kind == "probabilistic":
                             rng = np.random.default_rng(
-                                np.random.SeedSequence([spec.seed, _POLICY_NS, ordinal, batch[0]])
+                                np.random.SeedSequence([spec.seed, _POLICY_NS, ordinal, s_i])
                             )
-                        plan = decide(staged_memory, cond, schema, target, policy, rng)
-                        probe = GuidanceProbe() if spec.diagnostics else None
-                        steering = resolve_steering(world, schedule, cond, plan, config, probe)
-                    points = run_trajectories(
-                        world, schedule, cond,
-                        [np.random.default_rng(streams[s_i]) for s_i in batch], steering,
-                    )
-                    for s_i, x0 in zip(batch, points):
-                        labels, concept_post = discriminate(world, x0)
-                        if plan is not None:
-                            outcome = ({a: e.target for a, e in plan.entries}
-                                       if spec.record_intent else labels)
-                            record(staged_memory, cond, outcome)
-                        if probe is not None:
-                            probes.extend((prompt_id, s_i) + r for r in probe.rows)
-                        if max(concept_post, key=lambda c: concept_post[c]) == prompt.concept:
-                            hits += 1
-                        logdens += mixture_log_density(marg_mix, x0, 1.0)
-                        rows.append(GeneratedSample(
-                            prompt_id=prompt_id, prompt_ordinal=ordinal, sample_index=s_i,
-                            stream_seed=int(streams[s_i].generate_state(1)[0]),
-                            concept=prompt.concept, x=x0, labels=labels,
-                        ))
+                        plans[s_i] = decide(staged_memory, cond, schema, target, policy, rng)
+                    for plan in dict.fromkeys(plans):
+                        batch = [s_i for s_i in range(n) if plans[s_i] == plan]
+                        finish(cond, tapes, x, batch, plan, traces)
+                for s_i in range(n):
+                    if policy is not None and policy.kind == "deficit":
+                        # Decided on the records of the samples before it.
+                        plans[s_i] = decide(staged_memory, cond, schema, target, policy)
+                        finish(cond, tapes, x, [s_i], plans[s_i], traces)
+                    x0 = x[s_i]
+                    labels, concept_post = discriminate(world, x0)
+                    if plans[s_i] is not None:
+                        outcome = ({a: e.target for a, e in plans[s_i].entries}
+                                   if spec.record_intent else labels)
+                        record(staged_memory, cond, outcome)
+                    probes.extend((prompt_id, s_i) + r for r in traces[s_i])
+                    if max(concept_post, key=lambda c: concept_post[c]) == prompt.concept:
+                        hits += 1
+                    logdens += mixture_log_density(marg_mix, x0, 1.0)
+                    rows.append(GeneratedSample(
+                        prompt_id=prompt_id, prompt_ordinal=ordinal, sample_index=s_i,
+                        stream_seed=int(streams[s_i].generate_state(1)[0]),
+                        concept=prompt.concept, x=x0, labels=labels,
+                    ))
             except SteerlabError as exc:
                 log.warning("prompt %s failed: %s", prompt_id, exc)
                 failures.append([prompt_id, str(exc)])

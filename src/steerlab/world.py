@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -313,6 +314,8 @@ class TargetDistribution:
         self.proportions = {a: dict(v) for a, v in proportions.items()}
         for attr, dist in self.proportions.items():
             for v, p in dist.items():
+                if not isinstance(p, numbers.Real) or isinstance(p, bool):
+                    raise WorldValidationError(f"proportion {p!r} for {attr}={v} is not a number")
                 if not math.isfinite(p):
                     raise WorldValidationError(f"non-finite proportion {p!r} for {attr}={v}")
             total = sum(dist.values())

@@ -128,9 +128,10 @@ class TestGenerateCommand:
         ("memory_path", {"memory_path": 5}),
         ("prompts", {"prompts": 5}),
         ("record_intent", {"record_intent": "no"}),
+        ("concept must be a string", {"prompts": [{"concept": 5}]}),
     ], ids=["window", "windows", "jitter_seed", "count", "constraints", "target-proportion",
             "target-list", "sweep", "static_pairs", "world_path", "memory_path", "prompts",
-            "record_intent"])
+            "record_intent", "concept"])
     def test_malformed_config_value_exits_2(self, workspace, capsys, key, patch):
         cfg = workspace / "shaped.json"
         data = json.loads((workspace / "run.json").read_text())

@@ -2,7 +2,7 @@
 
 `run_trajectories` must reproduce `sample` driven by `analytic_epsilon` (or,
 when steering, by `combined_noise`) bit for bit, stream by stream, whatever
-the batch size.
+the batch size and however a trajectory is split into runs.
 """
 
 import numpy as np
@@ -22,10 +22,12 @@ from steerlab import (
     linear_schedule,
     load_world,
     make_condition,
+    noise_tapes,
     resolve_steering,
     run_generate,
     run_trajectories,
     sample,
+    window_mask,
 )
 from steerlab.guidance import GuidanceProbe
 from steerlab.harness import ExperimentSpec, PromptSpec
@@ -70,11 +72,16 @@ def _reference(world, schedule, cond, rng, plan=None, probe=None):
     return sample(world, schedule, cond, hook, rng)
 
 
+def _steering(world, schedule, cond, plan, probe=None):
+    if plan is None:
+        return None
+    return resolve_steering(world, cond, plan, CONFIG, window_mask(schedule, CONFIG), probe)
+
+
 def _engine(world, schedule, cond, rngs, plan=None, probe=None):
-    steering = None
-    if plan is not None:
-        steering = resolve_steering(world, schedule, cond, plan, CONFIG, probe)
-    return run_trajectories(world, schedule, cond, rngs, steering)
+    tapes = noise_tapes(rngs, schedule.steps, world.dimension)
+    return run_trajectories(world, schedule, cond, tapes,
+                            _steering(world, schedule, cond, plan, probe))
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -140,18 +147,59 @@ def test_batch_size_never_changes_a_stream(world_name, n, seed, steps, steered):
         np.testing.assert_array_equal(batch[b], _engine(world, schedule, cond, [rng], plan)[0])
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    world_name=st.sampled_from(sorted(WORLDS)),
+    n=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    steps=st.integers(1, 40),
+    steered=st.booleans(),
+    data=st.data(),
+)
+def test_split_run_finishes_any_subset_like_each_stream_alone(
+        world_name, n, seed, steps, steered, data):
+    world = WORLDS[world_name]()
+    schedule = linear_schedule(steps, beta_end=0.3)
+    cond = make_condition(world, "engineer")
+    k = data.draw(st.integers(0, steps), label="k")
+    subset = data.draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True), label="subset")
+    plan = ONE_ATTR if steered else None
+    tapes = noise_tapes(_rngs(n, seed), steps, world.dimension)
+    probe_all, probe_sub = GuidanceProbe(), GuidanceProbe()
+    x = run_trajectories(world, schedule, cond, tapes,
+                         _steering(world, schedule, cond, plan, probe_all), stop=k)
+    out = run_trajectories(world, schedule, cond, tapes[:, subset],
+                           _steering(world, schedule, cond, plan, probe_sub), k, x=x[subset])
+    for j, b in enumerate(subset):
+        probe = GuidanceProbe()
+        alone = _engine(world, schedule, cond, [_rngs(n, seed)[b]], plan, probe)
+        np.testing.assert_array_equal(out[j], alone[0])
+        # Each steered step records one row per stream, in batch order.
+        assert probe_all.rows[b::n] + probe_sub.rows[j::len(subset)] == probe.rows
+
+
+def test_starting_past_step_zero_needs_a_state():
+    world = build_gender_world()
+    schedule = linear_schedule(10)
+    tapes = noise_tapes(_rngs(2), 10, 2)
+    with pytest.raises(ValueError, match="x is needed"):
+        run_trajectories(world, schedule, make_condition(world, "engineer"), tapes, start=3)
+
+
 def test_steering_resolves_to_none_when_no_step_is_blended():
     world = two_attribute_world()
     cond = make_condition(world, "worker", {"age": "old"})
     infeasible = GuidancePlan.from_dict({"gender": PlanEntry("male", "female")})
+    narrow = GuidanceConfig(window=(0.3, 0.6))
     schedule = linear_schedule(2)          # reverse progress hits only 0 and 1
-    assert resolve_steering(world, schedule, cond, infeasible,
-                            GuidanceConfig(window=(0.3, 0.6))) is None
+    assert resolve_steering(world, cond, infeasible, narrow,
+                            window_mask(schedule, narrow)) is None
     schedule = linear_schedule(20)
-    assert resolve_steering(world, schedule, cond, infeasible, GuidanceConfig(gamma=1.0)) is None
-    assert resolve_steering(world, schedule, cond, EMPTY_PLAN, CONFIG) is None
+    active = window_mask(schedule, CONFIG)
+    assert resolve_steering(world, cond, infeasible, GuidanceConfig(gamma=1.0), active) is None
+    assert resolve_steering(world, cond, EMPTY_PLAN, CONFIG, active) is None
     with pytest.raises(InfeasibleConditionError, match="gender='male'"):
-        resolve_steering(world, schedule, cond, infeasible, CONFIG)
+        resolve_steering(world, cond, infeasible, CONFIG, active)
 
 
 class _Tape:

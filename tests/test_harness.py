@@ -7,17 +7,31 @@ import pytest
 
 from steerlab import (
     ExperimentSpec,
+    GuidanceConfig,
+    MemoryModule,
     PromptSpec,
     RenderError,
+    TargetDistribution,
+    decide,
+    default_match_threshold,
+    discriminate,
+    linear_schedule,
     load_world,
+    make_condition,
+    noise_tapes,
     quality_score,
+    record,
     render_scatter,
+    resolve_steering,
     restore_memory,
     run_generate,
     run_sweep,
+    run_trajectories,
     run_window_ablation,
+    window_mask,
 )
-from steerlab.harness import load_samples_csv, sweep_targets
+from steerlab.guidance import GuidanceProbe
+from steerlab.harness import _POLICY_NS, _build_policy, _child_seed, load_samples_csv, sweep_targets
 
 from conftest import build_gender_world, single_gaussian_world
 
@@ -296,6 +310,83 @@ class TestRunGenerate:
         header = [l for l in lines if not l.startswith("#")][0]
         assert header == "prompt_id,sample_index,t_index,cosine,base_norm,attr_norm"
         assert len(lines) > 3
+
+
+def _one_at_a_time(spec, world):
+    """Every generation alone, in order: decide, its stream's trajectory,
+    discriminate, record.  Returns samples, memory, probe rows and plans."""
+    schedule = linear_schedule(spec.steps, spec.beta_start, spec.beta_end)
+    config = GuidanceConfig(spec.gamma, tuple(spec.window), spec.attribute_scale)
+    active = window_mask(schedule, config)
+    target = TargetDistribution(spec.target)
+    policy = _build_policy(spec)
+    memory = MemoryModule(spec.memory_budget, spec.memory_tau or default_match_threshold(world))
+    samples, probe_rows, plans = [], [], []
+    ordinal = 0
+    for prompt in spec.prompts:
+        for instance in range(prompt.count):
+            prompt_id = f"{prompt.concept}-{ordinal:05d}"
+            cond = make_condition(world, prompt.concept, prompt.constraints,
+                                  jitter_seed=_child_seed(prompt.jitter_seed, instance),
+                                  jitter_scale=spec.jitter_scale)
+            plans.append([])
+            for s_i in range(spec.samples_per_prompt):
+                rng = None
+                if policy.kind == "probabilistic":
+                    rng = np.random.default_rng(
+                        np.random.SeedSequence([spec.seed, _POLICY_NS, ordinal, s_i]))
+                plan = decide(memory, cond, world.schema, target, policy, rng)
+                probe = GuidanceProbe()
+                steering = resolve_steering(world, cond, plan, config, active, probe)
+                stream = np.random.default_rng(np.random.SeedSequence([spec.seed, ordinal, s_i]))
+                tapes = noise_tapes([stream], spec.steps, world.dimension)
+                x0 = run_trajectories(world, schedule, cond, tapes, steering)[0]
+                labels, _ = discriminate(world, x0)
+                record(memory, cond, {a: e.target for a, e in plan.entries}
+                       if spec.record_intent else labels)
+                samples.append((prompt_id, s_i, x0, labels))
+                probe_rows += [(prompt_id, s_i) + r for r in probe.rows]
+                plans[-1].append(plan)
+            ordinal += 1
+    return samples, memory, probe_rows, plans
+
+
+@pytest.mark.parametrize("policy", ["deficit", "probabilistic", "static"])
+@pytest.mark.parametrize("record_intent", [False, True])
+def test_batched_prompt_equals_one_generation_at_a_time(tmp_path, policy, record_intent):
+    """Shared prefix and plan groups change nothing: samples, memory counts and
+    probe rows come out as from the per-sample loop, in the same order."""
+    world_file = tmp_path / "two.world"
+    world_file.write_text(TWO_ATTR_WORLD_TEXT)
+    spec = ExperimentSpec(
+        world_path=str(world_file),
+        prompts=[PromptSpec("worker", count=3), PromptSpec("worker", count=2, jitter_seed=4)],
+        target={"gender": {"male": 0.5, "female": 0.5}, "age": {"young": 0.3, "old": 0.7}},
+        policy=policy, static_pairs={"gender": ["female", "male"], "age": ["young", "old"]}
+        if policy == "static" else None,
+        samples_per_prompt=6, steps=40, beta_end=0.3, gamma=0.6, attribute_scale=4.0,
+        window=(0.2, 0.6), seed=3, memory_budget=2, memory_tau=0.05,
+        diagnostics=True, record_intent=record_intent,
+    )
+    world = load_world(spec.world_path)
+    samples, memory, probe_rows, plans = _one_at_a_time(spec, world)
+    out = tmp_path / "run"
+    result = run_generate(spec, out_dir=str(out), world=world)
+
+    assert not result.failures
+    assert [(s.prompt_id, s.sample_index, s.labels) for s in result.samples] == \
+        [(p, i, labels) for p, i, _, labels in samples]
+    for s, (_, _, x0, _) in zip(result.samples, samples):
+        np.testing.assert_array_equal(s.x, x0)
+    # Clusters, totals and counts (insertion order included) as in the loop.
+    assert [(c.centroid.tolist(), c.total, list(c.counts.items())) for c in result.memory.clusters] \
+        == [(c.centroid.tolist(), c.total, list(c.counts.items())) for c in memory.clusters]
+    lines = (out / "diagnostics.csv").read_text().splitlines()
+    assert lines[3:] == [",".join(map(str, row)) for row in probe_rows]
+    # Some prompt ran a plan group of several streams, so their probe rows
+    # would have interleaved had they not been split per stream.
+    if policy != "deficit":
+        assert any(len(set(p)) < len(p) for p in plans)
 
 
 class TestSamplesCsv:

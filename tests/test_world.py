@@ -245,6 +245,11 @@ class TestTargetDistribution:
         with pytest.raises(WorldValidationError, match="non-finite proportion .* gender=male"):
             TargetDistribution({"gender": {"male": bad, "female": 0.5}})
 
+    @pytest.mark.parametrize("bad", ["0.5", None, True, 1j, [0.5]])
+    def test_proportion_that_is_not_a_real_number_rejected(self, bad):
+        with pytest.raises(WorldValidationError, match="proportion .* gender=male is not a number"):
+            TargetDistribution({"gender": {"male": bad, "female": 0.5}})
+
     def test_degenerate_point_mass_is_legal(self):
         t = TargetDistribution({"gender": {"male": 1.0, "female": 0.0}})
         assert t.of("gender", "female") == 0.0
