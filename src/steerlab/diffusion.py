@@ -257,11 +257,12 @@ def run_trajectories(
 ) -> np.ndarray:
     """Independent streams advanced together as one (B, d) batch.
 
-    Runs reverse steps start..stop-1 (stop defaults to the last step, so the
-    result is the clean samples) from x, the batch's latents after `start`
-    steps; x defaults to x_T, row 0 of the tapes.  Every operation is
-    row-wise, so row b equals `sample` with the same steering run on stream
-    b's generator alone, however the trajectory is split and the rows grouped.
+    Runs reverse steps start..stop-1 from x, the batch's latents after
+    `start` steps.  x defaults to x_T, row 0 of the tapes, and stop to the
+    number of steps, so that the result is the clean samples.  Every
+    operation is row-wise, so row b equals `sample` with the same steering
+    run on stream b's generator alone, however the trajectory is split and
+    the rows grouped.
     """
     steps = schedule.steps
     stop = steps if stop is None else stop
