@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MemorySnapshotError
+from .errors import MemorySnapshotError, WorldValidationError
 from .guidance import GuidancePlan, PlanEntry
 from .world import AttributeSchema, Condition, MixtureWorld, TargetDistribution
 
@@ -69,6 +69,21 @@ class IndicatorPolicy:
             raise ValueError(f"unknown policy kind {self.kind!r}, expected one of {POLICY_KINDS}")
         if (self.static_pairs is not None) != (self.kind == "static"):
             raise ValueError("static_pairs must be given exactly when kind='static'")
+
+    def validate_for(self, schema: AttributeSchema) -> None:
+        """Static pairs must name known values for exactly the schema's attributes."""
+        if self.static_pairs is None:
+            return
+        for name in schema.names():
+            if name not in self.static_pairs:
+                raise WorldValidationError(f"static_pairs has no pair for attribute {name!r}")
+        for name, pair in self.static_pairs.items():
+            if name not in schema.names():
+                raise WorldValidationError(f"static_pairs names unknown attribute {name!r}")
+            for value in pair:
+                if value not in schema.values_of(name):
+                    raise WorldValidationError(
+                        f"static_pairs value {value!r} is not a value of attribute {name!r}")
 
 
 def default_match_threshold(world: MixtureWorld) -> float:

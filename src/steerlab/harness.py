@@ -6,11 +6,11 @@ ordinal, sample index), so arms with the same seed share identical streams
 and artifacts are byte-reproducible.  For every generation the harness asks
 the controller for a plan, samples its trajectory with that plan's steering,
 discriminates the outcome, and feeds it back into the memory — in that order.
-Steps before the guidance window are the same under every plan, so a
-prompt's streams take them as one batch (unsteered, that is the whole
-trajectory).  Probabilistic and static plans read no memory: they are decided
-up front and the streams of each distinct plan finish as one batch.  Deficit
-plans read the records before them, so those streams finish one at a time.
+Steps before the guidance window are the same under every plan, so a prompt's
+streams take them as one batch (unsteered, that is the whole trajectory).  The
+first time a sample chooses a plan, the rows from that sample on finish under
+it as one batch; each later sample that chooses the same plan takes its row
+from that batch, and rows that end up choosing another plan are discarded.
 Every row is computed as if alone, so none of this changes a bit of output.
 A prompt works on a copy of the memory and stages its rows; both are
 committed only when all its samples succeed, so a failed prompt leaves memory
@@ -48,7 +48,8 @@ from .controller import (
 from .diffusion import linear_schedule, mixture_log_density, noise_tapes, run_trajectories
 from .errors import SteerlabError
 from .evaluate import BiasReport, QualityScores, build_report, discriminate, write_csv, write_report_csv
-from .guidance import GuidanceConfig, GuidancePlan, GuidanceProbe, resolve_steering, window_mask
+from .guidance import (EMPTY_PLAN, GuidanceConfig, GuidancePlan, GuidanceProbe, resolve_steering,
+                       window_mask)
 from .world import Condition, MixtureWorld, TargetDistribution, conditional_components, make_condition
 from .worldfile import load_world
 
@@ -257,6 +258,8 @@ def run_generate(
     target = TargetDistribution(spec.target)
     target.validate_for(schema)
     policy = _build_policy(spec)
+    if policy is not None:
+        policy.validate_for(schema)
 
     prompts_seen = 0
     memory: MemoryModule | None = None
@@ -279,16 +282,6 @@ def run_generate(
     prefix = schedule.steps
     if policy is not None and config.gamma != 1.0 and active.any():
         prefix = schedule.steps - 1 - int(np.flatnonzero(active).max())
-
-    def finish(cond, tapes, x, batch, plan, traces):
-        """Rows `batch` of x, run under one plan from the prefix to the end, in place."""
-        probe = GuidanceProbe() if spec.diagnostics else None
-        steering = resolve_steering(world, cond, plan, config, active, probe)
-        x[batch] = run_trajectories(world, schedule, cond, tapes[:, batch], steering,
-                                    prefix, x=x[batch])
-        if probe is not None:  # at each steered step, one row per stream in batch order
-            for j, s_i in enumerate(batch):
-                traces[s_i] = probe.rows[j::len(batch)]
 
     ordinal = prompts_seen
     for prompt in spec.prompts:
@@ -313,33 +306,29 @@ def run_generate(
                 tapes = noise_tapes([np.random.default_rng(s) for s in streams],
                                     schedule.steps, world.dimension)
                 x = run_trajectories(world, schedule, cond, tapes, stop=prefix)
-                plans: list[GuidancePlan | None] = [None] * n
-                traces: list[list[tuple]] = [[] for _ in range(n)]
-                if policy is not None and policy.kind != "deficit":
-                    # These plans read no memory: decide them all, then finish
-                    # each distinct plan's streams as one batch.
-                    for s_i in range(n):
-                        rng = None
-                        if policy.kind == "probabilistic":
-                            rng = np.random.default_rng(
-                                np.random.SeedSequence([spec.seed, _POLICY_NS, ordinal, s_i])
-                            )
-                        plans[s_i] = decide(staged_memory, cond, schema, target, policy, rng)
-                    for plan in dict.fromkeys(plans):
-                        batch = [s_i for s_i in range(n) if plans[s_i] == plan]
-                        finish(cond, tapes, x, batch, plan, traces)
+                # Plan -> (first sample to choose it, rows first..n-1 finished
+                # under it, their probe rows: one per stream at each steered step).
+                runs: dict[GuidancePlan, tuple[int, np.ndarray, list[tuple]]] = {}
                 for s_i in range(n):
-                    if policy is not None and policy.kind == "deficit":
-                        # Decided on the records of the samples before it.
-                        plans[s_i] = decide(staged_memory, cond, schema, target, policy)
-                        finish(cond, tapes, x, [s_i], plans[s_i], traces)
-                    x0 = x[s_i]
+                    plan = EMPTY_PLAN
+                    if policy is not None:  # decided on the records of the samples before it
+                        rng = np.random.default_rng(
+                            np.random.SeedSequence([spec.seed, _POLICY_NS, ordinal, s_i]))
+                        plan = decide(staged_memory, cond, schema, target, policy, rng)
+                    if plan not in runs:
+                        probe = GuidanceProbe() if spec.diagnostics else None
+                        steering = resolve_steering(world, cond, plan, config, active, probe)
+                        finished = run_trajectories(world, schedule, cond, tapes[:, s_i:],
+                                                    steering, prefix, x=x[s_i:])
+                        runs[plan] = (s_i, finished, probe.rows if probe else [])
+                    first, finished, traces = runs[plan]
+                    x0 = finished[s_i - first]
                     labels, concept_post = discriminate(world, x0)
-                    if plans[s_i] is not None:
-                        outcome = ({a: e.target for a, e in plans[s_i].entries}
+                    if policy is not None:
+                        outcome = ({a: e.target for a, e in plan.entries}
                                    if spec.record_intent else labels)
                         record(staged_memory, cond, outcome)
-                    probes.extend((prompt_id, s_i) + r for r in traces[s_i])
+                    probes.extend((prompt_id, s_i) + r for r in traces[s_i - first::n - first])
                     if max(concept_post, key=lambda c: concept_post[c]) == prompt.concept:
                         hits += 1
                     logdens += mixture_log_density(marg_mix, x0, 1.0)
@@ -413,19 +402,26 @@ def write_samples_csv(
 def load_samples_csv(path: str) -> tuple[np.ndarray, list[dict[str, str]], list[str]]:
     """Points, per-sample labels, and column names from a samples.csv file."""
     with open(path, "r", encoding="utf-8") as fh:
-        rows = [line.rstrip("\n") for line in fh if not line.startswith("#")]
+        rows = [(lineno, line.rstrip("\n")) for lineno, line in enumerate(fh, 1)
+                if not line.startswith("#")]
     if not rows:
         raise ValueError(f"{path}: no header row")
-    header = rows[0].split(",")
+    header = rows[0][1].split(",")
     coord_idx = [i for i, h in enumerate(header) if h.startswith("x") and h[1:].isdigit()]
     attr_cols = header[max(coord_idx) + 1:] if coord_idx else []
     points = []
     labels = []
-    for row in rows[1:]:
+    for lineno, row in rows[1:]:
         if not row:
             continue
         cells = row.split(",")
-        points.append([float(cells[i]) for i in coord_idx])
+        if len(cells) != len(header):
+            raise ValueError(f"{path}:{lineno}: {len(cells)} cells under a "
+                             f"{len(header)}-column header")
+        try:
+            points.append([float(cells[i]) for i in coord_idx])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
         labels.append({a: cells[header.index(a)] for a in attr_cols})
     return np.array(points).reshape(len(labels), len(coord_idx)), labels, header
 

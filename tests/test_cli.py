@@ -129,9 +129,17 @@ class TestGenerateCommand:
         ("prompts", {"prompts": 5}),
         ("record_intent", {"record_intent": "no"}),
         ("concept must be a string", {"prompts": [{"concept": 5}]}),
+        # Checked against the world once, before any prompt's decide.
+        ("static_pairs value 'robot' is not a value of attribute 'gender'",
+         {"policy": "static", "static_pairs": {"gender": ["female", "robot"]}}),
+        ("static_pairs has no pair for attribute 'gender'",
+         {"policy": "static", "static_pairs": {}}),
+        ("static_pairs names unknown attribute 'age'",
+         {"policy": "static", "static_pairs": {"gender": ["female", "male"], "age": ["a", "b"]}}),
     ], ids=["window", "windows", "jitter_seed", "count", "constraints", "target-proportion",
             "target-list", "sweep", "static_pairs", "world_path", "memory_path", "prompts",
-            "record_intent", "concept"])
+            "record_intent", "concept", "static_pairs-value", "static_pairs-missing",
+            "static_pairs-attribute"])
     def test_malformed_config_value_exits_2(self, workspace, capsys, key, patch):
         cfg = workspace / "shaped.json"
         data = json.loads((workspace / "run.json").read_text())
@@ -225,6 +233,20 @@ class TestOtherCommands:
                      "--world", str(workspace / "demo.world"), "--out", str(svg)])
         assert code == 0
         assert svg.read_text().startswith("<svg ")
+
+    @pytest.mark.parametrize("row, named", [
+        ("p,1.0", "2 cells under a 4-column header"),
+        ("p,1.0,abc,male", "could not convert string to float: 'abc'"),
+    ], ids=["short-row", "non-numeric-coordinate"])
+    def test_render_malformed_samples_row_exits_2(self, workspace, capsys, row, named):
+        """The error names the file and its line, comment lines counted."""
+        samples = workspace / "bad.csv"
+        samples.write_text(f"# steerlab-samples v1\n# a comment\nprompt_id,x0,x1,gender\n"
+                           f"q,0.5,0.5,female\n{row}\n")
+        code = main(["render", "--samples", str(samples),
+                     "--world", str(workspace / "demo.world"), "--out", str(workspace / "p.svg")])
+        assert code == 2
+        assert f"bad.csv:5: {named}" in capsys.readouterr().err
 
     def test_validate_world_command(self, workspace, capsys):
         code = main(["validate-world", "--world", str(workspace / "demo.world")])

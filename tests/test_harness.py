@@ -30,7 +30,7 @@ from steerlab import (
     run_window_ablation,
     window_mask,
 )
-from steerlab.guidance import GuidanceProbe
+from steerlab.guidance import EMPTY_PLAN, GuidanceProbe
 from steerlab.harness import _POLICY_NS, _build_policy, _child_seed, load_samples_csv, sweep_targets
 
 from conftest import build_gender_world, single_gaussian_world
@@ -63,6 +63,20 @@ component worker shade=a age=old   mean=4,0 weight=0.2
 component worker shade=b age=young mean=0,4 weight=0.2
 component worker shade=b age=old   mean=4,4 weight=0.2
 component worker shade=c age=young mean=-4,0 weight=0.2
+"""
+
+
+# Every shade and age pair is feasible, so any plan can run.
+THREE_VALUED_WORLD_TEXT = """\
+dimension 2
+attribute shade a b c
+attribute age young old
+component worker shade=a age=young mean=0,0  weight=0.2
+component worker shade=a age=old   mean=4,0  weight=0.15
+component worker shade=b age=young mean=0,4  weight=0.15
+component worker shade=b age=old   mean=4,4  weight=0.15
+component worker shade=c age=young mean=-4,0 weight=0.15
+component worker shade=c age=old   mean=-4,4 weight=0.2
 """
 
 
@@ -320,7 +334,10 @@ def _one_at_a_time(spec, world):
     active = window_mask(schedule, config)
     target = TargetDistribution(spec.target)
     policy = _build_policy(spec)
-    memory = MemoryModule(spec.memory_budget, spec.memory_tau or default_match_threshold(world))
+    memory = None
+    if policy is not None:
+        memory = MemoryModule(spec.memory_budget,
+                              spec.memory_tau or default_match_threshold(world))
     samples, probe_rows, plans = [], [], []
     ordinal = 0
     for prompt in spec.prompts:
@@ -331,19 +348,22 @@ def _one_at_a_time(spec, world):
                                   jitter_scale=spec.jitter_scale)
             plans.append([])
             for s_i in range(spec.samples_per_prompt):
-                rng = None
-                if policy.kind == "probabilistic":
-                    rng = np.random.default_rng(
-                        np.random.SeedSequence([spec.seed, _POLICY_NS, ordinal, s_i]))
-                plan = decide(memory, cond, world.schema, target, policy, rng)
+                plan = EMPTY_PLAN
+                if policy is not None:
+                    rng = None
+                    if policy.kind == "probabilistic":
+                        rng = np.random.default_rng(
+                            np.random.SeedSequence([spec.seed, _POLICY_NS, ordinal, s_i]))
+                    plan = decide(memory, cond, world.schema, target, policy, rng)
                 probe = GuidanceProbe()
                 steering = resolve_steering(world, cond, plan, config, active, probe)
                 stream = np.random.default_rng(np.random.SeedSequence([spec.seed, ordinal, s_i]))
                 tapes = noise_tapes([stream], spec.steps, world.dimension)
                 x0 = run_trajectories(world, schedule, cond, tapes, steering)[0]
                 labels, _ = discriminate(world, x0)
-                record(memory, cond, {a: e.target for a, e in plan.entries}
-                       if spec.record_intent else labels)
+                if policy is not None:
+                    record(memory, cond, {a: e.target for a, e in plan.entries}
+                           if spec.record_intent else labels)
                 samples.append((prompt_id, s_i, x0, labels))
                 probe_rows += [(prompt_id, s_i) + r for r in probe.rows]
                 plans[-1].append(plan)
@@ -351,20 +371,37 @@ def _one_at_a_time(spec, world):
     return samples, memory, probe_rows, plans
 
 
-@pytest.mark.parametrize("policy", ["deficit", "probabilistic", "static"])
+# world text, target, static pairs
+_EQUIVALENCE_WORLDS = {
+    "two-valued": (TWO_ATTR_WORLD_TEXT,
+                   {"gender": {"male": 0.5, "female": 0.5}, "age": {"young": 0.3, "old": 0.7}},
+                   {"gender": ["female", "male"], "age": ["young", "old"]}),
+    "three-valued": (THREE_VALUED_WORLD_TEXT,
+                     {"shade": {"a": 0.2, "b": 0.3, "c": 0.5}, "age": {"young": 0.3, "old": 0.7}},
+                     {"shade": ["c", "a"], "age": ["young", "old"]}),
+}
+
+
+@pytest.mark.parametrize("world_name, policy, gamma", [
+    pytest.param(world_name, policy, gamma, id=policy + "-gamma1" * (gamma == 1.0)
+                 + "-three-valued" * (world_name == "three-valued"))
+    for world_name in _EQUIVALENCE_WORLDS
+    for policy, gamma in [("vanilla", 0.6), ("deficit", 0.6), ("deficit", 1.0),
+                          ("probabilistic", 0.6), ("static", 0.6)]
+])
 @pytest.mark.parametrize("record_intent", [False, True])
-def test_batched_prompt_equals_one_generation_at_a_time(tmp_path, policy, record_intent):
-    """Shared prefix and plan groups change nothing: samples, memory counts and
-    probe rows come out as from the per-sample loop, in the same order."""
-    world_file = tmp_path / "two.world"
-    world_file.write_text(TWO_ATTR_WORLD_TEXT)
+def test_batched_prompt_equals_one_generation_at_a_time(tmp_path, world_name, policy, gamma,
+                                                        record_intent):
+    """The shared prefix and the per-plan runs change nothing: samples, memory
+    counts and probe rows come out as from the per-sample loop, in the same order."""
+    text, target, pairs = _EQUIVALENCE_WORLDS[world_name]
+    world_file = tmp_path / "mixed.world"
+    world_file.write_text(text)
     spec = ExperimentSpec(
         world_path=str(world_file),
         prompts=[PromptSpec("worker", count=3), PromptSpec("worker", count=2, jitter_seed=4)],
-        target={"gender": {"male": 0.5, "female": 0.5}, "age": {"young": 0.3, "old": 0.7}},
-        policy=policy, static_pairs={"gender": ["female", "male"], "age": ["young", "old"]}
-        if policy == "static" else None,
-        samples_per_prompt=6, steps=40, beta_end=0.3, gamma=0.6, attribute_scale=4.0,
+        target=target, policy=policy, static_pairs=pairs if policy == "static" else None,
+        samples_per_prompt=6, steps=40, beta_end=0.3, gamma=gamma, attribute_scale=4.0,
         window=(0.2, 0.6), seed=3, memory_budget=2, memory_tau=0.05,
         diagnostics=True, record_intent=record_intent,
     )
@@ -378,15 +415,27 @@ def test_batched_prompt_equals_one_generation_at_a_time(tmp_path, policy, record
         [(p, i, labels) for p, i, _, labels in samples]
     for s, (_, _, x0, _) in zip(result.samples, samples):
         np.testing.assert_array_equal(s.x, x0)
-    # Clusters, totals and counts (insertion order included) as in the loop.
-    assert [(c.centroid.tolist(), c.total, list(c.counts.items())) for c in result.memory.clusters] \
-        == [(c.centroid.tolist(), c.total, list(c.counts.items())) for c in memory.clusters]
-    lines = (out / "diagnostics.csv").read_text().splitlines()
-    assert lines[3:] == [",".join(map(str, row)) for row in probe_rows]
-    # Some prompt ran a plan group of several streams, so their probe rows
-    # would have interleaved had they not been split per stream.
-    if policy != "deficit":
+    if memory is None:
+        assert result.memory is None
+    else:  # clusters, totals and counts (insertion order included) as in the loop
+        assert [(c.centroid.tolist(), c.total, list(c.counts.items()))
+                for c in result.memory.clusters] == \
+            [(c.centroid.tolist(), c.total, list(c.counts.items())) for c in memory.clusters]
+    steered = policy != "vanilla" and gamma != 1.0
+    assert bool(probe_rows) == steered == (out / "diagnostics.csv").exists()
+    if steered:
+        lines = (out / "diagnostics.csv").read_text().splitlines()
+        assert lines[3:] == [",".join(map(str, row)) for row in probe_rows]
+    # Some prompt ran a plan for several streams, so their probe rows would
+    # have interleaved had they not been split per stream.
+    if policy in ("probabilistic", "static"):
         assert any(len(set(p)) < len(p) for p in plans)
+    # Some plan was first chosen past sample 0 and then chosen again, so its
+    # run started mid-prompt and served a later sample from that batch.
+    # (Deficit recording its intent reuses only its sample-0 plan here.)
+    if world_name == "three-valued" and (
+            policy == "probabilistic" or policy == "deficit" and not record_intent):
+        assert any(p.index(q) > 0 and p.count(q) > 1 for p in plans for q in p)
 
 
 class TestSamplesCsv:
