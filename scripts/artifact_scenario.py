@@ -10,8 +10,10 @@ fixed list of commands, all from the same work directory, so that paths in
 messages match between checkouts.  The list covers all four policies; the
 config window, `--gamma 1.0` and an empty window; diagnostics, recorded
 intent and a memory budget of 2; failing prompts; a `--memory` chain with
-`inspect-memory`; sweeps and window ablations; render; and a world with a
-3-valued attribute.  The output lists, one line each, the sha256 of every
+`inspect-memory`; sweeps and window ablations; render; a world with a
+3-valued attribute, with a run of 30 prompts on it; criterion-05's shape (50
+prompts of one sample); and a world whose concepts have unequal component
+counts, with diagnostics.  The output lists, one line each, the sha256 of every
 file left in the work directory except `manifest.json` (it holds wall-clock
 time), then each command's exit code.  Each command's stdout and stderr are
 kept as files in the work directory, so they are in the list too.
@@ -19,7 +21,7 @@ kept as files in the work directory, so they are in the list too.
 A refactor that must not move a bit of output should give the same list on
 its parent and on itself.  The work directory is emptied first; it must be
 absent, empty, or left by an earlier run of this script.  Takes about a
-quarter of a minute; it is not part of the test suite.
+third of a minute; it is not part of the test suite.
 """
 
 from __future__ import annotations
@@ -60,6 +62,22 @@ component worker shade=b age=old   mean=4,4  weight=0.2
 component worker shade=c age=young mean=-4,0 weight=0.2
 """
 
+# Four components per nurse against three per worker (no male old worker), so
+# a run batches each concept's rows apart; an age=old worker steered toward
+# gender=male is infeasible.
+UNEQUAL_K_WORLD = """\
+dimension 2
+attribute gender male female
+attribute age young old
+component worker gender=male   age=young mean=0,0  weight=0.4
+component worker gender=female age=young mean=0,4  weight=0.3
+component worker gender=female age=old   mean=4,4  weight=0.3
+component nurse  gender=male   age=young mean=9,0  weight=0.2
+component nurse  gender=male   age=old   mean=13,0 weight=0.2
+component nurse  gender=female age=young mean=9,4  weight=0.3
+component nurse  gender=female age=old   mean=13,4 weight=0.3
+"""
+
 TWO_ATTR_TARGET = {"gender": {"male": 0.5, "female": 0.5}, "age": {"young": 0.3, "old": 0.7}}
 THREE_VALUED_TARGET = {"shade": {"a": 0.2, "b": 0.3, "c": 0.5},
                        "age": {"young": 0.5, "old": 0.5}}
@@ -95,9 +113,30 @@ CONFIGS: dict[str, dict] = {
         "memory_budget": 2, "diagnostics": True, "seed": 8,
         **SMALL, "samples_per_prompt": 8,
     },
+    # Criterion-05's shape: many prompts of one condition, one sample each.
+    "c05": {
+        "world_path": "default.world", "target": {"gender": {"male": 0.5, "female": 0.5}},
+        "prompts": [{"concept": "engineer", "count": 50}], "seed": 5,
+        **SMALL, "samples_per_prompt": 1,
+    },
+    "unequal": {
+        "world_path": "unequal.world", "target": TWO_ATTR_TARGET,
+        "prompts": [{"concept": "worker", "count": 2},
+                    {"concept": "nurse", "count": 2, "jitter_seed": 3},
+                    {"concept": "worker", "count": 2, "constraints": {"age": "old"}},
+                    {"concept": "nurse", "count": 1, "jitter_seed": 7}],
+        "static_pairs": {"gender": ["male", "female"], "age": ["old", "young"]},
+        "diagnostics": True, "seed": 6, **SMALL,
+    },
 }
 for _name in ("two", "three"):
     CONFIGS[f"{_name}-intent"] = {**CONFIGS[_name], "record_intent": True}
+# Many prompts on the 2 x 3-valued world: up to 12 plans, so many rows are
+# finished under plans their samples do not choose.
+CONFIGS["three-many"] = {**CONFIGS["three"], "samples_per_prompt": 10, "diagnostics": False,
+                         "prompts": [{"concept": "worker", "count": 20},
+                                     {"concept": "worker", "count": 10, "jitter_seed": 4,
+                                      "constraints": {"age": "old"}}]}
 
 POLICIES = ("vanilla", "deficit", "probabilistic", "static")
 
@@ -105,7 +144,7 @@ POLICIES = ("vanilla", "deficit", "probabilistic", "static")
 def commands() -> list[tuple[str, list[str]]]:
     """(name, CLI arguments) in run order."""
     steps = []
-    for cfg in ("default", "two", "three"):
+    for cfg in ("default", "two", "three", "unequal"):
         for policy in POLICIES:
             steps.append((f"{cfg}-{policy}", ["generate", "--config", f"{cfg}.json",
                                               "--policy", policy, "--out", f"{cfg}-{policy}"]))
@@ -121,6 +160,10 @@ def commands() -> list[tuple[str, list[str]]]:
                 (f"{run}-intent", base + ["--config", f"{cfg}-intent.json",
                                           "--out", f"{run}-intent"]),
             ]
+    for cfg, policy in (("c05", "deficit"), ("c05", "probabilistic"),
+                        ("three-many", "probabilistic")):
+        steps.append((f"{cfg}-{policy}", ["generate", "--config", f"{cfg}.json",
+                                          "--policy", policy, "--out", f"{cfg}-{policy}"]))
     for link in range(3):
         steps.append((f"chain-{link}", ["generate", "--config", "two.json", "--seed",
                                         str(20 + link), "--memory", "chain-memory.json",
@@ -152,7 +195,8 @@ def prepare(work: str, src: str) -> None:
     open(os.path.join(work, MARKER), "w").close()
     # A copy, so that no config names a path inside the checkout.
     shutil.copy(os.path.join(src, "steerlab", "worlds", "default.world"), work)
-    for name, text in (("two.world", TWO_ATTR_WORLD), ("three.world", THREE_VALUED_WORLD)):
+    for name, text in (("two.world", TWO_ATTR_WORLD), ("three.world", THREE_VALUED_WORLD),
+                       ("unequal.world", UNEQUAL_K_WORLD)):
         with open(os.path.join(work, name), "w", encoding="utf-8") as fh:
             fh.write(text)
     for name, config in CONFIGS.items():

@@ -10,8 +10,11 @@ which lets the sampler and every steering experiment run without any trained
 network.  Cheap per-step evaluation matters here (millions of calls per
 experiment), so mixtures are prepared once per condition, responsibilities
 are computed in log space, and `run_trajectories` advances many independent
-streams as one batch.  `sample` with `analytic_epsilon` and `ancestral_step`
-is the one-point reference path the engine is tested against.
+streams as one batch.  The streams of a batch may follow different conditions
+of one shape (component count and covariance kind): `stack_rows` gathers
+their mixtures along a leading row axis, and the kernel gives each row the
+bits it would get alone.  `sample` with `analytic_epsilon` and
+`ancestral_step` is the one-point reference path the engine is tested against.
 """
 
 from __future__ import annotations
@@ -95,38 +98,74 @@ class LatentState:
     t_index: int
 
 
-def _logits(mix: ConditionalMixture, x: np.ndarray, a_bar: float) -> tuple[np.ndarray, np.ndarray]:
+class RowMixtures:
+    """One mixture per row of a batch, from conditions of one shape: row b
+    follows sources[rows[b]].  The arrays the kernel reads are the sources'
+    gathered along a leading row axis; the marginal cache stays on each source."""
+
+    def __init__(self, sources: tuple[ConditionalMixture, ...], rows: np.ndarray):
+        self.sources, self.rows = sources, rows
+        self.identity_cov = sources[0].identity_cov
+        for name in ("means", "log_weights", "eig_vals", "eig_vecs"):
+            arrays = [getattr(m, name) for m in sources]
+            setattr(self, name, None if arrays[0] is None else np.stack(arrays)[rows])
+
+
+def stack_rows(mixes) -> ConditionalMixture | RowMixtures:
+    """The kernel operand for a batch whose row b follows mixture mixes[b], all
+    of one component count and covariance kind; one shared mixture is itself."""
+    sources = tuple({id(m): m for m in mixes}.values())
+    if len(sources) == 1:
+        return sources[0]
+    if len({(m.means.shape, m.identity_cov) for m in sources}) > 1:
+        raise ValueError("the rows of a batch need mixtures of one shape")
+    index = {id(m): i for i, m in enumerate(sources)}
+    return RowMixtures(sources, np.array([index[id(m)] for m in mixes]))
+
+
+def _marginal(mix, a_bar: float) -> tuple[np.ndarray, np.ndarray]:
+    """Marginal eigenvalues at level a_bar and their log-determinants, cached per
+    mixture and level (they depend on nothing else), gathered per row for RowMixtures."""
+    if isinstance(mix, RowMixtures):
+        s, log_det = zip(*(_marginal(m, a_bar) for m in mix.sources))
+        return np.stack(s)[mix.rows], np.stack(log_det)[mix.rows]
+    marginal = mix.marginals.get(a_bar)
+    if marginal is None:
+        s = a_bar * mix.eig_vals + (1.0 - a_bar)            # (K, d)
+        marginal = mix.marginals[a_bar] = (s, np.log(s).sum(axis=-1))
+    return marginal
+
+
+def _logits(mix, x: np.ndarray, a_bar: float) -> tuple[np.ndarray, np.ndarray]:
     """(B, K) logits log w_k + log N(x; sqrt(a_bar) mu_k, a_bar Sigma_k + (1 - a_bar) I),
     less d/2 log(2 pi), at a (B, d) batch, plus the per-component offsets the
     score needs (in the eigenbasis, over the marginal eigenvalues, for full
-    covariances).  No operation mixes rows, so bits do not depend on B.
+    covariances).  The mixture's arrays may carry a leading row axis
+    (`RowMixtures`).  No operation mixes rows, so bits depend neither on B
+    nor on which mixture the other rows follow.
     """
     sab = math.sqrt(a_bar)
     diff = x[:, None, :] - sab * mix.means                  # (B, K, d)
     if mix.identity_cov:
         # Sigma_k = I makes every marginal covariance exactly I.
-        if mix.means.shape[0] == 1:
+        if mix.means.shape[-2] == 1:
             sq = np.matmul(diff, diff.transpose(0, 2, 1))[:, :, 0]
         else:
             sq = np.einsum("bkd,bkd->bk", diff, diff)
         return mix.log_weights - 0.5 * sq, diff
-    marginal = mix.marginals.get(a_bar)
-    if marginal is None:  # depends only on (mixture, level), so later samples reuse it
-        s = a_bar * mix.eig_vals + (1.0 - a_bar)            # marginal eigenvalues (K, d)
-        marginal = mix.marginals[a_bar] = (s, np.log(s).sum(axis=1))
-    s, log_det = marginal
-    y = np.einsum("kji,bkj->bki", mix.eig_vecs, diff)       # rotate into eigenbasis
+    s, log_det = _marginal(mix, a_bar)
+    y = np.einsum("...kji,...kj->...ki", mix.eig_vecs, diff)  # rotate into eigenbasis
     ys = y / s
     logits = mix.log_weights - 0.5 * (np.einsum("bki,bki->bk", y, ys) + log_det)
     return logits, ys
 
 
-def _score(mix: ConditionalMixture, x: np.ndarray, a_bar: float) -> np.ndarray:
+def _score(mix, x: np.ndarray, a_bar: float) -> np.ndarray:
     """Score (grad log density) of the noised mixture at every row of a (B, d) batch."""
     logits, offsets = _logits(mix, x, a_bar)
     if not mix.identity_cov:
-        offsets = np.einsum("kij,bkj->bki", mix.eig_vecs, offsets)
-    elif mix.means.shape[0] == 1:
+        offsets = np.einsum("...kij,...kj->...ki", mix.eig_vecs, offsets)
+    elif mix.means.shape[-2] == 1:
         return -offsets[:, 0, :]
     m = logits.max(axis=1, keepdims=True)
     w = np.exp(logits - m)
@@ -145,12 +184,23 @@ def mixture_log_density(mix: ConditionalMixture, x: np.ndarray, a_bar: float = 1
     return _logsumexp(logits) - 0.5 * x.shape[0] * _LOG_2PI
 
 
-def _noise(mix: ConditionalMixture, x: np.ndarray, schedule: NoiseSchedule, t: int) -> np.ndarray:
-    """Exact noise prediction for every row of a (B, d) batch at step t."""
-    eps = -schedule.sqrt_one_minus_alpha_bar[t] * _score(mix, x, float(schedule.alpha_bar[t]))
-    if not math.isfinite(eps.sum()):  # non-finite entries poison the sum
-        raise NumericsError(f"non-finite noise estimate at step {t}")
-    return eps
+def _noise(mix, x: np.ndarray, schedule: NoiseSchedule, t: int) -> np.ndarray:
+    """Exact noise prediction for every row of a (B, d) batch at step t, unchecked."""
+    return -schedule.sqrt_one_minus_alpha_bar[t] * _score(mix, x, float(schedule.alpha_bar[t]))
+
+
+def _check(values: np.ndarray, message: str, failures: dict[int, str] | None) -> None:
+    """Raise NumericsError(message) if the (B, d) batch's sum is non-finite, or,
+    given failures, keep it as the first message of each row whose own sum is
+    and zero that row, so that it poisons neither a later sum nor another row."""
+    if math.isfinite(values.sum()):
+        return
+    if failures is None:
+        raise NumericsError(message)
+    bad = ~np.isfinite(values.sum(axis=1))
+    for b in np.flatnonzero(bad):
+        failures.setdefault(int(b), message)
+    values[bad] = 0.0
 
 
 def analytic_epsilon(
@@ -161,7 +211,9 @@ def analytic_epsilon(
     if not 0 <= t < schedule.steps:
         raise ValueError(f"t_index {t} outside schedule range [0, {schedule.steps})")
     x = np.asarray(state.x, dtype=float)[None, :]
-    return _noise(conditional_components(world, cond), x, schedule, t)[0]
+    eps = _noise(conditional_components(world, cond), x, schedule, t)
+    _check(eps, f"non-finite noise estimate at step {t}", None)
+    return eps[0]
 
 
 def ancestral_step(
@@ -206,29 +258,30 @@ class Steering:
 
     active[t] marks the steps whose noise estimate is blended.  Each pair
     holds the mixtures of a plan entry's target- and reference-edited
-    conditions.  The probe, if any, receives at each steered step one row per
-    stream, in batch order.
+    conditions, one mixture or one per row (`stack_rows`).  The probe, if
+    any, receives at each steered step the batch's rows, in batch order.
     """
 
     active: np.ndarray
-    pairs: tuple[tuple[ConditionalMixture, ConditionalMixture], ...]
+    pairs: tuple[tuple[ConditionalMixture | RowMixtures, ConditionalMixture | RowMixtures], ...]
     gamma: float
     scale: float
     probe: object = None
 
 
-def _steer(steering: Steering, base: np.ndarray, x: np.ndarray,
-           schedule: NoiseSchedule, t: int) -> np.ndarray:
+def _steer(steering: Steering, base: np.ndarray, x: np.ndarray, schedule: NoiseSchedule,
+           t: int, failures: dict[int, str] | None) -> np.ndarray:
     acc = np.zeros_like(base)
-    for target_mix, reference_mix in steering.pairs:
-        acc += _noise(target_mix, x, schedule, t) - _noise(reference_mix, x, schedule, t)
+    for pair in steering.pairs:
+        target, reference = (_noise(mix, x, schedule, t) for mix in pair)
+        _check(target, f"non-finite noise estimate at step {t}", failures)
+        _check(reference, f"non-finite noise estimate at step {t}", failures)
+        acc += target - reference
     attr_term = steering.scale * acc / len(steering.pairs)
     if steering.probe is not None:
-        for b in range(len(x)):
-            steering.probe.record(t, base[b], attr_term[b])
+        steering.probe.record(t, base, attr_term)
     out = steering.gamma * base + (1.0 - steering.gamma) * attr_term
-    if not math.isfinite(out.sum()):
-        raise NumericsError(f"non-finite steered noise at step {t}")
+    _check(out, f"non-finite steered noise at step {t}", failures)
     return out
 
 
@@ -248,21 +301,27 @@ def noise_tapes(rngs: list[np.random.Generator], steps: int, d: int) -> np.ndarr
 def run_trajectories(
     world: MixtureWorld,
     schedule: NoiseSchedule,
-    cond: Condition,
+    cond: Condition | list[Condition],
     tapes: np.ndarray,
     steering: Steering | None = None,
     start: int = 0,
     stop: int | None = None,
     x: np.ndarray | None = None,
+    failures: dict[int, str] | None = None,
 ) -> np.ndarray:
     """Independent streams advanced together as one (B, d) batch.
 
     Runs reverse steps start..stop-1 from x, the batch's latents after
     `start` steps.  x defaults to x_T, row 0 of the tapes, and stop to the
-    number of steps, so that the result is the clean samples.  Every
-    operation is row-wise, so row b equals `sample` with the same steering
-    run on stream b's generator alone, however the trajectory is split and
-    the rows grouped.
+    number of steps, so that the result is the clean samples.  `cond` is one
+    condition for every row, or one per row, all of one shape (`stack_rows`).
+    Every operation is row-wise, so row b equals `sample` with the same
+    steering run on stream b's generator alone, however the trajectory is
+    split and the rows grouped.
+
+    A non-finite value raises NumericsError, unless a failures dict is given:
+    then each row that goes non-finite gets there the message it would have
+    raised alone, the other rows carry on untouched, and its result row is NaN.
     """
     steps = schedule.steps
     stop = steps if stop is None else stop
@@ -270,15 +329,20 @@ def run_trajectories(
         if start:
             raise ValueError("x is needed to start past step 0")
         x = tapes[0].copy()
-    mix = conditional_components(world, cond)
+    if isinstance(cond, Condition):
+        mix = conditional_components(world, cond)
+    else:
+        mix = stack_rows([conditional_components(world, c) for c in cond])
     for i in range(start, stop):
         t = steps - 1 - i
         eps = _noise(mix, x, schedule, t)
+        _check(eps, f"non-finite noise estimate at step {t}", failures)
         if steering is not None and steering.active[t]:
-            eps = _steer(steering, eps, x, schedule, t)
+            eps = _steer(steering, eps, x, schedule, t, failures)
         x = schedule.inv_sqrt_alpha[t] * (x - schedule.noise_coef[t] * eps)
         if t >= 1:
             x = x + schedule.sqrt_beta[t] * tapes[i + 1]
-        if not math.isfinite(x.sum()):
-            raise NumericsError(f"non-finite latent produced at step {t}")
+        _check(x, f"non-finite latent produced at step {t}", failures)
+    if failures:
+        x[list(failures)] = np.nan
     return x

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .diffusion import LatentState, NoiseSchedule, Steering, analytic_epsilon
+from .diffusion import LatentState, NoiseSchedule, Steering, analytic_epsilon, stack_rows
 from .errors import NumericsError
 from .world import Condition, MixtureWorld, conditional_components
 
@@ -36,8 +36,9 @@ class GuidanceConfig:
         lo, hi = self.window
         if not (0.0 <= lo < hi <= 1.0):
             raise ValueError(f"window must satisfy 0 <= lo < hi <= 1, got {self.window}")
-        if not self.attribute_scale > 0:
-            raise ValueError(f"attribute_scale must be positive, got {self.attribute_scale}")
+        if not 0 < self.attribute_scale < math.inf:
+            raise ValueError(f"attribute_scale must be positive and finite, "
+                             f"got {self.attribute_scale}")
 
 
 @dataclass(frozen=True)
@@ -117,16 +118,32 @@ def adaptive_latent_direction(
 
 
 class GuidanceProbe:
-    """Optional per-step diagnostics: cosine and norms of the blended terms."""
+    """Optional per-step diagnostics: cosine and norms of the blended terms.
+
+    Each recorded step keeps its batch's rows as arrays; `rows` lists them
+    step by step, one (t_index, cosine, base_norm, attr_norm) per stream in
+    batch order, and `stream(b)` the rows of stream b alone.
+    """
 
     def __init__(self):
-        self.rows: list[tuple[int, float, float, float]] = []
+        self.steps: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
 
     def record(self, t_index: int, base: np.ndarray, attr_term: np.ndarray) -> None:
-        nb = float(np.linalg.norm(base))
-        na = float(np.linalg.norm(attr_term))
-        cosine = float(base @ attr_term) / (nb * na) if nb > 0 and na > 0 else 0.0
-        self.rows.append((t_index, cosine, nb, na))
+        """One step of a (B, d) batch.  Batched matmul reproduces, row by row,
+        the bits of np.linalg.norm and of `@` on that row alone."""
+        nb = np.sqrt(np.matmul(base[:, None, :], base[:, :, None])[:, 0, 0])
+        na = np.sqrt(np.matmul(attr_term[:, None, :], attr_term[:, :, None])[:, 0, 0])
+        dot = np.matmul(base[:, None, :], attr_term[:, :, None])[:, 0, 0]
+        cosine = np.divide(dot, nb * na, out=np.zeros_like(dot), where=(nb > 0) & (na > 0))
+        self.steps.append((t_index, cosine, nb, na))
+
+    @property
+    def rows(self) -> list[tuple[int, float, float, float]]:
+        return [row for t, *arrays in self.steps
+                for row in zip([t] * len(arrays[0]), *(a.tolist() for a in arrays))]
+
+    def stream(self, b: int) -> list[tuple[int, float, float, float]]:
+        return [(t, float(c[b]), float(nb[b]), float(na[b])) for t, c, nb, na in self.steps]
 
 
 def combined_noise(
@@ -154,7 +171,7 @@ def combined_noise(
         )
     attr_term = config.attribute_scale * acc / len(plan)
     if probe is not None:
-        probe.record(state.t_index, base, attr_term)
+        probe.record(state.t_index, base[None], attr_term[None])
     out = config.gamma * base + (1.0 - config.gamma) * attr_term
     if not math.isfinite(float(out.sum())):
         raise NumericsError(f"non-finite steered noise at step {state.t_index}")
@@ -168,7 +185,7 @@ def window_mask(schedule: NoiseSchedule, config: GuidanceConfig) -> np.ndarray:
 
 def resolve_steering(
     world: MixtureWorld,
-    cond: Condition,
+    cond: Condition | list[Condition],
     plan: GuidancePlan,
     config: GuidanceConfig,
     active: np.ndarray,
@@ -177,15 +194,18 @@ def resolve_steering(
     """The plan as `run_trajectories` applies it: the blend of `combined_noise`.
 
     `active` is the config's `window_mask`.  Edited conditions are resolved
-    once, in plan order.  None when no step would be blended (gamma = 1, an
-    empty plan, or a window holding no step); then, as in combined_noise, no
-    edited condition is evaluated.
+    once per condition, in plan order; given one condition per row, each
+    pair's mixtures are stacked per row (`stack_rows`).  None when no step
+    would be blended (gamma = 1, an empty plan, or a window holding no step);
+    then, as in combined_noise, no edited condition is evaluated.
     """
     if config.gamma == 1.0 or len(plan) == 0 or not active.any():
         return None
-    pairs = tuple(
-        (conditional_components(world, edit_condition(world, cond, attribute, entry.target)),
-         conditional_components(world, edit_condition(world, cond, attribute, entry.reference)))
-        for attribute, entry in plan.entries
-    )
+    conds = [cond] if isinstance(cond, Condition) else cond
+    edited = {key: [conditional_components(world, edit_condition(world, c, attribute, value))
+                    for attribute, entry in plan.entries
+                    for value in (entry.target, entry.reference)]
+              for key, c in {c.key(): c for c in conds}.items()}
+    mixes = [stack_rows(column) for column in zip(*(edited[c.key()] for c in conds))]
+    pairs = tuple(zip(mixes[::2], mixes[1::2]))
     return Steering(active, pairs, config.gamma, config.attribute_scale, probe)

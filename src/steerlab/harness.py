@@ -6,15 +6,24 @@ ordinal, sample index), so arms with the same seed share identical streams
 and artifacts are byte-reproducible.  For every generation the harness asks
 the controller for a plan, samples its trajectory with that plan's steering,
 discriminates the outcome, and feeds it back into the memory — in that order.
-Steps before the guidance window are the same under every plan, so a prompt's
-streams take them as one batch (unsteered, that is the whole trajectory).  The
-first time a sample chooses a plan, the rows from that sample on finish under
-it as one batch; each later sample that chooses the same plan takes its row
-from that batch, and rows that end up choosing another plan are discarded.
-Every row is computed as if alone, so none of this changes a bit of output.
-A prompt works on a copy of the memory and stages its rows; both are
-committed only when all its samples succeed, so a failed prompt leaves memory
-and artifacts as if it had not run, apart from the ordinal slot it used.
+
+The trajectories of a whole run are batched.  Each prompt's condition and
+streams are made up front.  Steps before the guidance window are the same
+under every plan, so all rows take them as one batch (unsteered, that is the
+whole trajectory).  Samples are then decided in run order.  The first time a
+sample chooses a plan, every row from it to the end of the run finishes under
+that plan as one batch, each under its own condition's edited mixtures; each
+later sample that chooses the plan, in its prompt or a later one, takes its
+row from that batch, and rows that end up choosing another plan are
+discarded.  Rows share a batch when their mixtures have one shape
+(`diffusion.stack_rows`), and long runs are cut into chunks of whole prompts
+so that no chunk's noise tapes pass `_CHUNK_BYTES`.  Every row is computed as
+if alone, so none of this changes a bit of output.  A row that goes
+non-finite, or whose condition cannot take a plan, fails only a prompt that
+chooses it, with the message it would have raised alone.  A prompt works on a
+copy of the memory and stages its rows; both are committed only when all its
+samples succeed, so a failed prompt leaves memory and artifacts as if it had
+not run, apart from the ordinal slot it used.
 
 A persisted memory file carries the count of prompts already processed, so a
 run that resumes from it continues the ordinal sequence exactly where the
@@ -28,6 +37,7 @@ import copy
 import hashlib
 import json
 import logging
+import math
 import numbers
 import os
 import time
@@ -57,6 +67,7 @@ log = logging.getLogger("steerlab.harness")
 
 _POLICY_NS = 7919   # namespace constants keeping derived seed streams disjoint
 _ARM_NS = 104729
+_CHUNK_BYTES = 64 * 2**20  # bound on the noise tapes of one chunk of prompts
 
 DEFAULT_ABLATION_WINDOWS = ((0.0, 0.25), (0.375, 0.625), (0.75, 1.0))
 
@@ -93,8 +104,9 @@ _KEY_CHECKS = {
     **dict.fromkeys(("record_intent", "diagnostics"), (lambda v: isinstance(v, bool), "a boolean")),
     **dict.fromkeys(("samples_per_prompt", "steps", "seed", "memory_budget"),
                     (_is_int, "an integer")),
-    **dict.fromkeys(("beta_start", "beta_end", "gamma", "attribute_scale", "jitter_scale"),
+    **dict.fromkeys(("beta_start", "beta_end", "gamma", "attribute_scale"),
                     (_is_number, "a number")),
+    "jitter_scale": (lambda v: _is_number(v) and 0 <= v < math.inf, "a finite number >= 0"),
     "memory_tau": (lambda v: v is None or _is_number(v), "a number"),
     "window": (_is_pair, "a [lo, hi] pair of numbers"),
     "windows": (lambda v: v is None or isinstance(v, list) and all(map(_is_pair, v)),
@@ -241,6 +253,55 @@ def _build_policy(spec: ExperimentSpec) -> IndicatorPolicy | None:
     return IndicatorPolicy(kind=spec.policy)
 
 
+def _run_rows(world: MixtureWorld, schedule, conds: list[Condition], tapes: np.ndarray, rows,
+              x: np.ndarray | None, start: int, stop: int, diagnostics: bool = False, steer=None
+              ) -> tuple[np.ndarray, dict[int, str], dict[int, tuple[GuidanceProbe, int]]]:
+    """Advance `rows` (indices into conds) from step `start` to `stop`, one
+    `run_trajectories` batch per kernel shape.
+
+    steer(conds, probe) resolves the steering of a batch of conditions, None
+    when unsteered.  Rows batch together when their base and edited mixtures
+    have the same component counts and covariance kinds.  Returns the latents
+    of every row of conds (NaN where not run or failed), the first message of
+    each failed row (a condition that cannot take the steering fails its
+    rows unrun), and each row's probe with its position in that probe's batch.
+    """
+    shapes: dict[tuple, tuple | str] = {}
+    groups: dict[tuple, list[int]] = {}
+    failed: dict[int, str] = {}
+    for r in rows:
+        key = conds[r].key()
+        if key not in shapes:
+            try:
+                steering = steer([conds[r]], None) if steer else None
+            except SteerlabError as exc:
+                shapes[key] = str(exc)
+            else:
+                mixes = [conditional_components(world, conds[r])]
+                mixes += [m for pair in steering.pairs for m in pair] if steering else []
+                shapes[key] = tuple((m.means.shape[0], m.identity_cov) for m in mixes)
+        if isinstance(shapes[key], str):
+            failed[r] = shapes[key]
+        else:
+            groups.setdefault(shapes[key], []).append(r)
+    out = np.full((len(conds), world.dimension), np.nan)
+    probes: dict[int, tuple[GuidanceProbe, int]] = {}
+    for members in groups.values():
+        # A run of consecutive rows is a view of the tapes, not a copy.
+        sel = (slice(members[0], members[-1] + 1)
+               if members == list(range(members[0], members[-1] + 1)) else np.array(members))
+        batch = [conds[r] for r in members]
+        probe = GuidanceProbe() if diagnostics else None
+        steering = steer(batch, probe) if steer else None
+        fails: dict[int, str] = {}
+        out[sel] = run_trajectories(world, schedule, batch, tapes[:, sel], steering, start, stop,
+                                    None if x is None else x[sel], fails)
+        failed.update((members[b], message) for b, message in fails.items())
+        if steering is not None and probe is not None:
+            probes.update((r, (probe, j)) for j, r in enumerate(members))
+    return out, failed, probes
+
+
 def run_generate(
     spec: ExperimentSpec, out_dir: str | None = None, world: MixtureWorld | None = None
 ) -> RunResult:
@@ -277,22 +338,46 @@ def run_generate(
     failures: list[list[str]] = []
     n = spec.samples_per_prompt
     active = window_mask(schedule, config)
-    # Steps before the first steered one are the same under every plan, so a
-    # prompt's streams take them as one batch; unsteered, that is every step.
+    # Steps before the first steered one are the same under every plan, so
+    # all rows take them as one batch; unsteered, that is every step.
     prefix = schedule.steps
     if policy is not None and config.gamma != 1.0 and active.any():
         prefix = schedule.steps - 1 - int(np.flatnonzero(active).max())
 
+    instances = [(prompt, i) for prompt in spec.prompts for i in range(prompt.count)]
+    per_chunk = max(1, _CHUNK_BYTES // (8 * schedule.steps * n * world.dimension))
     ordinal = prompts_seen
-    for prompt in spec.prompts:
-        for instance in range(prompt.count):
-            prompt_id = f"{prompt.concept}-{ordinal:05d}"
+    for lo in range(0, len(instances), per_chunk):
+        # Each prompt's condition and streams up front; rows are the streams of
+        # the prompts whose condition was made, in run order.
+        chunk = []
+        conds: list[Condition] = []
+        streams = []
+        for prompt, instance in instances[lo:lo + per_chunk]:
             try:
                 cond = make_condition(
                     world, prompt.concept, prompt.constraints,
                     jitter_seed=_child_seed(prompt.jitter_seed, instance),
                     jitter_scale=spec.jitter_scale,
                 )
+            except SteerlabError as exc:
+                cond = exc
+            else:
+                conds += [cond] * n
+                streams += [np.random.SeedSequence([spec.seed, ordinal, s_i]) for s_i in range(n)]
+            chunk.append((prompt, f"{prompt.concept}-{ordinal:05d}", ordinal, cond, len(conds) - n))
+            ordinal += 1
+        tapes = noise_tapes([np.random.default_rng(s) for s in streams],
+                            schedule.steps, world.dimension)
+        x, prefix_failed, _ = _run_rows(world, schedule, conds, tapes, range(len(conds)),
+                                        None, 0, prefix)
+        # Plan -> every row's latents, failures and probe rows, finished under
+        # it from the first row to choose it to the end of the chunk.
+        runs: dict[GuidancePlan, tuple[np.ndarray, dict[int, str], dict]] = {}
+        for prompt, prompt_id, p_ordinal, cond, row0 in chunk:
+            try:
+                if not isinstance(cond, Condition):
+                    raise cond
                 marg_mix = conditional_components(
                     world, Condition(prompt.concept, {}, cond.embedding)
                 )
@@ -302,39 +387,39 @@ def run_generate(
                 probes: list[tuple] = []
                 hits = 0
                 logdens = 0.0
-                streams = [np.random.SeedSequence([spec.seed, ordinal, s_i]) for s_i in range(n)]
-                tapes = noise_tapes([np.random.default_rng(s) for s in streams],
-                                    schedule.steps, world.dimension)
-                x = run_trajectories(world, schedule, cond, tapes, stop=prefix)
-                # Plan -> (first sample to choose it, rows first..n-1 finished
-                # under it, their probe rows: one per stream at each steered step).
-                runs: dict[GuidancePlan, tuple[int, np.ndarray, list[tuple]]] = {}
                 for s_i in range(n):
+                    r = row0 + s_i
                     plan = EMPTY_PLAN
                     if policy is not None:  # decided on the records of the samples before it
                         rng = np.random.default_rng(
-                            np.random.SeedSequence([spec.seed, _POLICY_NS, ordinal, s_i]))
+                            np.random.SeedSequence([spec.seed, _POLICY_NS, p_ordinal, s_i]))
                         plan = decide(staged_memory, cond, schema, target, policy, rng)
                     if plan not in runs:
-                        probe = GuidanceProbe() if spec.diagnostics else None
-                        steering = resolve_steering(world, cond, plan, config, active, probe)
-                        finished = run_trajectories(world, schedule, cond, tapes[:, s_i:],
-                                                    steering, prefix, x=x[s_i:])
-                        runs[plan] = (s_i, finished, probe.rows if probe else [])
-                    first, finished, traces = runs[plan]
-                    x0 = finished[s_i - first]
+                        finished, failed, traces = _run_rows(
+                            world, schedule, conds, tapes,
+                            [q for q in range(r, len(conds)) if q not in prefix_failed], x,
+                            prefix, schedule.steps, spec.diagnostics,
+                            lambda cs, probe: resolve_steering(world, cs, plan, config, active,
+                                                               probe))
+                        runs[plan] = (finished, {**failed, **prefix_failed}, traces)
+                    finished, failed, traces = runs[plan]
+                    if r in failed:
+                        raise SteerlabError(failed[r])
+                    x0 = finished[r]
                     labels, concept_post = discriminate(world, x0)
                     if policy is not None:
                         outcome = ({a: e.target for a, e in plan.entries}
                                    if spec.record_intent else labels)
                         record(staged_memory, cond, outcome)
-                    probes.extend((prompt_id, s_i) + r for r in traces[s_i - first::n - first])
+                    if r in traces:
+                        probe, pos = traces[r]
+                        probes.extend((prompt_id, s_i) + row for row in probe.stream(pos))
                     if max(concept_post, key=lambda c: concept_post[c]) == prompt.concept:
                         hits += 1
                     logdens += mixture_log_density(marg_mix, x0, 1.0)
                     rows.append(GeneratedSample(
-                        prompt_id=prompt_id, prompt_ordinal=ordinal, sample_index=s_i,
-                        stream_seed=int(streams[s_i].generate_state(1)[0]),
+                        prompt_id=prompt_id, prompt_ordinal=p_ordinal, sample_index=s_i,
+                        stream_seed=int(streams[r].generate_state(1)[0]),
                         concept=prompt.concept, x=x0, labels=labels,
                     ))
             except SteerlabError as exc:
@@ -345,7 +430,6 @@ def run_generate(
                 samples.extend(rows)
                 probe_rows.extend(probes)
                 qualities.append(QualityScores(hits / n, logdens / n))
-            ordinal += 1
 
     report = None
     if qualities:

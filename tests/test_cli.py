@@ -136,10 +136,15 @@ class TestGenerateCommand:
          {"policy": "static", "static_pairs": {}}),
         ("static_pairs names unknown attribute 'age'",
          {"policy": "static", "static_pairs": {"gender": ["female", "male"], "age": ["a", "b"]}}),
+        # Non-finite scales used to fail every prompt (exit 1); a negative jitter ran silently.
+        ("attribute_scale", {"attribute_scale": float("inf")}),
+        ("jitter_scale", {"jitter_scale": float("inf")}),
+        ("jitter_scale", {"jitter_scale": -1.0}),
     ], ids=["window", "windows", "jitter_seed", "count", "constraints", "target-proportion",
             "target-list", "sweep", "static_pairs", "world_path", "memory_path", "prompts",
             "record_intent", "concept", "static_pairs-value", "static_pairs-missing",
-            "static_pairs-attribute"])
+            "static_pairs-attribute", "attribute_scale-infinite", "jitter_scale-infinite",
+            "jitter_scale-negative"])
     def test_malformed_config_value_exits_2(self, workspace, capsys, key, patch):
         cfg = workspace / "shaped.json"
         data = json.loads((workspace / "run.json").read_text())

@@ -30,7 +30,7 @@ from steerlab import (
     window_mask,
 )
 from steerlab.guidance import GuidanceProbe
-from steerlab.harness import ExperimentSpec, PromptSpec
+from steerlab.harness import ExperimentSpec, PromptSpec, _run_rows
 
 from conftest import build_gender_world, two_attribute_world
 
@@ -229,6 +229,82 @@ def test_finiteness_failures_match_reference(poison, message):
         _reference(world, schedule, cond, _Tape(values.ravel()))
     with pytest.raises(NumericsError, match=message):
         _engine(world, schedule, cond, [_Tape(values.ravel())])
+
+
+# Conditions of both component counts; under full covariances the teacher
+# components without an entry in FULL_COV keep identity covariances, so
+# edited conditions there differ in covariance kind as well.
+ROW_CONDITIONS = [("engineer", {}), ("teacher", {}), ("engineer", {"gender": "male"}),
+                  ("engineer", {"gender": "female"}), ("teacher", {"gender": "female"}),
+                  ("teacher", {"gender": "male"})]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    world_name=st.sampled_from(sorted(WORLDS)),
+    seed=st.integers(0, 2**32 - 1),
+    steps=st.integers(1, 40),
+    steered=st.booleans(),
+    data=st.data(),
+)
+def test_rows_of_any_conditions_grouped_and_split_run_as_alone(
+        world_name, seed, steps, steered, data):
+    """Rows of several conditions, batched by kernel shape in any order and
+    split at any step, each give the bits and probe rows of that row alone."""
+    world = WORLDS[world_name]()
+    schedule = linear_schedule(steps, beta_end=0.3)
+    picks = data.draw(st.lists(st.integers(0, len(ROW_CONDITIONS) - 1), min_size=1,
+                               max_size=10), label="conditions")
+    conds = [make_condition(world, *ROW_CONDITIONS[i], jitter_seed=b, jitter_scale=0.2)
+             for b, i in enumerate(picks)]
+    n = len(conds)
+    k = data.draw(st.integers(0, steps), label="k")
+    first = data.draw(st.permutations(range(n)), label="first order")
+    then = data.draw(st.lists(st.sampled_from(first), min_size=1, unique=True), label="then")
+    plan = ONE_ATTR if steered else None
+
+    def steer(cs, probe):
+        return None if plan is None else _steering(world, schedule, cs, plan, probe)
+
+    tapes = noise_tapes(_rngs(n, seed), steps, world.dimension)
+    x, failed, probes_a = _run_rows(world, schedule, conds, tapes, first, None, 0, k, True, steer)
+    out, failed_b, probes_b = _run_rows(world, schedule, conds, tapes, then, x, k, steps, True,
+                                        steer)
+    assert not failed and not failed_b
+    assert np.isnan(out[[b for b in range(n) if b not in then]]).all()
+    for b in then:
+        probe = GuidanceProbe()
+        alone = _engine(world, schedule, conds[b], [_rngs(n, seed)[b]], plan, probe)
+        np.testing.assert_array_equal(out[b], alone[0])
+        rows = [got[0].stream(got[1]) for got in (probes_a.get(b), probes_b.get(b)) if got]
+        assert sum(rows, []) == probe.rows
+
+
+@pytest.mark.parametrize("name", WORLDS)
+@pytest.mark.parametrize("poison, message", [
+    ((0, 0), "non-finite noise estimate at step 9"),
+    ((4, 1), "non-finite latent produced at step 6"),
+])
+def test_poisoned_row_fails_alone_and_its_neighbours_keep_their_bits(name, poison, message):
+    world = WORLDS[name]()
+    schedule = linear_schedule(10)
+    # Two conditions whose base and edited mixtures share one shape in both worlds.
+    conds = [make_condition(world, *ROW_CONDITIONS[i]) for i in (2, 3, 2, 3)]
+    values = np.zeros((10, 2))
+    values[poison] = np.nan if poison == (0, 0) else np.inf
+    rngs = _rngs(4, seed=5)
+    rngs[2] = _Tape(values.ravel())
+    tapes = noise_tapes(rngs, schedule.steps, world.dimension)
+    steering = _steering(world, schedule, conds, ONE_ATTR)
+    failures = {}
+    out = run_trajectories(world, schedule, conds, tapes, steering, failures=failures)
+    assert failures == {2: message}
+    assert np.isnan(out[2]).all()
+    for b in (0, 1, 3):
+        alone = _engine(world, schedule, conds[b], [_rngs(4, seed=5)[b]], ONE_ATTR)
+        np.testing.assert_array_equal(out[b], alone[0])
+    with pytest.raises(NumericsError, match=message):  # without a failures dict, as before
+        run_trajectories(world, schedule, conds, tapes, steering)
 
 
 def test_vanilla_run_equals_reference_sampler():

@@ -46,6 +46,11 @@ class TestConfigAndPlan:
         with pytest.raises(ValueError, match="attribute_scale"):
             GuidanceConfig(attribute_scale=0.0)
 
+    @pytest.mark.parametrize("scale", [float("inf"), float("nan")])
+    def test_scale_finite(self, scale):
+        with pytest.raises(ValueError, match="attribute_scale must be positive and finite"):
+            GuidanceConfig(attribute_scale=scale)
+
     def test_plan_entry_must_differ(self):
         with pytest.raises(ValueError, match="differ"):
             PlanEntry("male", "male")
@@ -287,3 +292,21 @@ class TestSteeringEfficacy:
         pooled = (base_f + guided_f) / (n1 + n2)
         z = (p2 - p1) / np.sqrt(pooled * (1 - pooled) * (1 / n1 + 1 / n2))
         assert z > 2.33, f"vanilla {p1:.3f} vs guided {p2:.3f}, z={z:.2f}"
+
+
+@pytest.mark.parametrize("d", range(2, 17))
+def test_probe_records_each_row_as_per_row_norm_and_dot(d):
+    """The batched record gives, row by row, the bits of np.linalg.norm and of
+    `@` on that row alone; a zero row has cosine 0."""
+    rng = np.random.default_rng(d)
+    base = rng.standard_normal((7, d)) * 10.0 ** rng.integers(-3, 4, size=(7, 1))
+    attr = rng.standard_normal((7, d))
+    attr[3] = 0.0
+    probe = GuidanceProbe()
+    probe.record(11, base, attr)
+    expected = []
+    for b, a in zip(base, attr):
+        nb, na = float(np.linalg.norm(b)), float(np.linalg.norm(a))
+        expected.append((11, float(b @ a) / (nb * na) if nb > 0 and na > 0 else 0.0, nb, na))
+    assert probe.rows == expected
+    assert [probe.stream(b)[0] for b in range(7)] == expected

@@ -1,6 +1,9 @@
+import copy
 import json
+import math
 import os
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from steerlab import (
     MemoryModule,
     PromptSpec,
     RenderError,
+    SteerlabError,
     TargetDistribution,
     decide,
     default_match_threshold,
@@ -31,6 +35,7 @@ from steerlab import (
     window_mask,
 )
 from steerlab.guidance import EMPTY_PLAN, GuidanceProbe
+from steerlab import harness
 from steerlab.harness import _POLICY_NS, _build_policy, _child_seed, load_samples_csv, sweep_targets
 
 from conftest import build_gender_world, single_gaussian_world
@@ -328,7 +333,8 @@ class TestRunGenerate:
 
 def _one_at_a_time(spec, world):
     """Every generation alone, in order: decide, its stream's trajectory,
-    discriminate, record.  Returns samples, memory, probe rows and plans."""
+    discriminate, record.  A prompt commits only when all its samples succeed.
+    Returns samples, memory, probe rows, each prompt's plans and the failures."""
     schedule = linear_schedule(spec.steps, spec.beta_start, spec.beta_end)
     config = GuidanceConfig(spec.gamma, tuple(spec.window), spec.attribute_scale)
     active = window_mask(schedule, config)
@@ -338,7 +344,7 @@ def _one_at_a_time(spec, world):
     if policy is not None:
         memory = MemoryModule(spec.memory_budget,
                               spec.memory_tau or default_match_threshold(world))
-    samples, probe_rows, plans = [], [], []
+    samples, probe_rows, plans, failures = [], [], [], []
     ordinal = 0
     for prompt in spec.prompts:
         for instance in range(prompt.count):
@@ -346,71 +352,129 @@ def _one_at_a_time(spec, world):
             cond = make_condition(world, prompt.concept, prompt.constraints,
                                   jitter_seed=_child_seed(prompt.jitter_seed, instance),
                                   jitter_scale=spec.jitter_scale)
+            staged, rows, probes = copy.deepcopy(memory), [], []
             plans.append([])
-            for s_i in range(spec.samples_per_prompt):
-                plan = EMPTY_PLAN
-                if policy is not None:
-                    rng = None
-                    if policy.kind == "probabilistic":
-                        rng = np.random.default_rng(
-                            np.random.SeedSequence([spec.seed, _POLICY_NS, ordinal, s_i]))
-                    plan = decide(memory, cond, world.schema, target, policy, rng)
-                probe = GuidanceProbe()
-                steering = resolve_steering(world, cond, plan, config, active, probe)
-                stream = np.random.default_rng(np.random.SeedSequence([spec.seed, ordinal, s_i]))
-                tapes = noise_tapes([stream], spec.steps, world.dimension)
-                x0 = run_trajectories(world, schedule, cond, tapes, steering)[0]
-                labels, _ = discriminate(world, x0)
-                if policy is not None:
-                    record(memory, cond, {a: e.target for a, e in plan.entries}
-                           if spec.record_intent else labels)
-                samples.append((prompt_id, s_i, x0, labels))
-                probe_rows += [(prompt_id, s_i) + r for r in probe.rows]
-                plans[-1].append(plan)
+            try:
+                for s_i in range(spec.samples_per_prompt):
+                    plan = EMPTY_PLAN
+                    if policy is not None:
+                        rng = None
+                        if policy.kind == "probabilistic":
+                            rng = np.random.default_rng(
+                                np.random.SeedSequence([spec.seed, _POLICY_NS, ordinal, s_i]))
+                        plan = decide(staged, cond, world.schema, target, policy, rng)
+                    plans[-1].append(plan)
+                    probe = GuidanceProbe()
+                    steering = resolve_steering(world, cond, plan, config, active, probe)
+                    stream = np.random.default_rng(
+                        np.random.SeedSequence([spec.seed, ordinal, s_i]))
+                    tapes = noise_tapes([stream], spec.steps, world.dimension)
+                    x0 = run_trajectories(world, schedule, cond, tapes, steering)[0]
+                    labels, _ = discriminate(world, x0)
+                    if policy is not None:
+                        record(staged, cond, {a: e.target for a, e in plan.entries}
+                               if spec.record_intent else labels)
+                    rows.append((prompt_id, s_i, x0, labels))
+                    probes += [(prompt_id, s_i) + r for r in probe.rows]
+            except SteerlabError as exc:
+                failures.append([prompt_id, str(exc)])
+            else:
+                memory = staged
+                samples += rows
+                probe_rows += probes
             ordinal += 1
-    return samples, memory, probe_rows, plans
+    return samples, memory, probe_rows, plans, failures
 
 
-# world text, target, static pairs
+TWO_CONCEPT_WORLD_TEXT = TWO_ATTR_WORLD_TEXT + """\
+component nurse  gender=male   age=old   mean=9,0 weight=0.3
+component nurse  gender=female age=old   mean=13,0 weight=0.3
+component nurse  gender=female age=young mean=9,4 weight=0.4
+"""
+
+# The nurse has all four components against the worker's three, so a run
+# batches each concept's rows apart.
+UNEQUAL_K_WORLD_TEXT = TWO_ATTR_WORLD_TEXT + """\
+component nurse  gender=male   age=young mean=9,0  weight=0.2
+component nurse  gender=male   age=old   mean=13,0 weight=0.2
+component nurse  gender=female age=young mean=9,4  weight=0.3
+component nurse  gender=female age=old   mean=13,4 weight=0.3
+"""
+
+FULL_COV_WORLD_TEXT = """\
+dimension 2
+attribute gender male female
+attribute age young old
+component worker gender=male   age=young mean=0,0  weight=0.3 cov=1,0.3;0.3,0.8
+component worker gender=male   age=old   mean=4,0  weight=0.2
+component worker gender=female age=young mean=0,4  weight=0.2 cov=0.7,0;0,1.2
+component worker gender=female age=old   mean=4,4  weight=0.3
+component nurse  gender=male   age=young mean=9,0  weight=0.2 cov=0.6,0.1;0.1,1.4
+component nurse  gender=male   age=old   mean=13,0 weight=0.2 cov=1.3,-0.2;-0.2,0.9
+component nurse  gender=female age=young mean=9,4  weight=0.3 cov=0.8,0;0,0.8
+component nurse  gender=female age=old   mean=13,4 weight=0.3 cov=1.1,0.4;0.4,1.0
+"""
+
+TWO_ATTR_TARGET = {"gender": {"male": 0.5, "female": 0.5}, "age": {"young": 0.3, "old": 0.7}}
+TWO_ATTR_PAIRS = {"gender": ["female", "male"], "age": ["young", "old"]}
+SHADE_TARGET = {"shade": {"a": 0.2, "b": 0.3, "c": 0.5}, "age": {"young": 0.3, "old": 0.7}}
+MIXED_PROMPTS = [PromptSpec("worker", count=2), PromptSpec("nurse", count=2, jitter_seed=4),
+                 PromptSpec("worker", jitter_seed=9)]
+
+# world text, target, static pairs, prompts, samples per prompt
 _EQUIVALENCE_WORLDS = {
-    "two-valued": (TWO_ATTR_WORLD_TEXT,
-                   {"gender": {"male": 0.5, "female": 0.5}, "age": {"young": 0.3, "old": 0.7}},
-                   {"gender": ["female", "male"], "age": ["young", "old"]}),
-    "three-valued": (THREE_VALUED_WORLD_TEXT,
-                     {"shade": {"a": 0.2, "b": 0.3, "c": 0.5}, "age": {"young": 0.3, "old": 0.7}},
-                     {"shade": ["c", "a"], "age": ["young", "old"]}),
+    "two-valued": (TWO_ATTR_WORLD_TEXT, TWO_ATTR_TARGET, TWO_ATTR_PAIRS,
+                   [PromptSpec("worker", count=3), PromptSpec("worker", count=2, jitter_seed=4)],
+                   6),
+    "three-valued": (THREE_VALUED_WORLD_TEXT, SHADE_TARGET,
+                     {"shade": ["c", "a"], "age": ["young", "old"]},
+                     [PromptSpec("worker", count=3), PromptSpec("worker", count=2, jitter_seed=4)],
+                     6),
+    # Criterion-05's shape: many prompts of one condition, one sample each.
+    "c05-shape": (TWO_ATTR_WORLD_TEXT, TWO_ATTR_TARGET, TWO_ATTR_PAIRS,
+                  [PromptSpec("worker", count=12)], 1),
+    "two-concepts": (TWO_CONCEPT_WORLD_TEXT, TWO_ATTR_TARGET, TWO_ATTR_PAIRS, MIXED_PROMPTS, 4),
+    "unequal-k": (UNEQUAL_K_WORLD_TEXT, TWO_ATTR_TARGET, TWO_ATTR_PAIRS, MIXED_PROMPTS, 4),
+    "full-cov": (FULL_COV_WORLD_TEXT, TWO_ATTR_TARGET, TWO_ATTR_PAIRS, MIXED_PROMPTS, 4),
+    # The age=old prompt fails once a sample steers it toward shade=c.
+    "failing-prompt": (SHADE_WORLD_TEXT, SHADE_TARGET, {"shade": ["c", "a"], "age": ["young", "old"]},
+                       [PromptSpec("worker", count=2),
+                        PromptSpec("worker", count=2, jitter_seed=3, constraints={"age": "old"}),
+                        PromptSpec("worker", count=2, jitter_seed=6)], 5),
 }
+_POLICIES = [("vanilla", 0.6), ("deficit", 0.6), ("deficit", 1.0), ("probabilistic", 0.6),
+             ("static", 0.6)]
 
 
 @pytest.mark.parametrize("world_name, policy, gamma", [
     pytest.param(world_name, policy, gamma, id=policy + "-gamma1" * (gamma == 1.0)
-                 + "-three-valued" * (world_name == "three-valued"))
+                 + f"-{world_name}" * (world_name != "two-valued"))
     for world_name in _EQUIVALENCE_WORLDS
-    for policy, gamma in [("vanilla", 0.6), ("deficit", 0.6), ("deficit", 1.0),
-                          ("probabilistic", 0.6), ("static", 0.6)]
+    for policy, gamma in _POLICIES
+    if world_name in ("two-valued", "three-valued") or gamma != 1.0
 ])
 @pytest.mark.parametrize("record_intent", [False, True])
 def test_batched_prompt_equals_one_generation_at_a_time(tmp_path, world_name, policy, gamma,
                                                         record_intent):
-    """The shared prefix and the per-plan runs change nothing: samples, memory
-    counts and probe rows come out as from the per-sample loop, in the same order."""
-    text, target, pairs = _EQUIVALENCE_WORLDS[world_name]
+    """The shared prefix and the per-plan runs across the prompts of a run
+    change nothing: samples, memory counts, probe rows and failures come out
+    as from the per-sample loop, in the same order."""
+    text, target, pairs, prompts, n = _EQUIVALENCE_WORLDS[world_name]
     world_file = tmp_path / "mixed.world"
     world_file.write_text(text)
     spec = ExperimentSpec(
-        world_path=str(world_file),
-        prompts=[PromptSpec("worker", count=3), PromptSpec("worker", count=2, jitter_seed=4)],
+        world_path=str(world_file), prompts=prompts,
         target=target, policy=policy, static_pairs=pairs if policy == "static" else None,
-        samples_per_prompt=6, steps=40, beta_end=0.3, gamma=gamma, attribute_scale=4.0,
+        samples_per_prompt=n, steps=40, beta_end=0.3, gamma=gamma, attribute_scale=4.0,
         window=(0.2, 0.6), seed=3, memory_budget=2, memory_tau=0.05,
         diagnostics=True, record_intent=record_intent,
     )
     world = load_world(spec.world_path)
-    samples, memory, probe_rows, plans = _one_at_a_time(spec, world)
+    samples, memory, probe_rows, plans, failures = _one_at_a_time(spec, world)
     out = tmp_path / "run"
     result = run_generate(spec, out_dir=str(out), world=world)
 
-    assert not result.failures
+    assert result.failures == failures
     assert [(s.prompt_id, s.sample_index, s.labels) for s in result.samples] == \
         [(p, i, labels) for p, i, _, labels in samples]
     for s, (_, _, x0, _) in zip(result.samples, samples):
@@ -428,7 +492,7 @@ def test_batched_prompt_equals_one_generation_at_a_time(tmp_path, world_name, po
         assert lines[3:] == [",".join(map(str, row)) for row in probe_rows]
     # Some prompt ran a plan for several streams, so their probe rows would
     # have interleaved had they not been split per stream.
-    if policy in ("probabilistic", "static"):
+    if policy in ("probabilistic", "static") and n > 1:
         assert any(len(set(p)) < len(p) for p in plans)
     # Some plan was first chosen past sample 0 and then chosen again, so its
     # run started mid-prompt and served a later sample from that batch.
@@ -436,6 +500,75 @@ def test_batched_prompt_equals_one_generation_at_a_time(tmp_path, world_name, po
     if world_name == "three-valued" and (
             policy == "probabilistic" or policy == "deficit" and not record_intent):
         assert any(p.index(q) > 0 and p.count(q) > 1 for p in plans for q in p)
+    # A later prompt took a plan's row from the batch an earlier prompt started,
+    # and (deficit recording its intent here tries every plan in each prompt)
+    # a later prompt's rows were finished under a plan it never chose.
+    if steered and policy != "static" and world_name not in ("two-valued", "three-valued"):
+        first = {}
+        for i, p in enumerate(plans):
+            for q in p:
+                first.setdefault(q, i)
+        assert any(first[q] < i for i, p in enumerate(plans) for q in p)
+        if policy == "probabilistic" or not record_intent:
+            assert any(q not in p for i, p in enumerate(plans) for q in first if first[q] < i)
+    if world_name == "failing-prompt" and steered:  # prompts on both sides kept their rows
+        assert failures and all("shade='c'" in message for _, message in failures)
+        assert {s.prompt_ordinal for s in result.samples} >= {0, 1, 4, 5}
+
+
+@pytest.mark.parametrize("policy", ["deficit", "probabilistic"])
+def test_rows_failing_under_one_plan_fail_only_prompts_that_choose_it(tmp_path, monkeypatch,
+                                                                      policy):
+    """Every row steered toward female and old goes non-finite.  A prompt
+    fails only when one of its samples chooses that plan, with the message it
+    gets alone; rows of other prompts finished under the plan are discarded
+    and fail nothing."""
+    def poisoned(resolve):
+        def wrapper(world, cond, plan, config, active, probe=None):
+            steering = resolve(world, cond, plan, config, active, probe)
+            bad = {a: e.target for a, e in plan.entries} == {"gender": "female", "age": "old"}
+            return replace(steering, scale=math.inf) if bad else steering
+        return wrapper
+    monkeypatch.setattr(harness, "resolve_steering", poisoned(harness.resolve_steering))
+    monkeypatch.setitem(globals(), "resolve_steering", poisoned(resolve_steering))
+    (tmp_path / "mixed.world").write_text(TWO_CONCEPT_WORLD_TEXT)
+    spec = ExperimentSpec(
+        world_path=str(tmp_path / "mixed.world"), prompts=MIXED_PROMPTS * 2,
+        target=TWO_ATTR_TARGET, policy=policy, samples_per_prompt=2, steps=40, beta_end=0.3,
+        gamma=0.6, attribute_scale=4.0, window=(0.2, 0.6), seed=8, memory_tau=0.05,
+    )
+    world = load_world(spec.world_path)
+    samples, _, _, plans, failures = _one_at_a_time(spec, world)
+    result = run_generate(spec, world=world)
+    assert result.failures == failures
+    assert failures and all("non-finite steered noise" in message for _, message in failures)
+    assert [(s.prompt_id, s.sample_index, s.labels) for s in result.samples] == \
+        [(p, i, labels) for p, i, _, labels in samples]
+    for s, (_, _, x0, _) in zip(result.samples, samples):
+        np.testing.assert_array_equal(s.x, x0)
+    # A prompt that succeeded came after the first choice of the failing plan,
+    # so its rows were finished under it and discarded.
+    first = min(i for i, p in enumerate(plans) for q in p
+                if {a: e.target for a, e in q.entries} == {"gender": "female", "age": "old"})
+    assert any(i > first for i in {s.prompt_ordinal for s in result.samples})
+
+
+@pytest.mark.parametrize("chunk_bytes", [1, 3 * 8 * 40 * 4 * 2])
+def test_chunked_run_writes_the_bytes_of_one_batch(tmp_path, monkeypatch, chunk_bytes):
+    """Chunks of one prompt, or of three, give the artifacts of one whole-run batch."""
+    (tmp_path / "mixed.world").write_text(UNEQUAL_K_WORLD_TEXT)
+    spec = ExperimentSpec(
+        world_path=str(tmp_path / "mixed.world"), prompts=MIXED_PROMPTS * 2,
+        target=TWO_ATTR_TARGET, policy="probabilistic", samples_per_prompt=4, steps=40,
+        beta_end=0.3, gamma=0.6, attribute_scale=4.0, window=(0.2, 0.6), seed=5,
+        diagnostics=True,
+    )
+    run_generate(spec, out_dir=str(tmp_path / "whole"))
+    monkeypatch.setattr(harness, "_CHUNK_BYTES", chunk_bytes)
+    run_generate(spec, out_dir=str(tmp_path / "chunked"))
+    for name in ("samples.csv", "report.csv", "diagnostics.csv"):
+        assert (tmp_path / "whole" / name).read_bytes() == \
+            (tmp_path / "chunked" / name).read_bytes()
 
 
 class TestSamplesCsv:
