@@ -516,6 +516,7 @@ def test_batched_prompt_equals_one_generation_at_a_time(tmp_path, world_name, po
         assert {s.prompt_ordinal for s in result.samples} >= {0, 1, 4, 5}
 
 
+@pytest.mark.filterwarnings("ignore:.*encountered in:RuntimeWarning")  # the non-finite rows
 @pytest.mark.parametrize("policy", ["deficit", "probabilistic"])
 def test_rows_failing_under_one_plan_fail_only_prompts_that_choose_it(tmp_path, monkeypatch,
                                                                       policy):
