@@ -20,7 +20,7 @@ bits it would get alone.  `sample` with `analytic_epsilon` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -99,28 +99,26 @@ class LatentState:
 
 
 class RowMixtures:
-    """One mixture per row of a batch, from conditions of one shape: row b
-    follows sources[rows[b]].  The arrays the kernel reads are the sources'
-    gathered along a leading row axis; the marginal cache stays on each source."""
+    """One mixture per row of a batch: row b follows mixes[b], all of one
+    component count and covariance kind.  The arrays the kernel reads are the
+    distinct sources' gathered along a leading row axis; the marginal cache
+    stays on each source."""
 
-    def __init__(self, sources: tuple[ConditionalMixture, ...], rows: np.ndarray):
-        self.sources, self.rows = sources, rows
-        self.identity_cov = sources[0].identity_cov
+    def __init__(self, mixes):
+        self.sources = tuple({id(m): m for m in mixes}.values())
+        if len({(m.means.shape, m.identity_cov) for m in self.sources}) > 1:
+            raise ValueError("the rows of a batch need mixtures of one shape")
+        index = {id(m): i for i, m in enumerate(self.sources)}
+        self.rows = np.array([index[id(m)] for m in mixes])
+        self.identity_cov = self.sources[0].identity_cov
         for name in ("means", "log_weights", "eig_vals", "eig_vecs"):
-            arrays = [getattr(m, name) for m in sources]
-            setattr(self, name, None if arrays[0] is None else np.stack(arrays)[rows])
+            arrays = [getattr(m, name) for m in self.sources]
+            setattr(self, name, None if arrays[0] is None else np.stack(arrays)[self.rows])
 
 
 def stack_rows(mixes) -> ConditionalMixture | RowMixtures:
-    """The kernel operand for a batch whose row b follows mixture mixes[b], all
-    of one component count and covariance kind; one shared mixture is itself."""
-    sources = tuple({id(m): m for m in mixes}.values())
-    if len(sources) == 1:
-        return sources[0]
-    if len({(m.means.shape, m.identity_cov) for m in sources}) > 1:
-        raise ValueError("the rows of a batch need mixtures of one shape")
-    index = {id(m): i for i, m in enumerate(sources)}
-    return RowMixtures(sources, np.array([index[id(m)] for m in mixes]))
+    """The kernel operand for a batch whose row b follows mixes[b]; one shared mixture is itself."""
+    return mixes[0] if all(m is mixes[0] for m in mixes) else RowMixtures(mixes)
 
 
 def _marginal(mix, a_bar: float) -> tuple[np.ndarray, np.ndarray]:
@@ -189,14 +187,12 @@ def _noise(mix, x: np.ndarray, schedule: NoiseSchedule, t: int) -> np.ndarray:
     return -schedule.sqrt_one_minus_alpha_bar[t] * _score(mix, x, float(schedule.alpha_bar[t]))
 
 
-def _check(values: np.ndarray, message: str, failures: dict[int, str] | None) -> None:
-    """Raise NumericsError(message) if the (B, d) batch's sum is non-finite, or,
-    given failures, keep it as the first message of each row whose own sum is
-    and zero that row, so that it poisons neither a later sum nor another row."""
+def _check(values: np.ndarray, message: str, failures: dict[int, str]) -> None:
+    """Keep message as the first failure of each row of the (B, d) batch whose
+    sum is non-finite, and zero that row, so that it poisons neither a later
+    sum nor another row.  The whole batch's sum is the fast path."""
     if math.isfinite(values.sum()):
         return
-    if failures is None:
-        raise NumericsError(message)
     bad = ~np.isfinite(values.sum(axis=1))
     for b in np.flatnonzero(bad):
         failures.setdefault(int(b), message)
@@ -211,9 +207,10 @@ def analytic_epsilon(
     if not 0 <= t < schedule.steps:
         raise ValueError(f"t_index {t} outside schedule range [0, {schedule.steps})")
     x = np.asarray(state.x, dtype=float)[None, :]
-    eps = _noise(conditional_components(world, cond), x, schedule, t)
-    _check(eps, f"non-finite noise estimate at step {t}", None)
-    return eps[0]
+    eps = _noise(conditional_components(world, cond), x, schedule, t)[0]
+    if not math.isfinite(eps.sum()):
+        raise NumericsError(f"non-finite noise estimate at step {t}")
+    return eps
 
 
 def ancestral_step(
@@ -270,7 +267,7 @@ class Steering:
 
 
 def _steer(steering: Steering, base: np.ndarray, x: np.ndarray, schedule: NoiseSchedule,
-           t: int, failures: dict[int, str] | None) -> np.ndarray:
+           t: int, failures: dict[int, str]) -> np.ndarray:
     acc = np.zeros_like(base)
     for pair in steering.pairs:
         target, reference = (_noise(mix, x, schedule, t) for mix in pair)
@@ -283,6 +280,13 @@ def _steer(steering: Steering, base: np.ndarray, x: np.ndarray, schedule: NoiseS
     out = steering.gamma * base + (1.0 - steering.gamma) * attr_term
     _check(out, f"non-finite steered noise at step {t}", failures)
     return out
+
+
+def stack_steering(rows: list[Steering], probe=None) -> Steering:
+    """One Steering whose row b blends as rows[b] does: one plan and config,
+    each pair's mixtures of one shape across rows (`stack_rows`)."""
+    pairs = tuple(tuple(map(stack_rows, zip(*column))) for column in zip(*(s.pairs for s in rows)))
+    return replace(rows[0], pairs=pairs, probe=probe)
 
 
 def noise_tapes(rngs: list[np.random.Generator], steps: int, d: int) -> np.ndarray:
@@ -307,8 +311,7 @@ def run_trajectories(
     start: int = 0,
     stop: int | None = None,
     x: np.ndarray | None = None,
-    failures: dict[int, str] | None = None,
-) -> np.ndarray:
+) -> tuple[np.ndarray, dict[int, str]]:
     """Independent streams advanced together as one (B, d) batch.
 
     Runs reverse steps start..stop-1 from x, the batch's latents after
@@ -319,9 +322,9 @@ def run_trajectories(
     steering run on stream b's generator alone, however the trajectory is
     split and the rows grouped.
 
-    A non-finite value raises NumericsError, unless a failures dict is given:
-    then each row that goes non-finite gets there the message it would have
-    raised alone, the other rows carry on untouched, and its result row is NaN.
+    Returns the latents and the failed rows: each row that goes non-finite
+    maps to the message it would raise alone, and its latents are NaN.  The
+    other rows carry on untouched.
     """
     steps = schedule.steps
     stop = steps if stop is None else stop
@@ -329,6 +332,7 @@ def run_trajectories(
         if start:
             raise ValueError("x is needed to start past step 0")
         x = tapes[0].copy()
+    failures: dict[int, str] = {}
     if isinstance(cond, Condition):
         mix = conditional_components(world, cond)
     else:
@@ -343,6 +347,5 @@ def run_trajectories(
         if t >= 1:
             x = x + schedule.sqrt_beta[t] * tapes[i + 1]
         _check(x, f"non-finite latent produced at step {t}", failures)
-    if failures:
-        x[list(failures)] = np.nan
-    return x
+    x[list(failures)] = np.nan
+    return x, failures

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .diffusion import LatentState, NoiseSchedule, Steering, analytic_epsilon, stack_rows
+from .diffusion import LatentState, NoiseSchedule, Steering, analytic_epsilon
 from .errors import NumericsError
 from .world import Condition, MixtureWorld, conditional_components
 
@@ -120,9 +120,8 @@ def adaptive_latent_direction(
 class GuidanceProbe:
     """Optional per-step diagnostics: cosine and norms of the blended terms.
 
-    Each recorded step keeps its batch's rows as arrays; `rows` lists them
-    step by step, one (t_index, cosine, base_norm, attr_norm) per stream in
-    batch order, and `stream(b)` the rows of stream b alone.
+    Each recorded step keeps its batch's rows as arrays; `stream(b)` lists
+    stream b's rows, one (t_index, cosine, base_norm, attr_norm) per step.
     """
 
     def __init__(self):
@@ -136,11 +135,6 @@ class GuidanceProbe:
         dot = np.matmul(base[:, None, :], attr_term[:, :, None])[:, 0, 0]
         cosine = np.divide(dot, nb * na, out=np.zeros_like(dot), where=(nb > 0) & (na > 0))
         self.steps.append((t_index, cosine, nb, na))
-
-    @property
-    def rows(self) -> list[tuple[int, float, float, float]]:
-        return [row for t, *arrays in self.steps
-                for row in zip([t] * len(arrays[0]), *(a.tolist() for a in arrays))]
 
     def stream(self, b: int) -> list[tuple[int, float, float, float]]:
         return [(t, float(c[b]), float(nb[b]), float(na[b])) for t, c, nb, na in self.steps]
@@ -185,7 +179,7 @@ def window_mask(schedule: NoiseSchedule, config: GuidanceConfig) -> np.ndarray:
 
 def resolve_steering(
     world: MixtureWorld,
-    cond: Condition | list[Condition],
+    cond: Condition,
     plan: GuidancePlan,
     config: GuidanceConfig,
     active: np.ndarray,
@@ -194,18 +188,16 @@ def resolve_steering(
     """The plan as `run_trajectories` applies it: the blend of `combined_noise`.
 
     `active` is the config's `window_mask`.  Edited conditions are resolved
-    once per condition, in plan order; given one condition per row, each
-    pair's mixtures are stacked per row (`stack_rows`).  None when no step
-    would be blended (gamma = 1, an empty plan, or a window holding no step);
-    then, as in combined_noise, no edited condition is evaluated.
+    once, in plan order; `stack_steering` batches the steerings of several
+    conditions.  None when no step would be blended (gamma = 1, an empty
+    plan, or a window holding no step); then, as in combined_noise, no edited
+    condition is evaluated.
     """
     if config.gamma == 1.0 or len(plan) == 0 or not active.any():
         return None
-    conds = [cond] if isinstance(cond, Condition) else cond
-    edited = {key: [conditional_components(world, edit_condition(world, c, attribute, value))
-                    for attribute, entry in plan.entries
-                    for value in (entry.target, entry.reference)]
-              for key, c in {c.key(): c for c in conds}.items()}
-    mixes = [stack_rows(column) for column in zip(*(edited[c.key()] for c in conds))]
-    pairs = tuple(zip(mixes[::2], mixes[1::2]))
+    pairs = tuple(
+        (conditional_components(world, edit_condition(world, cond, attribute, entry.target)),
+         conditional_components(world, edit_condition(world, cond, attribute, entry.reference)))
+        for attribute, entry in plan.entries
+    )
     return Steering(active, pairs, config.gamma, config.attribute_scale, probe)

@@ -6,24 +6,20 @@ ordinal, sample index), so arms with the same seed share identical streams
 and artifacts are byte-reproducible.  For every generation the harness asks
 the controller for a plan, samples its trajectory with that plan's steering,
 discriminates the outcome, and feeds it back into the memory — in that order.
-
-The trajectories of a whole run are batched.  Each prompt's condition and
-streams are made up front.  Steps before the guidance window are the same
-under every plan, so all rows take them as one batch (unsteered, that is the
-whole trajectory).  Samples are then decided in run order.  The first time a
-sample chooses a plan, every row from it to the end of the run finishes under
-that plan as one batch, each under its own condition's edited mixtures; each
-later sample that chooses the plan, in its prompt or a later one, takes its
-row from that batch, and rows that end up choosing another plan are
-discarded.  Rows share a batch when their mixtures have one shape
-(`diffusion.stack_rows`), and long runs are cut into chunks of whole prompts
-so that no chunk's noise tapes pass `_CHUNK_BYTES`.  Every row is computed as
-if alone, so none of this changes a bit of output.  A row that goes
-non-finite, or whose condition cannot take a plan, fails only a prompt that
-chooses it, with the message it would have raised alone.  A prompt works on a
-copy of the memory and stages its rows; both are committed only when all its
-samples succeed, so a failed prompt leaves memory and artifacts as if it had
-not run, apart from the ordinal slot it used.
+The trajectories of a whole run are batched.  Steps before the guidance
+window are the same under every plan, so all rows take them as one batch
+(unsteered, that is the whole trajectory).  Samples are then decided in run
+order.  The first time a sample chooses a plan, every row from it to the end
+of the run finishes under that plan as one batch, each under its own
+condition's edited mixtures; later samples that choose the plan take their
+rows from that batch, and the other rows are discarded.  Rows share a batch
+when their mixtures have one shape, and a long run is cut into chunks of
+whole prompts that each hold under `_CHUNK_BYTES`.  Every row is computed as
+if alone, so none of this changes a bit of output, and a row that fails (goes
+non-finite, or cannot take a plan) fails only a prompt that chooses it.  A
+prompt works on a copy of the memory and stages its rows; both are committed
+only when all its samples succeed, so a failed prompt leaves memory and
+artifacts as if it had not run, apart from the ordinal slot it used.
 
 A persisted memory file carries the count of prompts already processed, so a
 run that resumes from it continues the ordinal sequence exactly where the
@@ -41,6 +37,7 @@ import math
 import numbers
 import os
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -55,7 +52,8 @@ from .controller import (
     restore_memory,
     snapshot_memory,
 )
-from .diffusion import linear_schedule, mixture_log_density, noise_tapes, run_trajectories
+from .diffusion import (linear_schedule, mixture_log_density, noise_tapes, run_trajectories,
+                        stack_steering)
 from .errors import SteerlabError
 from .evaluate import BiasReport, QualityScores, build_report, discriminate, write_csv, write_report_csv
 from .guidance import (EMPTY_PLAN, GuidanceConfig, GuidancePlan, GuidanceProbe, resolve_steering,
@@ -67,7 +65,7 @@ log = logging.getLogger("steerlab.harness")
 
 _POLICY_NS = 7919   # namespace constants keeping derived seed streams disjoint
 _ARM_NS = 104729
-_CHUNK_BYTES = 64 * 2**20  # bound on the noise tapes of one chunk of prompts
+_CHUNK_BYTES = 64 * 2**20  # bound on what one chunk of prompts holds
 
 DEFAULT_ABLATION_WINDOWS = ((0.0, 0.25), (0.375, 0.625), (0.75, 1.0))
 
@@ -257,33 +255,31 @@ def _run_rows(world: MixtureWorld, schedule, conds: list[Condition], tapes: np.n
               x: np.ndarray | None, start: int, stop: int, diagnostics: bool = False, steer=None
               ) -> tuple[np.ndarray, dict[int, str], dict[int, tuple[GuidanceProbe, int]]]:
     """Advance `rows` (indices into conds) from step `start` to `stop`, one
-    `run_trajectories` batch per kernel shape.
-
-    steer(conds, probe) resolves the steering of a batch of conditions, None
-    when unsteered.  Rows batch together when their base and edited mixtures
-    have the same component counts and covariance kinds.  Returns the latents
-    of every row of conds (NaN where not run or failed), the first message of
-    each failed row (a condition that cannot take the steering fails its
-    rows unrun), and each row's probe with its position in that probe's batch.
+    `run_trajectories` batch per kernel shape (the component counts and
+    covariance kinds of the base and edited mixtures).  steer(cond) gives a
+    condition's steering, or None, and is called once per condition key.
+    Returns every row's latents (NaN where not run or failed), each failed
+    row's first message (rows whose condition cannot take the steering fail
+    unrun), and each row's probe with its position in that probe's batch.
     """
-    shapes: dict[tuple, tuple | str] = {}
+    resolved: dict[tuple, tuple | str] = {}
     groups: dict[tuple, list[int]] = {}
     failed: dict[int, str] = {}
     for r in rows:
         key = conds[r].key()
-        if key not in shapes:
+        if key not in resolved:
             try:
-                steering = steer([conds[r]], None) if steer else None
+                steering = steer(conds[r]) if steer else None
             except SteerlabError as exc:
-                shapes[key] = str(exc)
+                resolved[key] = str(exc)
             else:
                 mixes = [conditional_components(world, conds[r])]
                 mixes += [m for pair in steering.pairs for m in pair] if steering else []
-                shapes[key] = tuple((m.means.shape[0], m.identity_cov) for m in mixes)
-        if isinstance(shapes[key], str):
-            failed[r] = shapes[key]
+                resolved[key] = steering, tuple((m.means.shape[0], m.identity_cov) for m in mixes)
+        if isinstance(resolved[key], str):
+            failed[r] = resolved[key]
         else:
-            groups.setdefault(shapes[key], []).append(r)
+            groups.setdefault(resolved[key][1], []).append(r)
     out = np.full((len(conds), world.dimension), np.nan)
     probes: dict[int, tuple[GuidanceProbe, int]] = {}
     for members in groups.values():
@@ -291,14 +287,15 @@ def _run_rows(world: MixtureWorld, schedule, conds: list[Condition], tapes: np.n
         sel = (slice(members[0], members[-1] + 1)
                if members == list(range(members[0], members[-1] + 1)) else np.array(members))
         batch = [conds[r] for r in members]
-        probe = GuidanceProbe() if diagnostics else None
-        steering = steer(batch, probe) if steer else None
-        fails: dict[int, str] = {}
-        out[sel] = run_trajectories(world, schedule, batch, tapes[:, sel], steering, start, stop,
-                                    None if x is None else x[sel], fails)
+        steering = None
+        if resolved[batch[0].key()][0] is not None:
+            probe = GuidanceProbe() if diagnostics else None
+            steering = stack_steering([resolved[c.key()][0] for c in batch], probe)
+            if probe is not None:
+                probes.update((r, (probe, j)) for j, r in enumerate(members))
+        out[sel], fails = run_trajectories(world, schedule, batch, tapes[:, sel], steering,
+                                           start, stop, None if x is None else x[sel])
         failed.update((members[b], message) for b, message in fails.items())
-        if steering is not None and probe is not None:
-            probes.update((r, (probe, j)) for j, r in enumerate(members))
     return out, failed, probes
 
 
@@ -345,7 +342,16 @@ def run_generate(
         prefix = schedule.steps - 1 - int(np.flatnonzero(active).max())
 
     instances = [(prompt, i) for prompt in spec.prompts for i in range(prompt.count)]
-    per_chunk = max(1, _CHUNK_BYTES // (8 * schedule.steps * n * world.dimension))
+    # Per row a chunk holds its tapes and prefix latents, and in a batch the
+    # mixtures gathered for it (base and two per attribute, K components each);
+    # per row and plan the policy can choose, finished latents and probe rows.
+    d, k = world.dimension, max(Counter(c.concept for c in world.components).values())
+    row_bytes = 8 * d * (schedule.steps + 1) + 8 * (1 + 2 * len(schema.attributes)) * k * (
+        d * d + 3 * d + 2)
+    plan_bytes = 8 * (d + 3 * int(active.sum()) * spec.diagnostics)
+    plans = 1 if policy is None or policy.kind == "static" else math.prod(
+        len(a.values) * (len(a.values) - 1) for a in schema.attributes)
+    per_chunk = max(1, _CHUNK_BYTES // (n * (row_bytes + plans * plan_bytes)))
     ordinal = prompts_seen
     for lo in range(0, len(instances), per_chunk):
         # Each prompt's condition and streams up front; rows are the streams of
@@ -367,8 +373,7 @@ def run_generate(
                 streams += [np.random.SeedSequence([spec.seed, ordinal, s_i]) for s_i in range(n)]
             chunk.append((prompt, f"{prompt.concept}-{ordinal:05d}", ordinal, cond, len(conds) - n))
             ordinal += 1
-        tapes = noise_tapes([np.random.default_rng(s) for s in streams],
-                            schedule.steps, world.dimension)
+        tapes = noise_tapes([np.random.default_rng(s) for s in streams], schedule.steps, d)
         x, prefix_failed, _ = _run_rows(world, schedule, conds, tapes, range(len(conds)),
                                         None, 0, prefix)
         # Plan -> every row's latents, failures and probe rows, finished under
@@ -399,8 +404,7 @@ def run_generate(
                             world, schedule, conds, tapes,
                             [q for q in range(r, len(conds)) if q not in prefix_failed], x,
                             prefix, schedule.steps, spec.diagnostics,
-                            lambda cs, probe: resolve_steering(world, cs, plan, config, active,
-                                                               probe))
+                            lambda c: resolve_steering(world, c, plan, config, active))
                         runs[plan] = (finished, {**failed, **prefix_failed}, traces)
                     finished, failed, traces = runs[plan]
                     if r in failed:

@@ -148,7 +148,8 @@ def test_c02_sampler_reproduces_unit_gaussian(verdict):
     schedule = linear_schedule(1000)
     cond = make_condition(world, "origin")
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(202).spawn(5000)]
-    draws = run_trajectories(world, schedule, cond, noise_tapes(rngs, schedule.steps, 2))
+    draws, failed = run_trajectories(world, schedule, cond, noise_tapes(rngs, schedule.steps, 2))
+    assert not failed, failed
     mean_err = float(np.abs(draws.mean(axis=0)).max())
     cov_err = float(np.abs(np.cov(draws.T) - np.eye(2)).max())
     elapsed = time.perf_counter() - t0

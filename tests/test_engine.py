@@ -29,6 +29,7 @@ from steerlab import (
     sample,
     window_mask,
 )
+from steerlab.diffusion import stack_steering
 from steerlab.guidance import GuidanceProbe
 from steerlab.harness import ExperimentSpec, PromptSpec, _run_rows
 
@@ -80,8 +81,10 @@ def _steering(world, schedule, cond, plan, probe=None):
 
 def _engine(world, schedule, cond, rngs, plan=None, probe=None):
     tapes = noise_tapes(rngs, schedule.steps, world.dimension)
-    return run_trajectories(world, schedule, cond, tapes,
-                            _steering(world, schedule, cond, plan, probe))
+    x, failures = run_trajectories(world, schedule, cond, tapes,
+                                   _steering(world, schedule, cond, plan, probe))
+    assert not failures
+    return x
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -113,7 +116,7 @@ def test_one_attribute_plan_equals_reference_with_probe_rows(name):
         ours = _engine(world, schedule, cond, [rng_a], ONE_ATTR, probe_a)[0]
         theirs = _reference(world, schedule, cond, rng_b, ONE_ATTR, probe_b)
         np.testing.assert_array_equal(ours, theirs)
-        assert probe_a.rows and probe_a.rows == probe_b.rows
+        assert probe_a.stream(0) and probe_a.stream(0) == probe_b.stream(0)
 
 
 @pytest.mark.parametrize("name", TWO_ATTR_WORLDS)
@@ -126,7 +129,7 @@ def test_two_attribute_plan_equals_reference(name):
         ours = _engine(world, schedule, cond, [rng_a], TWO_ATTR, probe_a)[0]
         theirs = _reference(world, schedule, cond, rng_b, TWO_ATTR, probe_b)
         np.testing.assert_array_equal(ours, theirs)
-        assert probe_a.rows and probe_a.rows == probe_b.rows
+        assert probe_a.stream(0) and probe_a.stream(0) == probe_b.stream(0)
 
 
 @settings(max_examples=25, deadline=None)
@@ -166,16 +169,18 @@ def test_split_run_finishes_any_subset_like_each_stream_alone(
     plan = ONE_ATTR if steered else None
     tapes = noise_tapes(_rngs(n, seed), steps, world.dimension)
     probe_all, probe_sub = GuidanceProbe(), GuidanceProbe()
-    x = run_trajectories(world, schedule, cond, tapes,
-                         _steering(world, schedule, cond, plan, probe_all), stop=k)
-    out = run_trajectories(world, schedule, cond, tapes[:, subset],
-                           _steering(world, schedule, cond, plan, probe_sub), k, x=x[subset])
+    x, failed = run_trajectories(world, schedule, cond, tapes,
+                                 _steering(world, schedule, cond, plan, probe_all), stop=k)
+    out, failed_sub = run_trajectories(world, schedule, cond, tapes[:, subset],
+                                       _steering(world, schedule, cond, plan, probe_sub), k,
+                                       x=x[subset])
+    assert not failed and not failed_sub
     for j, b in enumerate(subset):
         probe = GuidanceProbe()
         alone = _engine(world, schedule, cond, [_rngs(n, seed)[b]], plan, probe)
         np.testing.assert_array_equal(out[j], alone[0])
         # Each steered step records one row per stream, in batch order.
-        assert probe_all.rows[b::n] + probe_sub.rows[j::len(subset)] == probe.rows
+        assert probe_all.stream(b) + probe_sub.stream(j) == probe.stream(0)
 
 
 def test_starting_past_step_zero_needs_a_state():
@@ -227,21 +232,25 @@ def test_finiteness_failures_match_reference(poison, message):
     values[poison] = np.nan if poison == (0, 0) else np.inf
     with pytest.raises(NumericsError, match=message):
         _reference(world, schedule, cond, _Tape(values.ravel()))
-    with pytest.raises(NumericsError, match=message):
-        _engine(world, schedule, cond, [_Tape(values.ravel())])
+    x, failures = run_trajectories(world, schedule, cond,
+                                   noise_tapes([_Tape(values.ravel())], schedule.steps, 2))
+    assert failures == {0: message} and np.isnan(x).all()
 
 
-# Conditions of both component counts; under full covariances the teacher
-# components without an entry in FULL_COV keep identity covariances, so
-# edited conditions there differ in covariance kind as well.
+# Conditions of both component counts; under FULL_COV the teacher male
+# component keeps an identity covariance, so edited conditions there differ
+# in covariance kind as well.  With every covariance full, the two concepts'
+# edited mixtures share one batch, and their steering directions differ.
 ROW_CONDITIONS = [("engineer", {}), ("teacher", {}), ("engineer", {"gender": "male"}),
                   ("engineer", {"gender": "female"}), ("teacher", {"gender": "female"}),
                   ("teacher", {"gender": "male"})]
+ROW_WORLDS = {**WORLDS, "all-full-cov": lambda: build_gender_world(
+    male_weight=0.65, covariances={**FULL_COV, ("teacher", "male"): [[1.2, 0.3], [0.3, 0.9]]})}
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(
-    world_name=st.sampled_from(sorted(WORLDS)),
+    world_name=st.sampled_from(sorted(ROW_WORLDS)),
     seed=st.integers(0, 2**32 - 1),
     steps=st.integers(1, 40),
     steered=st.booleans(),
@@ -251,7 +260,7 @@ def test_rows_of_any_conditions_grouped_and_split_run_as_alone(
         world_name, seed, steps, steered, data):
     """Rows of several conditions, batched by kernel shape in any order and
     split at any step, each give the bits and probe rows of that row alone."""
-    world = WORLDS[world_name]()
+    world = ROW_WORLDS[world_name]()
     schedule = linear_schedule(steps, beta_end=0.3)
     picks = data.draw(st.lists(st.integers(0, len(ROW_CONDITIONS) - 1), min_size=1,
                                max_size=10), label="conditions")
@@ -263,8 +272,8 @@ def test_rows_of_any_conditions_grouped_and_split_run_as_alone(
     then = data.draw(st.lists(st.sampled_from(first), min_size=1, unique=True), label="then")
     plan = ONE_ATTR if steered else None
 
-    def steer(cs, probe):
-        return None if plan is None else _steering(world, schedule, cs, plan, probe)
+    def steer(cond):
+        return _steering(world, schedule, cond, plan)
 
     tapes = noise_tapes(_rngs(n, seed), steps, world.dimension)
     x, failed, probes_a = _run_rows(world, schedule, conds, tapes, first, None, 0, k, True, steer)
@@ -277,7 +286,7 @@ def test_rows_of_any_conditions_grouped_and_split_run_as_alone(
         alone = _engine(world, schedule, conds[b], [_rngs(n, seed)[b]], plan, probe)
         np.testing.assert_array_equal(out[b], alone[0])
         rows = [got[0].stream(got[1]) for got in (probes_a.get(b), probes_b.get(b)) if got]
-        assert sum(rows, []) == probe.rows
+        assert sum(rows, []) == probe.stream(0)
 
 
 @pytest.mark.parametrize("name", WORLDS)
@@ -295,16 +304,13 @@ def test_poisoned_row_fails_alone_and_its_neighbours_keep_their_bits(name, poiso
     rngs = _rngs(4, seed=5)
     rngs[2] = _Tape(values.ravel())
     tapes = noise_tapes(rngs, schedule.steps, world.dimension)
-    steering = _steering(world, schedule, conds, ONE_ATTR)
-    failures = {}
-    out = run_trajectories(world, schedule, conds, tapes, steering, failures=failures)
+    steering = stack_steering([_steering(world, schedule, c, ONE_ATTR) for c in conds])
+    out, failures = run_trajectories(world, schedule, conds, tapes, steering)
     assert failures == {2: message}
     assert np.isnan(out[2]).all()
     for b in (0, 1, 3):
         alone = _engine(world, schedule, conds[b], [_rngs(4, seed=5)[b]], ONE_ATTR)
         np.testing.assert_array_equal(out[b], alone[0])
-    with pytest.raises(NumericsError, match=message):  # without a failures dict, as before
-        run_trajectories(world, schedule, conds, tapes, steering)
 
 
 def test_vanilla_run_equals_reference_sampler():

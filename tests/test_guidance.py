@@ -256,8 +256,8 @@ class TestCombinedNoise:
             combined_noise(world, sched, LatentState(np.array([1.0, 0.2]), t),
                            cond, plan, cfg, probe=probe)
         inside = sum(in_window(sched, t, cfg) for t in range(sched.steps))
-        assert len(probe.rows) == inside
-        for t_index, cosine, base_norm, attr_norm in probe.rows:
+        assert len(probe.stream(0)) == inside
+        for t_index, cosine, base_norm, attr_norm in probe.stream(0):
             assert in_window(sched, t_index, cfg)
             assert -1.0 - 1e-9 <= cosine <= 1.0 + 1e-9
             assert base_norm >= 0.0 and attr_norm >= 0.0
@@ -308,5 +308,4 @@ def test_probe_records_each_row_as_per_row_norm_and_dot(d):
     for b, a in zip(base, attr):
         nb, na = float(np.linalg.norm(b)), float(np.linalg.norm(a))
         expected.append((11, float(b @ a) / (nb * na) if nb > 0 and na > 0 else 0.0, nb, na))
-    assert probe.rows == expected
     assert [probe.stream(b)[0] for b in range(7)] == expected

@@ -12,6 +12,7 @@ from steerlab import (
     ExperimentSpec,
     GuidanceConfig,
     MemoryModule,
+    NumericsError,
     PromptSpec,
     RenderError,
     SteerlabError,
@@ -369,13 +370,16 @@ def _one_at_a_time(spec, world):
                     stream = np.random.default_rng(
                         np.random.SeedSequence([spec.seed, ordinal, s_i]))
                     tapes = noise_tapes([stream], spec.steps, world.dimension)
-                    x0 = run_trajectories(world, schedule, cond, tapes, steering)[0]
+                    x, failed = run_trajectories(world, schedule, cond, tapes, steering)
+                    if failed:
+                        raise NumericsError(failed[0])
+                    x0 = x[0]
                     labels, _ = discriminate(world, x0)
                     if policy is not None:
                         record(staged, cond, {a: e.target for a, e in plan.entries}
                                if spec.record_intent else labels)
                     rows.append((prompt_id, s_i, x0, labels))
-                    probes += [(prompt_id, s_i) + r for r in probe.rows]
+                    probes += [(prompt_id, s_i) + r for r in probe.stream(0)]
             except SteerlabError as exc:
                 failures.append([prompt_id, str(exc)])
             else:
@@ -475,6 +479,7 @@ def test_batched_prompt_equals_one_generation_at_a_time(tmp_path, world_name, po
     result = run_generate(spec, out_dir=str(out), world=world)
 
     assert result.failures == failures
+    assert not failures or world_name == "failing-prompt"
     assert [(s.prompt_id, s.sample_index, s.labels) for s in result.samples] == \
         [(p, i, labels) for p, i, _, labels in samples]
     for s, (_, _, x0, _) in zip(result.samples, samples):
@@ -554,9 +559,9 @@ def test_rows_failing_under_one_plan_fail_only_prompts_that_choose_it(tmp_path, 
     assert any(i > first for i in {s.prompt_ordinal for s in result.samples})
 
 
-@pytest.mark.parametrize("chunk_bytes", [1, 3 * 8 * 40 * 4 * 2])
+@pytest.mark.parametrize("chunk_bytes", [1, 60_000])
 def test_chunked_run_writes_the_bytes_of_one_batch(tmp_path, monkeypatch, chunk_bytes):
-    """Chunks of one prompt, or of three, give the artifacts of one whole-run batch."""
+    """Chunks of one prompt, or of several, give the artifacts of one whole-run batch."""
     (tmp_path / "mixed.world").write_text(UNEQUAL_K_WORLD_TEXT)
     spec = ExperimentSpec(
         world_path=str(tmp_path / "mixed.world"), prompts=MIXED_PROMPTS * 2,
@@ -566,7 +571,17 @@ def test_chunked_run_writes_the_bytes_of_one_batch(tmp_path, monkeypatch, chunk_
     )
     run_generate(spec, out_dir=str(tmp_path / "whole"))
     monkeypatch.setattr(harness, "_CHUNK_BYTES", chunk_bytes)
+    chunks = []
+
+    def tapes(rngs, steps, d):
+        chunks.append(len(rngs))
+        return noise_tapes(rngs, steps, d)
+    monkeypatch.setattr(harness, "noise_tapes", tapes)
     run_generate(spec, out_dir=str(tmp_path / "chunked"))
+    if chunk_bytes == 1:
+        assert chunks == [4] * 10
+    else:
+        assert len(chunks) > 1 and max(chunks) > 4
     for name in ("samples.csv", "report.csv", "diagnostics.csv"):
         assert (tmp_path / "whole" / name).read_bytes() == \
             (tmp_path / "chunked" / name).read_bytes()
