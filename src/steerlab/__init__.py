@@ -1,4 +1,8 @@
-"""steerlab: attribute-steered diffusion sampling over analytic mixture worlds."""
+"""steerlab: attribute-steered diffusion sampling over analytic mixture worlds.
+
+The root holds the error classes and the harness entry points; every other
+name is imported from its module.
+"""
 
 __version__ = "0.1.0"
 
@@ -11,61 +15,6 @@ from .errors import (
     WorldFileError,
     WorldValidationError,
 )
-from .world import (
-    Attribute,
-    AttributeSchema,
-    Component,
-    Condition,
-    MixtureWorld,
-    TargetDistribution,
-    conditional_components,
-    embed_condition,
-    make_condition,
-)
-from .worldfile import default_world_path, load_world, parse_world
-from .diffusion import (
-    LatentState,
-    NoiseSchedule,
-    analytic_epsilon,
-    ancestral_step,
-    linear_schedule,
-    mixture_log_density,
-    noise_tapes,
-    run_trajectories,
-    sample,
-)
-from .guidance import (
-    EMPTY_PLAN,
-    GuidanceConfig,
-    GuidancePlan,
-    PlanEntry,
-    adaptive_latent_direction,
-    combined_noise,
-    edit_condition,
-    in_window,
-    resolve_steering,
-    window_mask,
-)
-from .controller import (
-    Cluster,
-    IndicatorPolicy,
-    MemoryModule,
-    consolidate,
-    decide,
-    default_match_threshold,
-    lookup,
-    record,
-    restore_memory,
-    snapshot_memory,
-)
-from .evaluate import (
-    BiasReport,
-    bias_score,
-    build_report,
-    discriminate,
-    quality_score,
-    value_frequencies,
-)
 from .harness import (
     ExperimentSpec,
     PromptSpec,
@@ -74,4 +23,3 @@ from .harness import (
     run_sweep,
     run_window_ablation,
 )
-from .render import render_scatter

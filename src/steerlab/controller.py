@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import numbers
 import os
 from dataclasses import dataclass, field
 
@@ -35,6 +37,21 @@ _MAGIC = "steerlab-memory"
 _VERSION = 1
 
 POLICY_KINDS = ("deficit", "probabilistic", "static")
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def _is_finite(v) -> bool:
+    try:
+        return _is_number(v) and math.isfinite(v)
+    except OverflowError:  # an integer beyond the range of a float
+        return False
 
 
 @dataclass
@@ -133,7 +150,7 @@ def decide(
     target.validate_for(schema)
     idx = lookup(memory, cond.embedding)
     counts = memory.clusters[idx].counts if idx is not None else {}
-    entries: dict[str, PlanEntry] = {}
+    entries = []
     for attr in schema.attributes:
         values = attr.values
         if policy.kind == "deficit":
@@ -158,8 +175,8 @@ def decide(
                 raise ValueError(f"static policy has no pair for attribute {attr.name!r}") from None
             schema.check_value(attr.name, tgt)
             schema.check_value(attr.name, ref)
-        entries[attr.name] = PlanEntry(target=tgt, reference=ref)
-    return GuidancePlan.from_dict(entries)
+        entries.append((attr.name, PlanEntry(target=tgt, reference=ref)))
+    return GuidancePlan(tuple(entries))
 
 
 def record(memory: MemoryModule, cond: Condition, outcome: dict[str, str]) -> None:
@@ -167,7 +184,9 @@ def record(memory: MemoryModule, cond: Condition, outcome: dict[str, str]) -> No
 
     The centroid tracks the running mean of member embeddings.  When no
     cluster matches and the budget is exhausted, the two nearest clusters are
-    consolidated first, so the budget bound never breaks.
+    consolidated first, so the budget bound never breaks.  Clusters are
+    replaced, never changed in place, so a copy of the cluster list is a
+    copy of the memory.
     """
     embedding = np.asarray(cond.embedding, dtype=float)
     idx = lookup(memory, embedding)
@@ -181,12 +200,13 @@ def record(memory: MemoryModule, cond: Condition, outcome: dict[str, str]) -> No
             idx = len(memory.clusters) - 1
         else:
             idx = 0  # budget of one: the lone cluster absorbs every prompt
-    cluster = memory.clusters[idx]
-    cluster.centroid = (cluster.centroid * cluster.total + embedding) / (cluster.total + 1)
-    cluster.total += 1
+    old = memory.clusters[idx]
+    counts = {attr: dict(vals) for attr, vals in old.counts.items()}
     for attr, value in outcome.items():
-        per_attr = cluster.counts.setdefault(attr, {})
+        per_attr = counts.setdefault(attr, {})
         per_attr[value] = per_attr.get(value, 0) + 1
+    memory.clusters[idx] = Cluster(
+        (old.centroid * old.total + embedding) / (old.total + 1), old.total + 1, counts)
 
 
 def consolidate(memory: MemoryModule) -> None:
@@ -251,8 +271,9 @@ def restore_memory(
     """Load a persisted memory; returns (memory, prompts_seen).
 
     Any structural problem (bad magic, version, schema or dimension mismatch,
-    checksum, truncation) raises MemorySnapshotError before any state is
-    exposed.
+    checksum, truncation, a field of the wrong type or range) raises
+    MemorySnapshotError naming the file, and the key where one is at fault,
+    before any state is exposed.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -269,24 +290,35 @@ def restore_memory(
     expected = _container_checksum({k: v for k, v in payload.items() if k != "checksum"})
     if declared != expected:
         raise MemorySnapshotError(f"checksum mismatch in {path!r}; file is corrupt")
-    if schema is not None and payload["schema"] != schema.digest():
+    if schema is not None and payload.get("schema") != schema.digest():
         raise MemorySnapshotError(
             f"memory file {path!r} was written for a different attribute schema"
         )
-    try:
-        memory = MemoryModule(budget=payload["budget"], tau=payload["tau"])
-        for c in payload["clusters"]:
-            memory.clusters.append(
-                Cluster(
-                    centroid=np.asarray(c["centroid"], dtype=float),
-                    total=int(c["total"]),
-                    counts={a: {v: int(n) for v, n in vals.items()}
-                            for a, vals in c["counts"].items()},
-                )
-            )
-        prompts_seen = int(payload.get("prompts_seen", 0))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MemorySnapshotError(f"malformed memory container {path!r}: {exc}") from exc
+
+    def require(key: str, value, ok: bool, what: str):
+        if not ok:
+            raise MemorySnapshotError(f"memory file {path!r}: {key} must be {what}, got {value!r}")
+        return value
+
+    budget, tau, clusters = payload.get("budget"), payload.get("tau"), payload.get("clusters")
+    seen = payload.get("prompts_seen", 0)
+    memory = MemoryModule(
+        budget=require("budget", budget, _is_int(budget) and budget >= 1, "an integer >= 1"),
+        tau=require("tau", tau, _is_number(tau) and tau > 0, "a positive number"))
+    prompts_seen = require("prompts_seen", seen, _is_int(seen) and seen >= 0, "an integer >= 0")
+    for i, c in enumerate(require("clusters", clusters, isinstance(clusters, list), "a list")):
+        key = f"clusters[{i}]"
+        c = require(key, c, isinstance(c, dict), "an object")
+        centroid, total, counts = c.get("centroid"), c.get("total"), c.get("counts")
+        require(f"{key}.centroid", centroid,
+                isinstance(centroid, list) and all(map(_is_finite, centroid)),
+                "a list of finite numbers")
+        require(f"{key}.total", total, _is_int(total) and total >= 0, "an integer >= 0")
+        require(f"{key}.counts", counts, isinstance(counts, dict) and all(
+            isinstance(vals, dict) and all(_is_int(n) and n >= 0 for n in vals.values())
+            for vals in counts.values()), "an object of {attribute: {value: integer >= 0}}")
+        memory.clusters.append(Cluster(np.asarray(centroid, dtype=float), total,
+                                       {a: dict(vals) for a, vals in counts.items()}))
     if len(memory.clusters) > memory.budget:
         raise MemorySnapshotError(f"memory file {path!r} exceeds its own budget")
     if dimension is not None and any(c.centroid.shape != (dimension,) for c in memory.clusters):

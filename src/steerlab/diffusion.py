@@ -41,7 +41,6 @@ class NoiseSchedule:
     steps: int
     beta: np.ndarray
     alpha_bar: np.ndarray
-    sqrt_alpha_bar: np.ndarray = field(init=False, repr=False)
     sqrt_one_minus_alpha_bar: np.ndarray = field(init=False, repr=False)
     inv_sqrt_alpha: np.ndarray = field(init=False, repr=False)
     noise_coef: np.ndarray = field(init=False, repr=False)
@@ -51,7 +50,6 @@ class NoiseSchedule:
         self.beta = np.asarray(self.beta, dtype=float)
         self.alpha_bar = np.asarray(self.alpha_bar, dtype=float)
         one_minus = 1.0 - self.alpha_bar
-        self.sqrt_alpha_bar = np.sqrt(self.alpha_bar)
         self.sqrt_one_minus_alpha_bar = np.sqrt(one_minus)
         self.inv_sqrt_alpha = 1.0 / np.sqrt(1.0 - self.beta)
         # beta/sqrt(1-alpha_bar), with the all-zero-beta degenerate case mapped to 0
@@ -305,7 +303,7 @@ def noise_tapes(rngs: list[np.random.Generator], steps: int, d: int) -> np.ndarr
 def run_trajectories(
     world: MixtureWorld,
     schedule: NoiseSchedule,
-    cond: Condition | list[Condition],
+    conds: list[Condition],
     tapes: np.ndarray,
     steering: Steering | None = None,
     start: int = 0,
@@ -316,15 +314,15 @@ def run_trajectories(
 
     Runs reverse steps start..stop-1 from x, the batch's latents after
     `start` steps.  x defaults to x_T, row 0 of the tapes, and stop to the
-    number of steps, so that the result is the clean samples.  `cond` is one
-    condition for every row, or one per row, all of one shape (`stack_rows`).
-    Every operation is row-wise, so row b equals `sample` with the same
-    steering run on stream b's generator alone, however the trajectory is
-    split and the rows grouped.
+    number of steps, so that the result is the clean samples.  conds[b] is
+    row b's condition, all of one shape (`stack_rows`).  Every operation is
+    row-wise, so row b equals `sample` with the same steering run on stream
+    b's generator alone, however the trajectory is split and the rows grouped.
 
     Returns the latents and the failed rows: each row that goes non-finite
     maps to the message it would raise alone, and its latents are NaN.  The
-    other rows carry on untouched.
+    other rows carry on untouched, and numpy's floating-point warnings are
+    silenced, since the failed rows are the report.
     """
     steps = schedule.steps
     stop = steps if stop is None else stop
@@ -333,19 +331,17 @@ def run_trajectories(
             raise ValueError("x is needed to start past step 0")
         x = tapes[0].copy()
     failures: dict[int, str] = {}
-    if isinstance(cond, Condition):
-        mix = conditional_components(world, cond)
-    else:
-        mix = stack_rows([conditional_components(world, c) for c in cond])
-    for i in range(start, stop):
-        t = steps - 1 - i
-        eps = _noise(mix, x, schedule, t)
-        _check(eps, f"non-finite noise estimate at step {t}", failures)
-        if steering is not None and steering.active[t]:
-            eps = _steer(steering, eps, x, schedule, t, failures)
-        x = schedule.inv_sqrt_alpha[t] * (x - schedule.noise_coef[t] * eps)
-        if t >= 1:
-            x = x + schedule.sqrt_beta[t] * tapes[i + 1]
-        _check(x, f"non-finite latent produced at step {t}", failures)
+    mix = stack_rows([conditional_components(world, c) for c in conds])
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for i in range(start, stop):
+            t = steps - 1 - i
+            eps = _noise(mix, x, schedule, t)
+            _check(eps, f"non-finite noise estimate at step {t}", failures)
+            if steering is not None and steering.active[t]:
+                eps = _steer(steering, eps, x, schedule, t, failures)
+            x = schedule.inv_sqrt_alpha[t] * (x - schedule.noise_coef[t] * eps)
+            if t >= 1:
+                x = x + schedule.sqrt_beta[t] * tapes[i + 1]
+            _check(x, f"non-finite latent produced at step {t}", failures)
     x[list(failures)] = np.nan
     return x, failures

@@ -14,15 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .world import (
-    AttributeSchema,
-    Condition,
-    ConditionalMixture,
-    MixtureWorld,
-    TargetDistribution,
-    conditional_components,
-)
-from .diffusion import _logits, _logsumexp, mixture_log_density
+from .world import AttributeSchema, ConditionalMixture, MixtureWorld, TargetDistribution
+from .diffusion import _logits, _logsumexp
 
 
 def _log_posteriors(mix: ConditionalMixture, x: np.ndarray) -> np.ndarray:
@@ -117,22 +110,6 @@ def bias_score(
 class QualityScores:
     adherence: float          # fraction of samples whose MAP concept matches
     mean_log_density: float   # under the attribute-marginalized conditional mixture
-
-
-def quality_score(world: MixtureWorld, concept: str, samples: np.ndarray) -> QualityScores:
-    """Concept adherence plus mean log-density; attribute constraints are ignored."""
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    if samples.size == 0:
-        raise ValueError("quality_score needs at least one sample")
-    mix = conditional_components(world, Condition(concept, {}, np.zeros(world.dimension)))
-    hits = 0
-    log_density = 0.0
-    for x in samples:
-        _, concept_post = discriminate(world, x)
-        if max(concept_post, key=lambda c: concept_post[c]) == concept:
-            hits += 1
-        log_density += mixture_log_density(mix, x, 1.0)
-    return QualityScores(hits / len(samples), log_density / len(samples))
 
 
 @dataclass

@@ -15,7 +15,7 @@ blend; `combined_noise` is the one-point reference of the same blend.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,39 +55,24 @@ class PlanEntry:
 
 @dataclass(frozen=True)
 class GuidancePlan:
-    """Per-attribute steering directives, keyed by attribute name."""
+    """Per-attribute steering directives as (attribute name, entry) pairs, in schema order."""
 
     entries: tuple[tuple[str, PlanEntry], ...]
-
-    @classmethod
-    def from_dict(cls, entries: dict[str, PlanEntry]) -> "GuidancePlan":
-        return cls(tuple(entries.items()))
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def as_dict(self) -> dict[str, PlanEntry]:
-        return dict(self.entries)
 
 
 EMPTY_PLAN = GuidancePlan(())
 
 
-def in_window(schedule: NoiseSchedule, t_index: int, config: GuidanceConfig) -> bool:
-    """Window membership by reverse-progress fraction, half-open [lo, hi).
+def window_mask(schedule: NoiseSchedule, config: GuidanceConfig) -> np.ndarray:
+    """active[t]: step t lies in the window by reverse-progress fraction, half-open [lo, hi).
 
-    Progress runs 0 at the first reverse step (t_index = steps-1) to 1 at the
-    last; a window ending at 1.0 is treated as closed there so that the full
-    window (0, 1) covers every step.
+    Progress runs 0 at the first reverse step (t = steps-1) to 1 at the last
+    (0 throughout a one-step schedule); a window ending at 1.0 is treated as
+    closed there so that the full window (0, 1) covers every step.
     """
-    if not 0 <= t_index < schedule.steps:
-        raise ValueError(f"t_index {t_index} outside schedule range [0, {schedule.steps})")
-    if schedule.steps == 1:
-        progress = 0.0
-    else:
-        progress = (schedule.steps - 1 - t_index) / (schedule.steps - 1)
+    progress = np.arange(schedule.steps - 1, -1, -1) / max(schedule.steps - 1, 1)
     lo, hi = config.window
-    return lo <= progress < hi or (hi >= 1.0 and progress == 1.0)
+    return (lo <= progress) & ((progress < hi) | ((hi >= 1.0) & (progress == 1.0)))
 
 
 def edit_condition(world: MixtureWorld, cond: Condition, attribute: str, value: str) -> Condition:
@@ -156,14 +141,15 @@ def combined_noise(
     condition is evaluated.
     """
     base = analytic_epsilon(world, schedule, state, cond)
-    if config.gamma == 1.0 or len(plan) == 0 or not in_window(schedule, state.t_index, config):
+    if (config.gamma == 1.0 or not plan.entries
+            or not window_mask(schedule, config)[state.t_index]):
         return base
     acc = np.zeros_like(base)
     for attribute, entry in plan.entries:
         acc += adaptive_latent_direction(
             world, schedule, state, cond, attribute, (entry.target, entry.reference)
         )
-    attr_term = config.attribute_scale * acc / len(plan)
+    attr_term = config.attribute_scale * acc / len(plan.entries)
     if probe is not None:
         probe.record(state.t_index, base[None], attr_term[None])
     out = config.gamma * base + (1.0 - config.gamma) * attr_term
@@ -172,32 +158,26 @@ def combined_noise(
     return out
 
 
-def window_mask(schedule: NoiseSchedule, config: GuidanceConfig) -> np.ndarray:
-    """active[t] = in_window(schedule, t, config) for every step t."""
-    return np.array([in_window(schedule, t, config) for t in range(schedule.steps)])
-
-
 def resolve_steering(
     world: MixtureWorld,
     cond: Condition,
     plan: GuidancePlan,
     config: GuidanceConfig,
     active: np.ndarray,
-    probe: GuidanceProbe | None = None,
 ) -> Steering | None:
     """The plan as `run_trajectories` applies it: the blend of `combined_noise`.
 
     `active` is the config's `window_mask`.  Edited conditions are resolved
     once, in plan order; `stack_steering` batches the steerings of several
-    conditions.  None when no step would be blended (gamma = 1, an empty
-    plan, or a window holding no step); then, as in combined_noise, no edited
-    condition is evaluated.
+    conditions and attaches the batch's probe.  None when no step would be
+    blended (gamma = 1, an empty plan, or a window holding no step); then, as
+    in combined_noise, no edited condition is evaluated.
     """
-    if config.gamma == 1.0 or len(plan) == 0 or not active.any():
+    if config.gamma == 1.0 or not plan.entries or not active.any():
         return None
     pairs = tuple(
         (conditional_components(world, edit_condition(world, cond, attribute, entry.target)),
          conditional_components(world, edit_condition(world, cond, attribute, entry.reference)))
         for attribute, entry in plan.entries
     )
-    return Steering(active, pairs, config.gamma, config.attribute_scale, probe)
+    return Steering(active, pairs, config.gamma, config.attribute_scale)

@@ -29,12 +29,10 @@ run.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 import logging
 import math
-import numbers
 import os
 import time
 from collections import Counter
@@ -46,6 +44,8 @@ from .controller import (
     POLICY_KINDS,
     IndicatorPolicy,
     MemoryModule,
+    _is_int,
+    _is_number,
     decide,
     default_match_threshold,
     record,
@@ -68,14 +68,6 @@ _ARM_NS = 104729
 _CHUNK_BYTES = 64 * 2**20  # bound on what one chunk of prompts holds
 
 DEFAULT_ABLATION_WINDOWS = ((0.0, 0.25), (0.375, 0.625), (0.75, 1.0))
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
-
-
-def _is_number(v) -> bool:
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
 def _is_pair(v) -> bool:
@@ -386,8 +378,9 @@ def run_generate(
                 marg_mix = conditional_components(
                     world, Condition(prompt.concept, {}, cond.embedding)
                 )
-                # Staged until the whole prompt succeeds, so a failure leaves no trace.
-                staged_memory = copy.deepcopy(memory)
+                # Staged until the whole prompt succeeds, so a failure leaves no
+                # trace; `record` replaces clusters, so a new list is a copy.
+                staged_memory = memory and replace(memory, clusters=list(memory.clusters))
                 rows: list[GeneratedSample] = []
                 probes: list[tuple] = []
                 hits = 0

@@ -3,14 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from steerlab import (
-    Attribute,
-    AttributeSchema,
-    Component,
-    MixtureWorld,
-    default_world_path,
-    load_world,
-)
+from steerlab.world import Attribute, AttributeSchema, Component, MixtureWorld
+from steerlab.worldfile import default_world_path, load_world
 
 
 @pytest.fixture(scope="session")

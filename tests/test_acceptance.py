@@ -19,31 +19,31 @@ import pytest
 from scipy import stats
 
 from steerlab import (
-    Condition,
     ExperimentSpec,
-    IndicatorPolicy,
-    LatentState,
-    MemoryModule,
     PromptSpec,
-    TargetDistribution,
-    analytic_epsilon,
-    bias_score,
-    conditional_components,
-    consolidate,
-    decide,
-    default_world_path,
-    discriminate,
-    linear_schedule,
-    make_condition,
-    noise_tapes,
-    record,
-    restore_memory,
     run_generate,
     run_sweep,
-    run_trajectories,
     run_window_ablation,
+)
+from steerlab.controller import (
+    IndicatorPolicy,
+    MemoryModule,
+    consolidate,
+    decide,
+    record,
+    restore_memory,
     snapshot_memory,
 )
+from steerlab.diffusion import (
+    LatentState,
+    analytic_epsilon,
+    linear_schedule,
+    noise_tapes,
+    run_trajectories,
+)
+from steerlab.evaluate import bias_score, discriminate
+from steerlab.world import Condition, TargetDistribution, conditional_components, make_condition
+from steerlab.worldfile import default_world_path
 from steerlab.cli import main as cli_main
 
 from conftest import build_gender_world, single_gaussian_world
@@ -148,7 +148,8 @@ def test_c02_sampler_reproduces_unit_gaussian(verdict):
     schedule = linear_schedule(1000)
     cond = make_condition(world, "origin")
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(202).spawn(5000)]
-    draws, failed = run_trajectories(world, schedule, cond, noise_tapes(rngs, schedule.steps, 2))
+    draws, failed = run_trajectories(world, schedule, [cond] * len(rngs),
+                                     noise_tapes(rngs, schedule.steps, 2))
     assert not failed, failed
     mean_err = float(np.abs(draws.mean(axis=0)).max())
     cov_err = float(np.abs(np.cov(draws.T) - np.eye(2)).max())
@@ -209,7 +210,7 @@ def test_c04_deficit_counts_stay_within_one_generation(default_world, verdict):
         policy = IndicatorPolicy("deficit")
         counts = {"male": 0, "female": 0}
         for n in range(1, 10001):
-            chosen = decide(memory, cond, schema, target, policy).as_dict()["gender"].target
+            chosen = dict(decide(memory, cond, schema, target, policy).entries)["gender"].target
             record(memory, cond, {"gender": chosen})
             counts[chosen] += 1
             dev = max(abs(counts["male"] - n * p), abs(counts["female"] - n * (1.0 - p)))

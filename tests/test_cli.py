@@ -1,8 +1,13 @@
 import json
+import os
+import re
+import types
 
 import pytest
 
+import steerlab
 from steerlab.cli import _parse_target, _parse_window, main
+from steerlab.controller import _container_checksum
 
 WORLD = """\
 dimension 2
@@ -229,6 +234,36 @@ class TestOtherCommands:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, key, value", [
+        ("inspect-memory", "counts", [1, 2]),
+        ("generate", "counts", {"gender": 5}),
+        ("inspect-memory", "centroid", [[0, 0]]),
+        ("generate", "prompts_seen", -5),
+        ("inspect-memory", "budget", 2.5),
+    ])
+    def test_memory_field_of_wrong_type_exits_2_naming_file_and_key(
+            self, workspace, capsys, command, key, value):
+        """A container whose checksum is valid but whose field is of the wrong
+        type or range exits 2 with the file and the key named, no traceback."""
+        mem = workspace / "memory.json"
+        assert main(["generate", "--config", str(workspace / "run.json"),
+                     "--memory", str(mem)]) == 0
+        capsys.readouterr()
+        payload = json.loads(mem.read_text())
+        del payload["checksum"]
+        if key in payload:
+            payload[key] = value
+        else:
+            payload["clusters"][0][key] = value
+            key = f"clusters[0].{key}"
+        payload["checksum"] = _container_checksum(payload)
+        mem.write_text(json.dumps(payload))
+        args = (["inspect-memory", "--memory", str(mem)] if command == "inspect-memory" else
+                ["generate", "--config", str(workspace / "run.json"), "--memory", str(mem)])
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(mem) in err and f"{key} must be" in err
+
     def test_render_command(self, workspace, capsys):
         out = workspace / "out"
         main(["generate", "--config", str(workspace / "run.json"), "--out", str(out)])
@@ -272,3 +307,16 @@ class TestOtherCommands:
                      "--policy", "vanilla", "--seed", "77"])
         assert code == 0
         assert "bias_combined=" in capsys.readouterr().out
+
+
+def test_package_root_exports_the_names_the_readme_lists():
+    """The package root's public names are those of the README's Python API
+    section; everything else is imported from its module."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        section = fh.read().split("## Python API", 1)[1].split("\n## ", 1)[0]
+    paragraph = section[section.index("The package root"):].split("\n\n", 1)[0]
+    listed = set(re.findall(r"`(\w+)`", paragraph)) - {"steerlab"}
+    exported = {name for name, value in vars(steerlab).items()
+                if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert exported | {"__version__"} == listed

@@ -1,19 +1,19 @@
 import copy
 import json
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from steerlab import (
-    Attribute,
-    AttributeSchema,
+from steerlab import MemorySnapshotError
+from steerlab.controller import (
     Cluster,
-    Condition,
     IndicatorPolicy,
     MemoryModule,
-    MemorySnapshotError,
-    TargetDistribution,
+    _container_checksum,
+    cluster_rows,
     consolidate,
     decide,
     default_match_threshold,
@@ -22,7 +22,7 @@ from steerlab import (
     restore_memory,
     snapshot_memory,
 )
-from steerlab.controller import cluster_rows
+from steerlab.world import Attribute, AttributeSchema, Condition, TargetDistribution
 
 from conftest import build_gender_world, single_gaussian_world
 
@@ -96,14 +96,14 @@ class TestDecideDeficit:
                     counts={"gender": {"male": 3, "female": 1}}),
         ])
         plan = decide(mem, cond_at(0, 0), GENDER, UNIFORM, self.deficit())
-        entry = plan.as_dict()["gender"]
+        entry = dict(plan.entries)["gender"]
         assert entry.target == "female"
         assert entry.reference == "male"
 
     def test_unmatched_prompt_uses_target_alone(self):
         mem = MemoryModule(budget=4, tau=1.0)
         skew = TargetDistribution({"gender": {"male": 1.0, "female": 0.0}})
-        entry = decide(mem, cond_at(9, 9), GENDER, skew, self.deficit()).as_dict()["gender"]
+        entry = dict(decide(mem, cond_at(9, 9), GENDER, skew, self.deficit()).entries)["gender"]
         assert entry.target == "male"
         assert entry.reference == "female"
 
@@ -112,7 +112,7 @@ class TestDecideDeficit:
             Cluster(np.zeros(2), total=10,
                     counts={"gender": {"male": 5, "female": 5}}),
         ])
-        entry = decide(mem, cond_at(0, 0), GENDER, UNIFORM, self.deficit()).as_dict()["gender"]
+        entry = dict(decide(mem, cond_at(0, 0), GENDER, UNIFORM, self.deficit()).entries)["gender"]
         assert entry.target == "male"
         assert entry.reference == "female"
 
@@ -122,7 +122,7 @@ class TestDecideDeficit:
             Cluster(np.zeros(2), total=10,
                     counts={"shade": {"a": 5, "b": 3, "c": 2}}),
         ])
-        entry = decide(mem, cond_at(0, 0), TRI, target, self.deficit()).as_dict()["shade"]
+        entry = dict(decide(mem, cond_at(0, 0), TRI, target, self.deficit()).entries)["shade"]
         # deficits: a -0.3, b 0.0, c +0.3; excesses among (a, b): a +0.3, b 0.0
         assert entry.target == "c"
         assert entry.reference == "a"
@@ -155,7 +155,7 @@ class TestDecideDeficit:
             counts = {"male": 0, "female": 0}
             for n in range(1, 1001):
                 plan = decide(mem, cond, GENDER, target, IndicatorPolicy("deficit"))
-                chosen = plan.as_dict()["gender"].target
+                chosen = dict(plan.entries)["gender"].target
                 record(mem, cond, {"gender": chosen})
                 counts[chosen] += 1
                 for v, p in (("male", p_male), ("female", 1 - p_male)):
@@ -174,7 +174,7 @@ class TestDecideProbabilistic:
         policy, rng = IndicatorPolicy("probabilistic"), np.random.default_rng(5)
         males = 0
         for _ in range(300):
-            entry = decide(mem, cond_at(0, 0), GENDER, target, policy, rng).as_dict()["gender"]
+            entry = dict(decide(mem, cond_at(0, 0), GENDER, target, policy, rng).entries)["gender"]
             males += entry.target == "male"
             assert entry.reference != entry.target
         assert 210 <= males <= 270  # ~Binomial(300, 0.8)
@@ -185,7 +185,7 @@ class TestDecideProbabilistic:
         policy, rng = IndicatorPolicy("probabilistic"), np.random.default_rng(6)
         refs = {"b": 0, "c": 0}
         for _ in range(400):
-            entry = decide(mem, cond_at(0, 0), TRI, target, policy, rng).as_dict()["shade"]
+            entry = dict(decide(mem, cond_at(0, 0), TRI, target, policy, rng).entries)["shade"]
             assert entry.target == "a"
             refs[entry.reference] += 1
         assert 140 <= refs["b"] <= 260
@@ -196,7 +196,7 @@ class TestDecideProbabilistic:
         def run(seed):
             policy, rng = IndicatorPolicy("probabilistic"), np.random.default_rng(seed)
             return [
-                decide(mem, cond_at(0, 0), GENDER, UNIFORM, policy, rng).as_dict()["gender"].target
+                dict(decide(mem, cond_at(0, 0), GENDER, UNIFORM, policy, rng).entries)["gender"].target
                 for _ in range(20)
             ]
 
@@ -209,7 +209,7 @@ class TestDecideStatic:
         mem = MemoryModule(budget=2, tau=1.0)
         policy = IndicatorPolicy("static", static_pairs={"gender": ("female", "male")})
         for _ in range(3):
-            entry = decide(mem, cond_at(0, 0), GENDER, UNIFORM, policy).as_dict()["gender"]
+            entry = dict(decide(mem, cond_at(0, 0), GENDER, UNIFORM, policy).entries)["gender"]
             assert (entry.target, entry.reference) == ("female", "male")
 
     def test_missing_attribute_pair(self):
@@ -409,6 +409,104 @@ class TestSnapshot:
         assert len(rows) == len(mem.clusters)
         assert {"cluster", "total", "centroid0", "centroid1"} <= set(rows[0])
 
+    @pytest.mark.parametrize("key, value", [
+        ("budget", 2.5), ("budget", 0), ("tau", 0), ("tau", "1"), ("prompts_seen", -5),
+        ("prompts_seen", True), ("clusters", {}), ("clusters.0", 3),
+        ("clusters.0.centroid", [[0, 0]]), ("clusters.0.centroid", [0, None]),
+        ("clusters.0.centroid", [10**400, 0]),
+        ("clusters.0.total", -1), ("clusters.0.counts", [1, 2]),
+        ("clusters.0.counts", {"gender": 5}), ("clusters.0.counts", {"gender": {"male": 1.5}}),
+    ])
+    def test_field_of_wrong_type_or_range_names_file_and_key(self, tmp_path, key, value):
+        path = str(tmp_path / "memory.json")
+        snapshot_memory(self.populated(), path, GENDER)
+        *parents, last = key.split(".")
+        payload = json.load(open(path))
+        node = payload
+        for part in parents:
+            node = node[int(part) if part.isdigit() else part]
+        node[int(last) if last.isdigit() else last] = value
+        rewrite_with_checksum(path, payload)
+        named = key.replace(".0", "[0]")
+        with pytest.raises(MemorySnapshotError, match=rf"{re.escape(path)}.*{re.escape(named)} must be"):
+            restore_memory(path, GENDER, 2)
+
+
+def rewrite_with_checksum(path, payload):
+    """Write payload with the checksum of its current fields, as a valid file would carry."""
+    payload.pop("checksum", None)
+    payload["checksum"] = _container_checksum(payload)
+    with open(path, "w") as fh:
+        json.dump(payload, fh)
+
+
+def _paths(node, prefix=()):
+    """Every key path into a JSON tree."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for k, v in items:
+        yield prefix + (k,)
+        if isinstance(v, (dict, list)) and v:
+            yield from _paths(v, prefix + (k,))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                 max_size=3),
+    max_leaves=6,
+)
+
+
+class TestRestoreFuzz:
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_container_loads_and_works_or_raises_snapshot_error(
+            self, data, tmp_path_factory):
+        """Any field of a valid container deleted or replaced by any JSON value,
+        under a recomputed checksum: restore either raises MemorySnapshotError
+        or returns a memory that inspection, decide and record can use."""
+        mem = TestSnapshot().populated()
+        path = str(tmp_path_factory.mktemp("mem") / "m.json")
+        snapshot_memory(mem, path, GENDER, prompts_seen=25)
+        payload = json.load(open(path))
+        del payload["checksum"]
+        for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+            target = data.draw(st.sampled_from(sorted(_paths(payload), key=repr)), label="path")
+            node = payload
+            for part in target[:-1]:
+                node = node[part]
+            if isinstance(node, dict) and data.draw(st.booleans(), label="delete"):
+                del node[target[-1]]
+            else:
+                node[target[-1]] = data.draw(JSON_VALUES, label="value")
+        rewrite_with_checksum(path, payload)
+        for args in ((), (GENDER, 2)):
+            try:
+                restored, seen = restore_memory(path, *args)
+            except MemorySnapshotError:
+                continue
+            assert seen >= 0 and 1 <= restored.budget and len(restored.clusters) <= restored.budget
+            cluster_rows(restored)
+            if args:
+                decide(restored, cond_at(0, 0), GENDER, UNIFORM, IndicatorPolicy("deficit"))
+                record(restored, cond_at(0, 0), {"gender": "male"})
+
+
+class TestStagedCopy:
+    def test_recording_into_a_copy_of_the_cluster_list_leaves_the_original(self):
+        mem = TestSnapshot().populated()
+        before = [(c.centroid.copy(), c.total, json.dumps(c.counts)) for c in mem.clusters]
+        staged = replace(mem, clusters=list(mem.clusters))
+        for c in mem.clusters:  # each record matches an existing cluster
+            record(staged, Condition("p", {}, c.centroid + 0.1), {"gender": "female"})
+        assert len(staged.clusters) == len(mem.clusters)
+        assert sum(c.total for c in staged.clusters) == sum(t for _, t, _ in before) + len(before)
+        after = [(c.centroid, c.total, json.dumps(c.counts)) for c in mem.clusters]
+        assert len(after) == len(before)
+        for (c0, t0, n0), (c1, t1, n1) in zip(before, after):
+            np.testing.assert_array_equal(c0, c1)
+            assert (t0, n0) == (t1, n1)
+
 
 class TestInvariantsUnderRandomOperations:
     @given(
@@ -471,7 +569,7 @@ class TestVarianceContrast:
                 females = 0
                 for _ in range(n_gen):
                     plan = decide(mem, cond_at(0, 0), GENDER, UNIFORM, policy, rng)
-                    chosen = plan.as_dict()["gender"].target
+                    chosen = dict(plan.entries)["gender"].target
                     record(mem, cond_at(0, 0), {"gender": chosen})
                     females += chosen == "female"
                 achieved[kind].append(females / n_gen)

@@ -4,21 +4,23 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from steerlab import (
+from steerlab import NumericsError
+from steerlab.diffusion import (
+    LatentState,
+    NoiseSchedule,
+    analytic_epsilon,
+    ancestral_step,
+    linear_schedule,
+    mixture_log_density,
+    sample,
+)
+from steerlab.world import (
     Attribute,
     AttributeSchema,
     Component,
-    LatentState,
     MixtureWorld,
-    NoiseSchedule,
-    NumericsError,
-    analytic_epsilon,
-    ancestral_step,
     conditional_components,
-    linear_schedule,
     make_condition,
-    mixture_log_density,
-    sample,
 )
 
 from conftest import build_gender_world, single_gaussian_world
@@ -292,7 +294,7 @@ class TestSampler:
 
     def test_conditional_sampling_respects_hard_constraint(self):
         """Sampling with a gender-pinned condition yields >= 95% that gender."""
-        from steerlab import discriminate
+        from steerlab.evaluate import discriminate
 
         world = build_gender_world(male_weight=0.65)
         sched = linear_schedule(400, beta_end=0.05)

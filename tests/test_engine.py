@@ -9,28 +9,27 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from steerlab import (
+from steerlab import InfeasibleConditionError, NumericsError, run_generate
+from steerlab.diffusion import (
+    analytic_epsilon,
+    linear_schedule,
+    noise_tapes,
+    run_trajectories,
+    sample,
+    stack_steering,
+)
+from steerlab.guidance import (
     EMPTY_PLAN,
     GuidanceConfig,
     GuidancePlan,
-    InfeasibleConditionError,
-    NumericsError,
+    GuidanceProbe,
     PlanEntry,
-    analytic_epsilon,
     combined_noise,
-    default_world_path,
-    linear_schedule,
-    load_world,
-    make_condition,
-    noise_tapes,
     resolve_steering,
-    run_generate,
-    run_trajectories,
-    sample,
     window_mask,
 )
-from steerlab.diffusion import stack_steering
-from steerlab.guidance import GuidanceProbe
+from steerlab.world import make_condition
+from steerlab.worldfile import default_world_path, load_world
 from steerlab.harness import ExperimentSpec, PromptSpec, _run_rows
 
 from conftest import build_gender_world, two_attribute_world
@@ -52,11 +51,11 @@ TWO_ATTR_WORLDS = {
     }),
 }
 CONFIG = GuidanceConfig(gamma=0.6, window=(0.2, 0.55), attribute_scale=4.0)
-ONE_ATTR = GuidancePlan.from_dict({"gender": PlanEntry("female", "male")})
-TWO_ATTR = GuidancePlan.from_dict({
-    "gender": PlanEntry("female", "male"),
-    "age": PlanEntry("young", "old"),
-})
+ONE_ATTR = GuidancePlan((("gender", PlanEntry("female", "male")),))
+TWO_ATTR = GuidancePlan((
+    ("gender", PlanEntry("female", "male")),
+    ("age", PlanEntry("young", "old")),
+))
 
 
 def _rngs(n, seed=0):
@@ -76,12 +75,13 @@ def _reference(world, schedule, cond, rng, plan=None, probe=None):
 def _steering(world, schedule, cond, plan, probe=None):
     if plan is None:
         return None
-    return resolve_steering(world, cond, plan, CONFIG, window_mask(schedule, CONFIG), probe)
+    steering = resolve_steering(world, cond, plan, CONFIG, window_mask(schedule, CONFIG))
+    return steering and stack_steering([steering], probe)
 
 
 def _engine(world, schedule, cond, rngs, plan=None, probe=None):
     tapes = noise_tapes(rngs, schedule.steps, world.dimension)
-    x, failures = run_trajectories(world, schedule, cond, tapes,
+    x, failures = run_trajectories(world, schedule, [cond] * len(rngs), tapes,
                                    _steering(world, schedule, cond, plan, probe))
     assert not failures
     return x
@@ -169,9 +169,9 @@ def test_split_run_finishes_any_subset_like_each_stream_alone(
     plan = ONE_ATTR if steered else None
     tapes = noise_tapes(_rngs(n, seed), steps, world.dimension)
     probe_all, probe_sub = GuidanceProbe(), GuidanceProbe()
-    x, failed = run_trajectories(world, schedule, cond, tapes,
+    x, failed = run_trajectories(world, schedule, [cond] * n, tapes,
                                  _steering(world, schedule, cond, plan, probe_all), stop=k)
-    out, failed_sub = run_trajectories(world, schedule, cond, tapes[:, subset],
+    out, failed_sub = run_trajectories(world, schedule, [cond] * len(subset), tapes[:, subset],
                                        _steering(world, schedule, cond, plan, probe_sub), k,
                                        x=x[subset])
     assert not failed and not failed_sub
@@ -188,13 +188,13 @@ def test_starting_past_step_zero_needs_a_state():
     schedule = linear_schedule(10)
     tapes = noise_tapes(_rngs(2), 10, 2)
     with pytest.raises(ValueError, match="x is needed"):
-        run_trajectories(world, schedule, make_condition(world, "engineer"), tapes, start=3)
+        run_trajectories(world, schedule, [make_condition(world, "engineer")] * 2, tapes, start=3)
 
 
 def test_steering_resolves_to_none_when_no_step_is_blended():
     world = two_attribute_world()
     cond = make_condition(world, "worker", {"age": "old"})
-    infeasible = GuidancePlan.from_dict({"gender": PlanEntry("male", "female")})
+    infeasible = GuidancePlan((("gender", PlanEntry("male", "female")),))
     narrow = GuidanceConfig(window=(0.3, 0.6))
     schedule = linear_schedule(2)          # reverse progress hits only 0 and 1
     assert resolve_steering(world, cond, infeasible, narrow,
@@ -232,7 +232,7 @@ def test_finiteness_failures_match_reference(poison, message):
     values[poison] = np.nan if poison == (0, 0) else np.inf
     with pytest.raises(NumericsError, match=message):
         _reference(world, schedule, cond, _Tape(values.ravel()))
-    x, failures = run_trajectories(world, schedule, cond,
+    x, failures = run_trajectories(world, schedule, [cond],
                                    noise_tapes([_Tape(values.ravel())], schedule.steps, 2))
     assert failures == {0: message} and np.isnan(x).all()
 

@@ -5,21 +5,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from steerlab import (
+from steerlab.diffusion import mixture_log_density
+from steerlab.evaluate import BiasScores, bias_score, discriminate, value_frequencies
+from steerlab.world import (
     Attribute,
     AttributeSchema,
     TargetDistribution,
-    bias_score,
     conditional_components,
-    discriminate,
     make_condition,
-    mixture_log_density,
-    quality_score,
-    value_frequencies,
 )
-from steerlab.evaluate import BiasScores
 
 from conftest import build_gender_world
+from reference import quality_score
 
 GENDER = AttributeSchema([Attribute("gender", ("male", "female"))])
 UNIFORM = TargetDistribution({"gender": {"male": 0.5, "female": 0.5}})

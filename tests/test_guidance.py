@@ -2,25 +2,21 @@ import numpy as np
 import pytest
 
 import steerlab.guidance as guidance
-from steerlab import (
+from steerlab import InfeasibleConditionError, WorldValidationError
+from steerlab.diffusion import LatentState, analytic_epsilon, linear_schedule, sample
+from steerlab.evaluate import discriminate
+from steerlab.guidance import (
     EMPTY_PLAN,
     GuidanceConfig,
     GuidancePlan,
-    InfeasibleConditionError,
-    LatentState,
+    GuidanceProbe,
     PlanEntry,
-    WorldValidationError,
     adaptive_latent_direction,
-    analytic_epsilon,
     combined_noise,
-    discriminate,
     edit_condition,
-    in_window,
-    linear_schedule,
-    make_condition,
-    sample,
+    window_mask,
 )
-from steerlab.guidance import GuidanceProbe
+from steerlab.world import make_condition
 
 from conftest import build_gender_world, two_attribute_world
 
@@ -56,46 +52,46 @@ class TestConfigAndPlan:
             PlanEntry("male", "male")
 
     def test_plan_round_trip(self):
-        plan = GuidancePlan.from_dict({"gender": PlanEntry("female", "male")})
-        assert len(plan) == 1
-        assert plan.as_dict()["gender"].target == "female"
-        assert len(EMPTY_PLAN) == 0
+        plan = GuidancePlan((("gender", PlanEntry("female", "male")),))
+        assert dict(plan.entries)["gender"].target == "female"
+        assert GuidancePlan(tuple(dict(plan.entries).items())) == plan
+        assert EMPTY_PLAN.entries == ()
 
 
 class TestWindow:
     def test_default_window_step_count(self):
         """(0.375, 0.625) over 1000 steps admits exactly 250 of them."""
         sched = linear_schedule(1000)
-        cfg = GuidanceConfig()
-        n = sum(in_window(sched, t, cfg) for t in range(sched.steps))
-        assert n == 250
+        mask = window_mask(sched, GuidanceConfig())
+        assert mask.shape == (1000,) and mask.dtype == bool
+        assert mask.sum() == 250
 
     def test_first_reverse_step_is_progress_zero(self):
         sched = linear_schedule(1000)
-        assert not in_window(sched, 999, GuidanceConfig())          # progress 0.0
-        assert in_window(sched, 999, GuidanceConfig(window=(0.0, 0.5)))
+        assert not window_mask(sched, GuidanceConfig())[999]          # progress 0.0
+        assert window_mask(sched, GuidanceConfig(window=(0.0, 0.5)))[999]
 
     def test_window_lower_edge_closed_upper_open(self):
         sched = linear_schedule(5)  # progress grid: 0, .25, .5, .75, 1
-        cfg = GuidanceConfig(window=(0.25, 0.75))
-        hits = [t for t in range(5) if in_window(sched, t, cfg)]
+        mask = window_mask(sched, GuidanceConfig(window=(0.25, 0.75)))
         # t_index 3 -> progress .25 (in), 2 -> .5 (in), 1 -> .75 (out)
-        assert hits == [2, 3]
+        assert np.flatnonzero(mask).tolist() == [2, 3]
 
     def test_full_window_covers_every_step(self):
         sched = linear_schedule(64)
-        cfg = GuidanceConfig(window=(0.0, 1.0))
-        assert all(in_window(sched, t, cfg) for t in range(sched.steps))
+        assert window_mask(sched, GuidanceConfig(window=(0.0, 1.0))).all()
 
     def test_single_step_schedule_counts_as_progress_zero(self):
         sched = linear_schedule(1, beta_start=0.02, beta_end=0.02)
-        assert in_window(sched, 0, GuidanceConfig(window=(0.0, 0.5)))
-        assert not in_window(sched, 0, GuidanceConfig(window=(0.25, 0.75)))
+        assert window_mask(sched, GuidanceConfig(window=(0.0, 0.5))).tolist() == [True]
+        assert window_mask(sched, GuidanceConfig(window=(0.25, 0.75))).tolist() == [False]
 
-    def test_out_of_range_t(self):
-        sched = linear_schedule(10)
-        with pytest.raises(ValueError):
-            in_window(sched, 10, GuidanceConfig())
+    def test_window_ending_at_one_is_closed_on_the_last_step(self):
+        sched = linear_schedule(5)  # progress grid: 0, .25, .5, .75, 1
+        assert np.flatnonzero(window_mask(sched, GuidanceConfig(window=(0.75, 1.0)))).tolist() \
+            == [0, 1]
+        assert np.flatnonzero(window_mask(sched, GuidanceConfig(window=(0.5, 0.6)))).tolist() \
+            == [2]
 
 
 class TestEditCondition:
@@ -169,7 +165,7 @@ class TestCombinedNoise:
         world = build_gender_world(male_weight=0.65)
         sched = linear_schedule(100, beta_end=0.1)
         cond = make_condition(world, "engineer")
-        plan = GuidancePlan.from_dict({"gender": PlanEntry("female", "male")})
+        plan = GuidancePlan((("gender", PlanEntry("female", "male")),))
         return world, sched, cond, plan
 
     def test_gamma_one_is_bitwise_base(self):
@@ -204,10 +200,10 @@ class TestCombinedNoise:
         world = two_attribute_world()
         sched = linear_schedule(100, beta_end=0.1)
         cond = make_condition(world, "worker")
-        plan = GuidancePlan.from_dict({
-            "gender": PlanEntry("female", "male"),
-            "age": PlanEntry("old", "young"),
-        })
+        plan = GuidancePlan((
+            ("gender", PlanEntry("female", "male")),
+            ("age", PlanEntry("old", "young")),
+        ))
         # antisymmetric in the pair, like the real direction
         directions = {("female", "male"): np.array([2.0, 0.0]),
                       ("young", "old"): np.array([0.0, 4.0])}
@@ -234,7 +230,7 @@ class TestCombinedNoise:
         cfg = GuidanceConfig(gamma=0.5, window=(0.375, 0.625))
         for t in range(sched.steps):
             combined_noise(world, sched, LatentState(np.zeros(2), t), cond, plan, cfg)
-        inside = sum(in_window(sched, t, cfg) for t in range(sched.steps))
+        inside = window_mask(sched, cfg).sum()
         assert len(calls) == inside
         assert 0 < inside < sched.steps
 
@@ -255,10 +251,10 @@ class TestCombinedNoise:
         for t in range(sched.steps):
             combined_noise(world, sched, LatentState(np.array([1.0, 0.2]), t),
                            cond, plan, cfg, probe=probe)
-        inside = sum(in_window(sched, t, cfg) for t in range(sched.steps))
+        inside = window_mask(sched, cfg).sum()
         assert len(probe.stream(0)) == inside
         for t_index, cosine, base_norm, attr_norm in probe.stream(0):
-            assert in_window(sched, t_index, cfg)
+            assert window_mask(sched, cfg)[t_index]
             assert -1.0 - 1e-9 <= cosine <= 1.0 + 1e-9
             assert base_norm >= 0.0 and attr_norm >= 0.0
 
@@ -270,7 +266,7 @@ class TestSteeringEfficacy:
         world = build_gender_world(male_weight=0.65)
         sched = linear_schedule(200, beta_end=0.1)
         cond_seed = 515
-        plan = GuidancePlan.from_dict({"gender": PlanEntry("female", "male")})
+        plan = GuidancePlan((("gender", PlanEntry("female", "male")),))
         cfg = GuidanceConfig(gamma=0.7, window=(0.375, 0.625), attribute_scale=1.0)
 
         def run(hooked, seed, n=600):

@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import os
+import warnings
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 
@@ -10,36 +11,32 @@ import pytest
 
 from steerlab import (
     ExperimentSpec,
-    GuidanceConfig,
-    MemoryModule,
     NumericsError,
     PromptSpec,
     RenderError,
     SteerlabError,
-    TargetDistribution,
-    decide,
-    default_match_threshold,
-    discriminate,
-    linear_schedule,
-    load_world,
-    make_condition,
-    noise_tapes,
-    quality_score,
-    record,
-    render_scatter,
-    resolve_steering,
-    restore_memory,
     run_generate,
     run_sweep,
-    run_trajectories,
     run_window_ablation,
-    window_mask,
 )
-from steerlab.guidance import EMPTY_PLAN, GuidanceProbe
+from steerlab.controller import (
+    MemoryModule,
+    decide,
+    default_match_threshold,
+    record,
+    restore_memory,
+)
+from steerlab.diffusion import linear_schedule, noise_tapes, run_trajectories, stack_steering
+from steerlab.evaluate import discriminate
+from steerlab.guidance import EMPTY_PLAN, GuidanceConfig, GuidanceProbe, resolve_steering, window_mask
+from steerlab.render import render_scatter
+from steerlab.world import TargetDistribution, make_condition
+from steerlab.worldfile import default_world_path, load_world
 from steerlab import harness
 from steerlab.harness import _POLICY_NS, _build_policy, _child_seed, load_samples_csv, sweep_targets
 
 from conftest import build_gender_world, single_gaussian_world
+from reference import quality_score
 
 GENDER_WORLD_TEXT = """\
 dimension 2
@@ -366,11 +363,12 @@ def _one_at_a_time(spec, world):
                         plan = decide(staged, cond, world.schema, target, policy, rng)
                     plans[-1].append(plan)
                     probe = GuidanceProbe()
-                    steering = resolve_steering(world, cond, plan, config, active, probe)
+                    steering = resolve_steering(world, cond, plan, config, active)
+                    steering = steering and stack_steering([steering], probe)
                     stream = np.random.default_rng(
                         np.random.SeedSequence([spec.seed, ordinal, s_i]))
                     tapes = noise_tapes([stream], spec.steps, world.dimension)
-                    x, failed = run_trajectories(world, schedule, cond, tapes, steering)
+                    x, failed = run_trajectories(world, schedule, [cond], tapes, steering)
                     if failed:
                         raise NumericsError(failed[0])
                     x0 = x[0]
@@ -521,7 +519,6 @@ def test_batched_prompt_equals_one_generation_at_a_time(tmp_path, world_name, po
         assert {s.prompt_ordinal for s in result.samples} >= {0, 1, 4, 5}
 
 
-@pytest.mark.filterwarnings("ignore:.*encountered in:RuntimeWarning")  # the non-finite rows
 @pytest.mark.parametrize("policy", ["deficit", "probabilistic"])
 def test_rows_failing_under_one_plan_fail_only_prompts_that_choose_it(tmp_path, monkeypatch,
                                                                       policy):
@@ -530,8 +527,8 @@ def test_rows_failing_under_one_plan_fail_only_prompts_that_choose_it(tmp_path, 
     gets alone; rows of other prompts finished under the plan are discarded
     and fail nothing."""
     def poisoned(resolve):
-        def wrapper(world, cond, plan, config, active, probe=None):
-            steering = resolve(world, cond, plan, config, active, probe)
+        def wrapper(world, cond, plan, config, active):
+            steering = resolve(world, cond, plan, config, active)
             bad = {a: e.target for a, e in plan.entries} == {"gender": "female", "age": "old"}
             return replace(steering, scale=math.inf) if bad else steering
         return wrapper
@@ -587,6 +584,21 @@ def test_chunked_run_writes_the_bytes_of_one_batch(tmp_path, monkeypatch, chunk_
             (tmp_path / "chunked" / name).read_bytes()
 
 
+def test_non_finite_row_fails_its_prompt_without_numpy_warnings():
+    """An overflowing steered row is reported as a failed prompt, and the
+    kernel's overflow raises no floating-point warning on the way."""
+    spec = ExperimentSpec(
+        world_path=default_world_path(), prompts=[PromptSpec("engineer")],
+        target={"gender": {"male": 0.5, "female": 0.5}}, policy="deficit",
+        samples_per_prompt=2, steps=50, gamma=0.5, window=(0.0, 1.0), attribute_scale=1e308,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run_generate(spec)
+    assert result.failures == [["engineer-00000", "non-finite steered noise at step 49"]]
+    assert result.samples == []
+
+
 class TestSamplesCsv:
     def test_round_trip(self, world_path, tmp_path):
         out = tmp_path / "run"
@@ -625,7 +637,7 @@ class TestSamplesCsv:
 
 
     def test_report_quality_matches_quality_score(self, world_path, tmp_path):
-        """report.csv's quality and mean_log_density equal evaluate.quality_score
+        """report.csv's quality and mean_log_density equal the reference quality_score
         over each prompt's samples read back from samples.csv, averaged per prompt."""
         out = tmp_path / "run"
         result = run_generate(base_spec(world_path), out_dir=str(out))

@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 
-from steerlab import (
+from steerlab import InfeasibleConditionError, WorldValidationError
+from steerlab.world import (
     Attribute,
     AttributeSchema,
     Component,
     Condition,
-    InfeasibleConditionError,
     MixtureWorld,
     TargetDistribution,
-    WorldValidationError,
     conditional_components,
     embed_condition,
     make_condition,

@@ -3,12 +3,8 @@ import textwrap
 import numpy as np
 import pytest
 
-from steerlab import (
-    WorldFileError,
-    default_world_path,
-    load_world,
-    parse_world,
-)
+from steerlab import WorldFileError
+from steerlab.worldfile import default_world_path, load_world, parse_world
 
 GOOD = textwrap.dedent("""\
     # a compact balanced world
