@@ -50,22 +50,17 @@ def _parse_window(text: str) -> tuple[float, float]:
     return float(parts[0]), float(parts[1])
 
 
+# Override flag -> (spec field, parser of the flag's value).
+_OVERRIDES = (("seed", "seed", None), ("memory", "memory_path", None), ("policy", "policy", None),
+              ("gamma", "gamma", None), ("window", "window", _parse_window),
+              ("target", "target", _parse_target))
+
+
 def _load_spec(args) -> ExperimentSpec:
     spec = ExperimentSpec.from_file(args.config)
-    overrides = {}
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "memory", None) is not None:
-        overrides["memory_path"] = args.memory
-    if getattr(args, "policy", None) is not None:
-        overrides["policy"] = args.policy
-    if getattr(args, "gamma", None) is not None:
-        overrides["gamma"] = args.gamma
-    if getattr(args, "window", None) is not None:
-        overrides["window"] = _parse_window(args.window)
-    if getattr(args, "target", None) is not None:
-        overrides["target"] = _parse_target(args.target)
-    return replace(spec, **overrides) if overrides else spec
+    overrides = {key: parse(value) if parse else value for flag, key, parse in _OVERRIDES
+                 if (value := getattr(args, flag)) is not None}
+    return replace(spec, **overrides)
 
 
 def _cmd_generate(args) -> int:

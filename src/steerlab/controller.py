@@ -1,10 +1,11 @@
 """Outcome memory and per-generation steering decisions.
 
 The memory is a budgeted set of clusters keyed by prompt embedding.  Each
-cluster keeps a running-mean centroid and per-attribute value counts of the
-outcomes observed for prompts that matched it.  Policies turn a cluster's
-counts plus a target distribution into a steering plan for the next
-generation:
+cluster keeps a running-mean centroid, a sample total and per-attribute value
+counts (each attribute's summing to the total) of the outcomes observed for
+prompts that matched it; `record` and `consolidate` share one merge rule.
+Policies turn a cluster's counts plus a target distribution into a steering
+plan for the next generation:
 
   deficit        -- steer toward the most under-represented value (relative to
                     the target), away from the most over-represented one; the
@@ -179,38 +180,46 @@ def decide(
     return GuidancePlan(tuple(entries))
 
 
+def _merge(a: Cluster, b: Cluster) -> Cluster:
+    """One cluster holding both: count-weighted centroid, totals and counts summed."""
+    total = a.total + b.total
+    if total > 0:
+        centroid = (a.centroid * a.total + b.centroid * b.total) / total
+    else:
+        centroid = (a.centroid + b.centroid) / 2.0
+    counts = {attr: dict(vals) for attr, vals in a.counts.items()}
+    for attr, vals in b.counts.items():
+        merged = counts.setdefault(attr, {})
+        for v, c in vals.items():
+            merged[v] = merged.get(v, 0) + c
+    return Cluster(centroid, total, counts)
+
+
 def record(memory: MemoryModule, cond: Condition, outcome: dict[str, str]) -> None:
     """Fold one generation's outcome into the matching (or a new) cluster.
 
-    The centroid tracks the running mean of member embeddings.  When no
-    cluster matches and the budget is exhausted, the two nearest clusters are
-    consolidated first, so the budget bound never breaks.  Clusters are
-    replaced, never changed in place, so a copy of the cluster list is a
-    copy of the memory.
+    The outcome is a one-sample cluster, merged into the match or appended.
+    When no cluster matches and the budget is exhausted, the two nearest
+    clusters are consolidated first, so the budget bound never breaks.
+    Clusters are replaced, never changed in place, so a copy of the cluster
+    list is a copy of the memory.
     """
     embedding = np.asarray(cond.embedding, dtype=float)
+    counts = {attr: {value: 1} for attr, value in outcome.items()}
     idx = lookup(memory, embedding)
-    if idx is None:
-        if len(memory.clusters) < memory.budget:
-            memory.clusters.append(Cluster(centroid=embedding.copy()))
-            idx = len(memory.clusters) - 1
-        elif len(memory.clusters) >= 2:
+    if idx is None and len(memory.clusters) >= memory.budget:
+        if len(memory.clusters) >= 2:
             consolidate(memory)
-            memory.clusters.append(Cluster(centroid=embedding.copy()))
-            idx = len(memory.clusters) - 1
         else:
             idx = 0  # budget of one: the lone cluster absorbs every prompt
-    old = memory.clusters[idx]
-    counts = {attr: dict(vals) for attr, vals in old.counts.items()}
-    for attr, value in outcome.items():
-        per_attr = counts.setdefault(attr, {})
-        per_attr[value] = per_attr.get(value, 0) + 1
-    memory.clusters[idx] = Cluster(
-        (old.centroid * old.total + embedding) / (old.total + 1), old.total + 1, counts)
+    if idx is None:
+        memory.clusters.append(Cluster(embedding.copy(), 1, counts))
+    else:  # the one-sample cluster is merged, not kept, so it need not own its centroid
+        memory.clusters[idx] = _merge(memory.clusters[idx], Cluster(embedding, 1, counts))
 
 
 def consolidate(memory: MemoryModule) -> None:
-    """Merge the two nearest clusters (count-weighted centroid, counts summed)."""
+    """Merge the two nearest clusters into the first of them."""
     n = len(memory.clusters)
     if n < 2:
         raise ValueError(f"consolidation needs at least 2 clusters, have {n}")
@@ -222,18 +231,7 @@ def consolidate(memory: MemoryModule) -> None:
             if dist < best_dist:
                 best, best_dist = (i, j), dist
     i, j = best
-    a, b = memory.clusters[i], memory.clusters[j]
-    total = a.total + b.total
-    if total > 0:
-        centroid = (a.centroid * a.total + b.centroid * b.total) / total
-    else:
-        centroid = (a.centroid + b.centroid) / 2.0
-    counts = {attr: dict(vals) for attr, vals in a.counts.items()}
-    for attr, vals in b.counts.items():
-        merged = counts.setdefault(attr, {})
-        for v, c in vals.items():
-            merged[v] = merged.get(v, 0) + c
-    memory.clusters[i] = Cluster(centroid=centroid, total=total, counts=counts)
+    memory.clusters[i] = _merge(memory.clusters[i], memory.clusters[j])
     del memory.clusters[j]
 
 
@@ -271,9 +269,9 @@ def restore_memory(
     """Load a persisted memory; returns (memory, prompts_seen).
 
     Any structural problem (bad magic, version, schema or dimension mismatch,
-    checksum, truncation, a field of the wrong type or range) raises
-    MemorySnapshotError naming the file, and the key where one is at fault,
-    before any state is exposed.
+    checksum, truncation, a field of the wrong type or range, counts that miss
+    their cluster's total or the schema) raises MemorySnapshotError naming the
+    file, and the key where one is at fault, before any state is exposed.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -317,6 +315,11 @@ def restore_memory(
         require(f"{key}.counts", counts, isinstance(counts, dict) and all(
             isinstance(vals, dict) and all(_is_int(n) and n >= 0 for n in vals.values())
             for vals in counts.values()), "an object of {attribute: {value: integer >= 0}}")
+        for attr, vals in counts.items():
+            require(f"{key}.counts.{attr}", vals, sum(vals.values()) == total,
+                    f"counts summing to the cluster's total {total}")
+            require(f"{key}.counts.{attr}", vals, schema is None or attr in schema.names()
+                    and set(vals) <= set(schema.values_of(attr)), "counts of schema values")
         memory.clusters.append(Cluster(np.asarray(centroid, dtype=float), total,
                                        {a: dict(vals) for a, vals in counts.items()}))
     if len(memory.clusters) > memory.budget:

@@ -10,6 +10,8 @@ class SteerlabError(Exception):
 class WorldValidationError(SteerlabError):
     """A world definition violates a structural invariant."""
 
+    index: int | None = None  # position of the attribute or component at fault, if one is
+
 
 class WorldFileError(WorldValidationError):
     """A world file failed to parse or validate.

@@ -77,9 +77,8 @@ def window_mask(schedule: NoiseSchedule, config: GuidanceConfig) -> np.ndarray:
 
 def edit_condition(world: MixtureWorld, cond: Condition, attribute: str, value: str) -> Condition:
     """Pin one attribute constraint; everything else (embedding included) unchanged."""
-    world.schema.check_value(attribute, value)
     new = Condition(cond.concept, {**cond.constraints, attribute: value}, cond.embedding)
-    conditional_components(world, new)  # raises InfeasibleConditionError if empty
+    conditional_components(world, new)  # raises on an unknown value or an empty slice
     return new
 
 

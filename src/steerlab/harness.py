@@ -82,6 +82,7 @@ def _is_target(v) -> bool:
 def _is_sweep(v) -> bool:
     if isinstance(v, dict):
         return (set(v) == {"attribute", "value", "proportions"}
+                and isinstance(v["attribute"], str) and isinstance(v["value"], str)
                 and isinstance(v["proportions"], list) and all(map(_is_number, v["proportions"])))
     return v is None or isinstance(v, list) and all(map(_is_target, v))
 
@@ -105,8 +106,8 @@ _KEY_CHECKS = {
     "static_pairs": (lambda v: v is None or isinstance(v, dict) and all(
         isinstance(p, (list, tuple)) and len(p) == 2 for p in v.values()),
         "an object of {attribute: [toward, away]}"),
-    "sweep": (_is_sweep, "a list of targets or an object with exactly "
-                         "'attribute', 'value' and 'proportions' (a list of numbers)"),
+    "sweep": (_is_sweep, "a list of targets or an object with exactly 'attribute' and "
+                         "'value' (strings) and 'proportions' (a list of numbers)"),
 }
 
 
@@ -169,9 +170,6 @@ class ExperimentSpec:
         data = dict(data)
         prompts = []
         for p in data["prompts"]:
-            if isinstance(p, PromptSpec):
-                prompts.append(p)
-                continue
             try:
                 prompts.append(PromptSpec(**p))
             except (TypeError, ValueError) as exc:

@@ -19,6 +19,13 @@ import numpy as np
 from .errors import InfeasibleConditionError, WorldValidationError
 
 
+def _invalid(message: str, index: int) -> WorldValidationError:
+    """The error for attribute or component `index`, carrying that index."""
+    exc = WorldValidationError(message)
+    exc.index = index
+    return exc
+
+
 @dataclass(frozen=True)
 class Attribute:
     name: str
@@ -29,19 +36,17 @@ class AttributeSchema:
     """Ordered attribute declarations; value order is the tie-break order."""
 
     def __init__(self, attributes: list[Attribute] | tuple[Attribute, ...]):
-        attrs = tuple(attributes)
-        names = [a.name for a in attrs]
-        if len(set(names)) != len(names):
-            raise WorldValidationError(f"duplicate attribute names in schema: {names}")
-        for a in attrs:
+        self.attributes = tuple(attributes)
+        self._by_name: dict[str, Attribute] = {}
+        for i, a in enumerate(self.attributes):
+            if a.name in self._by_name:
+                raise _invalid(f"duplicate attribute {a.name!r}: declared twice", i)
             if len(a.values) < 2:
-                raise WorldValidationError(
-                    f"attribute {a.name!r} needs at least 2 values, got {list(a.values)}"
-                )
+                raise _invalid(f"attribute {a.name!r} needs at least 2 values, "
+                               f"got {list(a.values)}", i)
             if len(set(a.values)) != len(a.values):
-                raise WorldValidationError(f"attribute {a.name!r} has duplicate values")
-        self.attributes = attrs
-        self._by_name = {a.name: a for a in attrs}
+                raise _invalid(f"attribute {a.name!r} has duplicate values", i)
+            self._by_name[a.name] = a
 
     def names(self) -> tuple[str, ...]:
         return tuple(a.name for a in self.attributes)
@@ -121,17 +126,33 @@ def _prepare(components: list[Component], weights: np.ndarray) -> ConditionalMix
 
 
 class MixtureWorld:
-    """Immutable mixture world; validates all structural invariants on load."""
+    """Immutable mixture world; the one place that checks its invariants."""
 
     def __init__(self, dimension: int, schema: AttributeSchema, components: list[Component]):
         if dimension < 1:
             raise WorldValidationError(f"dimension must be >= 1, got {dimension}")
         if not components:
-            raise WorldValidationError("world needs at least one component")
+            raise WorldValidationError("world has no components")
         self.dimension = dimension
         self.schema = schema
         self.components = components
-        self._validate()
+        for i, c in enumerate(components):
+            c.mean = np.asarray(c.mean, dtype=float)
+            c.covariance = np.asarray(c.covariance, dtype=float)
+            problem = self._component_problem(c)
+            if problem:
+                raise _invalid(f"component {i} (concept {c.concept!r}): {problem}", i)
+        # Attribute control is infeasible unless every (concept, attribute,
+        # value) triple has at least one component.
+        for concept in dict.fromkeys(c.concept for c in components):
+            group = [c for c in components if c.concept == concept]
+            for attr in schema.attributes:
+                for v in attr.values:
+                    if not any(c.tags[attr.name] == v for c in group):
+                        raise WorldValidationError(
+                            f"concept {concept!r} has no component with "
+                            f"{attr.name}={v!r}; attribute control infeasible"
+                        )
         total = sum(c.weight for c in components)
         if not math.isfinite(total):
             raise WorldValidationError(f"component weights sum to {total}, expected a finite total")
@@ -142,50 +163,30 @@ class MixtureWorld:
         self.concepts: tuple[str, ...] = tuple(dict.fromkeys(c.concept for c in components))
         self._cache: dict[tuple, ConditionalMixture] = {}
 
-    def _validate(self) -> None:
+    def _component_problem(self, c: Component) -> str | None:
         d = self.dimension
-        names = set(self.schema.names())
-        for i, c in enumerate(self.components):
-            c.mean = np.asarray(c.mean, dtype=float)
-            c.covariance = np.asarray(c.covariance, dtype=float)
-            where = f"component {i} (concept {c.concept!r})"
-            if c.mean.shape != (d,):
-                raise WorldValidationError(f"{where}: mean shape {c.mean.shape} != ({d},)")
-            if c.covariance.shape != (d, d):
-                raise WorldValidationError(
-                    f"{where}: covariance shape {c.covariance.shape} != ({d}, {d})"
-                )
-            if not np.all(np.isfinite(c.mean)) or not np.all(np.isfinite(c.covariance)):
-                raise WorldValidationError(f"{where}: non-finite parameter")
-            if not np.allclose(c.covariance, c.covariance.T, atol=1e-9):
-                raise WorldValidationError(f"{where}: covariance not symmetric")
-            eigvals = np.linalg.eigvalsh(c.covariance)
-            if eigvals.min() <= 1e-12:
-                raise WorldValidationError(
-                    f"{where}: covariance not positive definite (min eigenvalue {eigvals.min():g})"
-                )
-            if not 0 < c.weight < math.inf:
-                raise WorldValidationError(
-                    f"{where}: weight must be positive and finite, got {c.weight}"
-                )
-            if set(c.tags) != names:
-                raise WorldValidationError(
-                    f"{where}: tags {sorted(c.tags)} must cover exactly the schema "
-                    f"attributes {sorted(names)}"
-                )
+        if c.mean.shape != (d,):
+            return f"mean shape {c.mean.shape} != ({d},)"
+        if c.covariance.shape != (d, d):
+            return f"covariance shape {c.covariance.shape} != ({d}, {d})"
+        if not np.all(np.isfinite(c.mean)) or not np.all(np.isfinite(c.covariance)):
+            return "non-finite parameter"
+        if not np.allclose(c.covariance, c.covariance.T, atol=1e-9):
+            return "covariance not symmetric"
+        low = np.linalg.eigvalsh(c.covariance).min()
+        if low <= 1e-12:
+            return f"covariance not positive definite (min eigenvalue {low:g})"
+        if not 0 < c.weight < math.inf:
+            return f"weight must be positive and finite, got {c.weight}"
+        missing = sorted(set(self.schema.names()) - set(c.tags))
+        if missing:
+            return f"missing a value for attribute(s) {missing}"
+        try:
             for a, v in c.tags.items():
                 self.schema.check_value(a, v)
-        # Per-concept coverage: attribute control is infeasible unless every
-        # (concept, attribute, value) triple has at least one component.
-        for concept in dict.fromkeys(c.concept for c in self.components):
-            group = [c for c in self.components if c.concept == concept]
-            for attr in self.schema.attributes:
-                for v in attr.values:
-                    if not any(c.tags[attr.name] == v for c in group):
-                        raise WorldValidationError(
-                            f"concept {concept!r} has no component with "
-                            f"{attr.name}={v!r}; attribute control infeasible"
-                        )
+        except WorldValidationError as exc:
+            return str(exc)
+        return None
 
     def concept_centroid(self, concept: str) -> np.ndarray:
         group = [c for c in self.components if c.concept == concept]

@@ -15,15 +15,15 @@ Directives:
                                  declared attribute
 
 Concept, attribute and value names match [A-Za-z0-9_.-]+.
-All structural problems are reported as WorldFileError with the offending
-line number; whole-world invariants (value coverage per concept, etc.) are
-reported against the file as a whole.
+This module checks syntax only; `world.AttributeSchema` and
+`world.MixtureWorld` check every semantic invariant once the whole file has
+parsed.  Either way the WorldFileError names the file and the line: that of
+the attribute or component at fault, or 0 for a whole-world problem.
 """
 
 from __future__ import annotations
 
 import importlib.resources
-import math
 import re
 
 import numpy as np
@@ -49,8 +49,9 @@ def parse_world(text: str, path: str = "<world>") -> MixtureWorld:
     dimension: int | None = None
     dimension_line = 0
     attributes: list[Attribute] = []
-    seen_attrs: set[str] = set()
-    raw_components: list[tuple[int, Component]] = []
+    attribute_lines: list[int] = []
+    components: list[Component] = []
+    component_lines: list[int] = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -64,27 +65,20 @@ def parse_world(text: str, path: str = "<world>") -> MixtureWorld:
                 raise WorldFileError(
                     f"dimension already declared on line {dimension_line}", path, lineno
                 )
-            if len(rest) != 1 or not rest[0].isdigit() or int(rest[0]) < 1:
+            if len(rest) != 1 or not rest[0].isdecimal() or int(rest[0]) < 1:
                 raise WorldFileError("dimension needs a single positive integer", path, lineno)
             dimension = int(rest[0])
             dimension_line = lineno
 
         elif directive == "attribute":
-            if raw_components:
+            if components:
                 raise WorldFileError("attributes must be declared before components", path, lineno)
-            if len(rest) < 3:
-                raise WorldFileError(
-                    "attribute needs a name and at least 2 values", path, lineno
-                )
-            name, values = rest[0], tuple(rest[1:])
+            if not rest:
+                raise WorldFileError("attribute needs a name and its values", path, lineno)
             for token in rest:
                 _check_name(token, path, lineno)
-            if name in seen_attrs:
-                raise WorldFileError(f"attribute {name!r} declared twice", path, lineno)
-            if len(set(values)) != len(values):
-                raise WorldFileError(f"attribute {name!r} repeats a value", path, lineno)
-            seen_attrs.add(name)
-            attributes.append(Attribute(name, values))
+            attributes.append(Attribute(rest[0], tuple(rest[1:])))
+            attribute_lines.append(lineno)
 
         elif directive == "component":
             if dimension is None:
@@ -94,21 +88,26 @@ def parse_world(text: str, path: str = "<world>") -> MixtureWorld:
             concept = rest[0]
             _check_name(concept, path, lineno)
             comp = _parse_component(concept, rest[1:], dimension, attributes, path, lineno)
-            raw_components.append((lineno, comp))
+            components.append(comp)
+            component_lines.append(lineno)
 
         else:
             raise WorldFileError(f"unknown directive {directive!r}", path, lineno)
 
+    schema = _located(lambda: AttributeSchema(attributes), attribute_lines, path)
     if dimension is None:
         raise WorldFileError("missing dimension directive", path)
-    if not raw_components:
-        raise WorldFileError("world declares no components", path)
+    return _located(lambda: MixtureWorld(dimension, schema, components), component_lines, path)
 
+
+def _located(build, lines: list[int], path: str):
+    """build(), with a WorldValidationError re-raised at the line of the
+    attribute or component it names (line 0 when it names none)."""
     try:
-        return MixtureWorld(dimension, AttributeSchema(attributes),
-                            [c for _, c in raw_components])
+        return build()
     except WorldValidationError as exc:
-        raise WorldFileError(str(exc), path) from exc
+        line = 0 if exc.index is None else lines[exc.index]
+        raise WorldFileError(str(exc), path, line) from exc
 
 
 def _check_name(name, path, lineno) -> None:
@@ -117,7 +116,7 @@ def _check_name(name, path, lineno) -> None:
 
 
 def _parse_component(concept, pairs, dimension, attributes, path, lineno) -> Component:
-    known_attrs = {a.name: a for a in attributes}
+    tag_names = {a.name for a in attributes}
     mean = None
     weight = None
     cov = None
@@ -134,16 +133,9 @@ def _parse_component(concept, pairs, dimension, attributes, path, lineno) -> Com
                 weight = float(value)
             except ValueError:
                 raise WorldFileError(f"bad weight {value!r}", path, lineno) from None
-            if not 0 < weight < math.inf:
-                raise WorldFileError(f"weight must be positive and finite, got {value}",
-                                     path, lineno)
         elif key == "cov":
             cov = _parse_matrix(value, dimension, path, lineno)
-        elif key in known_attrs:
-            if value not in known_attrs[key].values:
-                raise WorldFileError(
-                    f"unknown value {value!r} for attribute {key!r}", path, lineno
-                )
+        elif key in tag_names:
             if key in tags:
                 raise WorldFileError(f"attribute {key!r} tagged twice", path, lineno)
             tags[key] = value
@@ -154,19 +146,8 @@ def _parse_component(concept, pairs, dimension, attributes, path, lineno) -> Com
         raise WorldFileError("component is missing mean=", path, lineno)
     if weight is None:
         raise WorldFileError("component is missing weight=", path, lineno)
-    missing = set(known_attrs) - set(tags)
-    if missing:
-        raise WorldFileError(
-            f"component is missing a value for attribute(s) {sorted(missing)}", path, lineno
-        )
-    if cov is None:
-        cov = np.eye(dimension)
-    else:
-        if not np.allclose(cov, cov.T, atol=1e-9):
-            raise WorldFileError("covariance is not symmetric", path, lineno)
-        if np.linalg.eigvalsh(cov).min() <= 1e-12:
-            raise WorldFileError("covariance is not positive definite", path, lineno)
-    return Component(mean=mean, covariance=cov, weight=weight, concept=concept, tags=tags)
+    return Component(mean=mean, covariance=np.eye(dimension) if cov is None else cov,
+                     weight=weight, concept=concept, tags=tags)
 
 
 def _parse_vector(text, dimension, path, lineno) -> np.ndarray:
@@ -174,8 +155,6 @@ def _parse_vector(text, dimension, path, lineno) -> np.ndarray:
         vec = np.array([float(x) for x in text.split(",")])
     except ValueError:
         raise WorldFileError(f"bad vector {text!r}", path, lineno) from None
-    if not np.all(np.isfinite(vec)):
-        raise WorldFileError(f"vector {text!r} has non-finite entries", path, lineno)
     if vec.shape != (dimension,):
         raise WorldFileError(
             f"vector {text!r} has {vec.size} entries, expected {dimension}", path, lineno

@@ -128,6 +128,9 @@ class TestGenerateCommand:
         ("target", {"target": {"gender": {"male": "0.5", "female": 0.5}}}),
         ("target", {"target": [{"gender": {"male": 0.5, "female": 0.5}}]}),
         ("sweep", {"sweep": {"value": "male", "proportions": [0.5]}}),
+        # A list or object here used to escape as a TypeError under `sweep`.
+        ("sweep", {"sweep": {"attribute": ["a"], "value": "", "proportions": [0.0, 1.0]}}),
+        ("sweep", {"sweep": {"attribute": "gender", "value": {}, "proportions": [0.0, 1.0]}}),
         ("static_pairs", {"policy": "static", "static_pairs": {"gender": ["female"]}}),
         ("world_path", {"world_path": 5}),
         ("memory_path", {"memory_path": 5}),
@@ -146,10 +149,10 @@ class TestGenerateCommand:
         ("jitter_scale", {"jitter_scale": float("inf")}),
         ("jitter_scale", {"jitter_scale": -1.0}),
     ], ids=["window", "windows", "jitter_seed", "count", "constraints", "target-proportion",
-            "target-list", "sweep", "static_pairs", "world_path", "memory_path", "prompts",
-            "record_intent", "concept", "static_pairs-value", "static_pairs-missing",
-            "static_pairs-attribute", "attribute_scale-infinite", "jitter_scale-infinite",
-            "jitter_scale-negative"])
+            "target-list", "sweep", "sweep-attribute-list", "sweep-value-object", "static_pairs",
+            "world_path", "memory_path", "prompts", "record_intent", "concept",
+            "static_pairs-value", "static_pairs-missing", "static_pairs-attribute",
+            "attribute_scale-infinite", "jitter_scale-infinite", "jitter_scale-negative"])
     def test_malformed_config_value_exits_2(self, workspace, capsys, key, patch):
         cfg = workspace / "shaped.json"
         data = json.loads((workspace / "run.json").read_text())
@@ -263,6 +266,22 @@ class TestOtherCommands:
         assert main(args) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(mem) in err and f"{key} must be" in err
+
+    def test_memory_counts_off_their_total_exit_2(self, workspace, capsys):
+        """A count of 7 under a total of 0, under a valid checksum, used to load
+        and steer the run."""
+        mem = workspace / "memory.json"
+        run = ["generate", "--config", str(workspace / "run.json"), "--memory", str(mem)]
+        assert main(run) == 0
+        capsys.readouterr()
+        payload = json.loads(mem.read_text())
+        del payload["checksum"]
+        payload["clusters"][0].update(total=0, counts={"gender": {"robot": 7}})
+        payload["checksum"] = _container_checksum(payload)
+        mem.write_text(json.dumps(payload))
+        assert main(run) == 2
+        err = capsys.readouterr().err
+        assert str(mem) in err and "clusters[0].counts.gender must be" in err
 
     def test_render_command(self, workspace, capsys):
         out = workspace / "out"

@@ -431,6 +431,30 @@ class TestSnapshot:
         with pytest.raises(MemorySnapshotError, match=rf"{re.escape(path)}.*{re.escape(named)} must be"):
             restore_memory(path, GENDER, 2)
 
+    @pytest.mark.parametrize("total, counts, schemas, named", [
+        # A count of 7 under a total of 0 used to load and drive decide.
+        (0, {"gender": {"robot": 7}}, [None, GENDER], "gender"),
+        (3, {"gender": {"male": 3, "female": 1}}, [None, GENDER], "gender"),
+        (3, {"gender": {"male": 3}, "age": {"young": 2}}, [None, GENDER], "age"),
+        (3, {"gender": {"robot": 3}}, [GENDER], "gender"),
+        (3, {"gender": {"male": 3}, "age": {"young": 3}}, [GENDER], "age"),
+    ], ids=["sum-off-total", "sum-past-total", "second-attribute-short", "value-outside-schema",
+            "attribute-outside-schema"])
+    def test_counts_must_sum_to_total_and_fit_the_schema(self, tmp_path, total, counts, schemas,
+                                                         named):
+        path = str(tmp_path / "memory.json")
+        snapshot_memory(self.populated(), path, GENDER)
+        with open(path) as fh:
+            payload = json.load(fh)
+        payload["clusters"][0].update(total=total, counts=counts)
+        rewrite_with_checksum(path, payload)
+        for schema in schemas:
+            with pytest.raises(MemorySnapshotError, match=rf"{re.escape(path)}.*"
+                               rf"clusters\[0\]\.counts\.{named} must be"):
+                restore_memory(path, schema)
+        if schemas == [GENDER]:  # inspection gives no schema to check names against
+            restore_memory(path)
+
 
 def rewrite_with_checksum(path, payload):
     """Write payload with the checksum of its current fields, as a valid file would carry."""
