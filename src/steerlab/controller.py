@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MemorySnapshotError, WorldValidationError
+from .errors import MemorySnapshotError, NumericsError, WorldValidationError
 from .guidance import GuidancePlan, PlanEntry
 from .world import AttributeSchema, Condition, MixtureWorld, TargetDistribution
 
@@ -181,12 +181,19 @@ def decide(
 
 
 def _merge(a: Cluster, b: Cluster) -> Cluster:
-    """One cluster holding both: count-weighted centroid, totals and counts summed."""
+    """One cluster holding both: count-weighted centroid, totals and counts summed.
+
+    A centroid that overflows raises NumericsError, so that no memory holding
+    it is committed or written.
+    """
     total = a.total + b.total
-    if total > 0:
-        centroid = (a.centroid * a.total + b.centroid * b.total) / total
-    else:
-        centroid = (a.centroid + b.centroid) / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        if total > 0:
+            centroid = (a.centroid * a.total + b.centroid * b.total) / total
+        else:
+            centroid = (a.centroid + b.centroid) / 2.0
+    if not math.isfinite(centroid.sum()):
+        raise NumericsError(f"merged cluster centroid overflows: {centroid.tolist()}")
     counts = {attr: dict(vals) for attr, vals in a.counts.items()}
     for attr, vals in b.counts.items():
         merged = counts.setdefault(attr, {})
@@ -202,7 +209,8 @@ def record(memory: MemoryModule, cond: Condition, outcome: dict[str, str]) -> No
     When no cluster matches and the budget is exhausted, the two nearest
     clusters are consolidated first, so the budget bound never breaks.
     Clusters are replaced, never changed in place, so a copy of the cluster
-    list is a copy of the memory.
+    list is a copy of the memory.  A merge that would overflow a centroid
+    raises NumericsError and leaves the memory unchanged.
     """
     embedding = np.asarray(cond.embedding, dtype=float)
     counts = {attr: {value: 1} for attr, value in outcome.items()}

@@ -6,20 +6,28 @@ ordinal, sample index), so arms with the same seed share identical streams
 and artifacts are byte-reproducible.  For every generation the harness asks
 the controller for a plan, samples its trajectory with that plan's steering,
 discriminates the outcome, and feeds it back into the memory — in that order.
-The trajectories of a whole run are batched.  Steps before the guidance
-window are the same under every plan, so all rows take them as one batch
-(unsteered, that is the whole trajectory).  Samples are then decided in run
-order.  The first time a sample chooses a plan, every row from it to the end
-of the run finishes under that plan as one batch, each under its own
-condition's edited mixtures; later samples that choose the plan take their
-rows from that batch, and the other rows are discarded.  Rows share a batch
-when their mixtures have one shape, and a long run is cut into chunks of
-whole prompts that each hold under `_CHUNK_BYTES`.  Every row is computed as
-if alone, so none of this changes a bit of output, and a row that fails (goes
-non-finite, or cannot take a plan) fails only a prompt that chooses it.  A
-prompt works on a copy of the memory and stages its rows; both are committed
-only when all its samples succeed, so a failed prompt leaves memory and
-artifacts as if it had not run, apart from the ordinal slot it used.
+The trajectories of a whole run are batched, and so are those of all the arms
+of a sweep or window ablation: each arm (its own seed, target, window, memory,
+ordinals and artifacts) is a group of rows of one batch, and a single run is
+the one-arm case.  Steps before an arm's guidance window are the same under
+every plan, so its rows take them once, in one batch with the other arms'
+(unsteered, that is the whole trajectory); the rows of arms whose windows
+start later go on from where the others stopped.  Samples are then decided
+in order, arm by arm.  The first time a sample chooses a plan, every row from
+it to the end of the batch whose arm has the same window finishes under that
+plan as one batch, each under its own condition's edited mixtures; later
+samples, of that arm or a later one, that choose the plan take their rows
+from that batch, and the other rows are discarded.  Rows share a batch when
+their mixtures have one shape, and a long run is cut into chunks of whole
+prompts, across arms, that each hold under `_CHUNK_BYTES`.  Every row is
+computed as if alone, so none of this changes a bit of output, and a row that
+fails (goes non-finite, or cannot take a plan) fails only a prompt that
+chooses it.  A prompt works on a copy of its arm's memory and stages its
+rows; both are committed only when all its samples succeed, so a failed
+prompt leaves memory and artifacts as if it had not run, apart from the
+ordinal slot it used.  An arm writes its artifacts as soon as its last prompt
+is decided, so a sweep that stops at a failed arm leaves what one run per arm
+would have left.
 
 A persisted memory file carries the count of prompts already processed, so a
 run that resumes from it continues the ordinal sequence exactly where the
@@ -36,7 +44,8 @@ import math
 import os
 import time
 from collections import Counter
-from dataclasses import asdict, dataclass, field, fields, replace
+from collections.abc import Iterator
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -56,8 +65,7 @@ from .diffusion import (linear_schedule, mixture_log_density, noise_tapes, run_t
                         stack_steering)
 from .errors import SteerlabError
 from .evaluate import BiasReport, QualityScores, build_report, discriminate, write_csv, write_report_csv
-from .guidance import (EMPTY_PLAN, GuidanceConfig, GuidancePlan, GuidanceProbe, resolve_steering,
-                       window_mask)
+from .guidance import EMPTY_PLAN, GuidanceConfig, GuidanceProbe, resolve_steering, window_mask
 from .world import Condition, MixtureWorld, TargetDistribution, conditional_components, make_condition
 from .worldfile import load_world
 
@@ -193,7 +201,8 @@ class ExperimentSpec:
         return cls.from_dict(data, base_dir=os.path.dirname(os.path.abspath(path)))
 
     def digest(self) -> str:
-        body = json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
+        # vars() serializes nested dataclasses as asdict() would, without its deep copy.
+        body = json.dumps(vars(self), sort_keys=True, separators=(",", ":"), default=vars)
         return hashlib.sha256(body.encode()).hexdigest()[:16]
 
 
@@ -289,87 +298,175 @@ def _run_rows(world: MixtureWorld, schedule, conds: list[Condition], tapes: np.n
     return out, failed, probes
 
 
-def run_generate(
-    spec: ExperimentSpec, out_dir: str | None = None, world: MixtureWorld | None = None
-) -> RunResult:
-    """Execute one arm: decide, sample, discriminate, record — per generation.
+@dataclass
+class _Arm:
+    """One arm of a batch: its settings, and the state and results its prompts build up."""
 
-    A failing prompt is logged and skipped with none of its state committed;
-    the rest of the run continues and the failure list marks the run as partial.
-    """
-    t_start = time.perf_counter()
-    if world is None:
-        world = load_world(spec.world_path)
-    schema = world.schema
-    schedule = linear_schedule(spec.steps, spec.beta_start, spec.beta_end)
+    spec: ExperimentSpec
+    out_dir: str | None
+    config: GuidanceConfig
+    target: TargetDistribution
+    policy: IndicatorPolicy | None
+    active: np.ndarray
+    prefix: int
+    memory: MemoryModule | None
+    ordinal: int
+    digest: str
+    todo: int  # prompt instances not yet decided
+    samples: list[GeneratedSample] = field(default_factory=list)
+    qualities: list[QualityScores] = field(default_factory=list)
+    probe_rows: list[tuple] = field(default_factory=list)
+    failures: list[list[str]] = field(default_factory=list)
+
+
+def _open_arm(spec: ExperimentSpec, world: MixtureWorld, schedule, out_dir: str | None) -> _Arm:
+    """Check the arm's settings against the world and set up its memory."""
     config = GuidanceConfig(spec.gamma, tuple(spec.window), spec.attribute_scale)
     target = TargetDistribution(spec.target)
-    target.validate_for(schema)
+    target.validate_for(world.schema)
     policy = _build_policy(spec)
     if policy is not None:
-        policy.validate_for(schema)
-
+        policy.validate_for(world.schema)
     prompts_seen = 0
     memory: MemoryModule | None = None
     if policy is not None:
         tau = spec.memory_tau if spec.memory_tau is not None else default_match_threshold(world)
         if spec.memory_path and os.path.exists(spec.memory_path):
-            memory, prompts_seen = restore_memory(spec.memory_path, schema, world.dimension)
+            memory, prompts_seen = restore_memory(spec.memory_path, world.schema, world.dimension)
         else:
             memory = MemoryModule(budget=spec.memory_budget, tau=tau)
-
-    digest = spec.digest()
-    samples: list[GeneratedSample] = []
-    qualities: list[QualityScores] = []
-    probe_rows: list[tuple] = []
-    failures: list[list[str]] = []
-    n = spec.samples_per_prompt
     active = window_mask(schedule, config)
     # Steps before the first steered one are the same under every plan, so
-    # all rows take them as one batch; unsteered, that is every step.
+    # they need running once per row; unsteered, that is every step.
     prefix = schedule.steps
     if policy is not None and config.gamma != 1.0 and active.any():
         prefix = schedule.steps - 1 - int(np.flatnonzero(active).max())
+    return _Arm(spec, out_dir, config, target, policy, active, prefix, memory, prompts_seen,
+                spec.digest(), sum(prompt.count for prompt in spec.prompts))
 
-    instances = [(prompt, i) for prompt in spec.prompts for i in range(prompt.count)]
+
+def _close_arm(arm: _Arm, world: MixtureWorld, t_start: float) -> RunResult:
+    """Write the arm's artifacts and memory; its result."""
+    spec, out_dir, digest = arm.spec, arm.out_dir, arm.digest
+    report = None
+    if arm.qualities:
+        report = build_report(arm.samples, arm.qualities, arm.target, world.schema, spec.seed,
+                              digest)
+    outputs: list[str] = []
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
+        write_samples_csv(arm.samples, world, os.path.join(out_dir, "samples.csv"), digest,
+                          spec.seed)
+        outputs.append("samples.csv")
+        if report is not None:
+            write_report_csv(report, os.path.join(out_dir, "report.csv"), world.schema)
+            outputs.append("report.csv")
+        if spec.diagnostics and arm.probe_rows:
+            write_csv(os.path.join(out_dir, "diagnostics.csv"), "diagnostics",
+                      {"config_digest": digest},
+                      ["prompt_id", "sample_index", "t_index", "cosine", "base_norm", "attr_norm"],
+                      arm.probe_rows)
+            outputs.append("diagnostics.csv")
+    if spec.memory_path and arm.memory is not None:
+        snapshot_memory(arm.memory, spec.memory_path, world.schema, prompts_seen=arm.ordinal)
+    manifest = RunManifest(
+        config_digest=digest,
+        master_seed=spec.seed,
+        world_digest=world.digest(),
+        outputs=outputs,
+        failures=arm.failures,
+        timings={"total_s": round(time.perf_counter() - t_start, 3)},
+    )
+    if out_dir is not None:
+        with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
+            json.dump(manifest.__dict__, fh, indent=1, sort_keys=True)
+    return RunResult(arm.samples, report, manifest, arm.failures, arm.memory, arm.ordinal)
+
+
+def _run_batch(specs: list[ExperimentSpec], world: MixtureWorld,
+               out_dirs: list[str | None]) -> Iterator[RunResult]:
+    """Run arms as row groups of one batch, yielding each arm's result, in
+    order, as soon as its last prompt is decided and its artifacts written.
+
+    The arms differ only in seed, target and window.  Arms are set up in
+    order; one that cannot be set up ends the list, and its error is raised
+    once the arms before it have been yielded, as a loop of single runs would.
+    """
+    t_start = time.perf_counter()
+    base = specs[0]
+    schema = world.schema
+    schedule = linear_schedule(base.steps, base.beta_start, base.beta_end)
+    arms: list[_Arm] = []
+    error = None
+    for spec, out_dir in zip(specs, out_dirs):
+        try:
+            arms.append(_open_arm(spec, world, schedule, out_dir))
+        except (SteerlabError, ValueError) as exc:  # raised after the arms before it
+            error = exc
+            break
+    n = base.samples_per_prompt
+    instances = [(arm, prompt, i) for arm in arms for prompt in arm.spec.prompts
+                 for i in range(prompt.count)]
+
     # Per row a chunk holds its tapes and prefix latents, and in a batch the
     # mixtures gathered for it (base and two per attribute, K components each);
     # per row and plan the policy can choose, finished latents and probe rows.
     d, k = world.dimension, max(Counter(c.concept for c in world.components).values())
     row_bytes = 8 * d * (schedule.steps + 1) + 8 * (1 + 2 * len(schema.attributes)) * k * (
         d * d + 3 * d + 2)
-    plan_bytes = 8 * (d + 3 * int(active.sum()) * spec.diagnostics)
-    plans = 1 if policy is None or policy.kind == "static" else math.prod(
+    plans = 1 if base.policy in ("vanilla", "static") else math.prod(
         len(a.values) * (len(a.values) - 1) for a in schema.attributes)
-    per_chunk = max(1, _CHUNK_BYTES // (n * (row_bytes + plans * plan_bytes)))
-    ordinal = prompts_seen
+    per_chunk = max(1, _CHUNK_BYTES // max(
+        (n * (row_bytes + plans * 8 * (d + 3 * int(arm.active.sum()) * base.diagnostics))
+         for arm in arms), default=1))
     for lo in range(0, len(instances), per_chunk):
         # Each prompt's condition and streams up front; rows are the streams of
         # the prompts whose condition was made, in run order.
         chunk = []
         conds: list[Condition] = []
+        row_arms: list[_Arm] = []
         streams = []
-        for prompt, instance in instances[lo:lo + per_chunk]:
+        for arm, prompt, instance in instances[lo:lo + per_chunk]:
             try:
                 cond = make_condition(
                     world, prompt.concept, prompt.constraints,
                     jitter_seed=_child_seed(prompt.jitter_seed, instance),
-                    jitter_scale=spec.jitter_scale,
+                    jitter_scale=base.jitter_scale,
                 )
             except SteerlabError as exc:
                 cond = exc
             else:
                 conds += [cond] * n
-                streams += [np.random.SeedSequence([spec.seed, ordinal, s_i]) for s_i in range(n)]
-            chunk.append((prompt, f"{prompt.concept}-{ordinal:05d}", ordinal, cond, len(conds) - n))
-            ordinal += 1
+                row_arms += [arm] * n
+                streams += [np.random.SeedSequence([arm.spec.seed, arm.ordinal, s_i])
+                            for s_i in range(n)]
+            chunk.append((arm, prompt, f"{prompt.concept}-{arm.ordinal:05d}", arm.ordinal, cond,
+                          len(conds) - n))
+            arm.ordinal += 1
         tapes = noise_tapes([np.random.default_rng(s) for s in streams], schedule.steps, d)
-        x, prefix_failed, _ = _run_rows(world, schedule, conds, tapes, range(len(conds)),
-                                        None, 0, prefix)
-        # Plan -> every row's latents, failures and probe rows, finished under
-        # it from the first row to choose it to the end of the chunk.
-        runs: dict[GuidancePlan, tuple[np.ndarray, dict[int, str], dict]] = {}
-        for prompt, prompt_id, p_ordinal, cond, row0 in chunk:
+        # Every row runs its arm's prefix, and the arms share the steps their
+        # prefixes have in common: rows whose prefix is longer go on from
+        # where the shorter ones stopped.
+        x = tapes[0].copy()
+        prefix_failed: dict[int, str] = {}
+        at = 0
+        for stop in sorted({arm.prefix for arm in row_arms} - {0}):
+            going = [r for r, arm in enumerate(row_arms)
+                     if arm.prefix >= stop and r not in prefix_failed]
+            latents, failed, _ = _run_rows(world, schedule, conds, tapes, going, x, at, stop)
+            x[going] = latents[going]
+            prefix_failed.update(failed)
+            at = stop
+        # Arms with one config (window) share their finishes: the rows of each.
+        members: dict[GuidanceConfig, list[int]] = {}
+        for r, arm in enumerate(row_arms):
+            if r not in prefix_failed:
+                members.setdefault(arm.config, []).append(r)
+        # (config, plan) -> every row's latents, failures and probe rows,
+        # finished under it from the first row to choose it to the end of the
+        # chunk, over the rows of the arms with that config.
+        runs: dict[tuple, tuple[np.ndarray, dict[int, str], dict]] = {}
+        for arm, prompt, prompt_id, p_ordinal, cond, row0 in chunk:
             try:
                 if not isinstance(cond, Condition):
                     raise cond
@@ -378,7 +475,8 @@ def run_generate(
                 )
                 # Staged until the whole prompt succeeds, so a failure leaves no
                 # trace; `record` replaces clusters, so a new list is a copy.
-                staged_memory = memory and replace(memory, clusters=list(memory.clusters))
+                staged_memory = arm.memory and replace(arm.memory,
+                                                       clusters=list(arm.memory.clusters))
                 rows: list[GeneratedSample] = []
                 probes: list[tuple] = []
                 hits = 0
@@ -386,25 +484,26 @@ def run_generate(
                 for s_i in range(n):
                     r = row0 + s_i
                     plan = EMPTY_PLAN
-                    if policy is not None:  # decided on the records of the samples before it
+                    if arm.policy is not None:  # decided on the records of the samples before it
                         rng = np.random.default_rng(
-                            np.random.SeedSequence([spec.seed, _POLICY_NS, p_ordinal, s_i]))
-                        plan = decide(staged_memory, cond, schema, target, policy, rng)
-                    if plan not in runs:
+                            np.random.SeedSequence([arm.spec.seed, _POLICY_NS, p_ordinal, s_i]))
+                        plan = decide(staged_memory, cond, schema, arm.target, arm.policy, rng)
+                    key = arm.config, plan
+                    if key not in runs:
                         finished, failed, traces = _run_rows(
                             world, schedule, conds, tapes,
-                            [q for q in range(r, len(conds)) if q not in prefix_failed], x,
-                            prefix, schedule.steps, spec.diagnostics,
-                            lambda c: resolve_steering(world, c, plan, config, active))
-                        runs[plan] = (finished, {**failed, **prefix_failed}, traces)
-                    finished, failed, traces = runs[plan]
+                            [q for q in members.get(arm.config, ()) if q >= r], x, arm.prefix,
+                            schedule.steps, base.diagnostics,
+                            lambda c: resolve_steering(world, c, plan, arm.config, arm.active))
+                        runs[key] = (finished, {**failed, **prefix_failed}, traces)
+                    finished, failed, traces = runs[key]
                     if r in failed:
                         raise SteerlabError(failed[r])
                     x0 = finished[r]
                     labels, concept_post = discriminate(world, x0)
-                    if policy is not None:
+                    if arm.policy is not None:
                         outcome = ({a: e.target for a, e in plan.entries}
-                                   if spec.record_intent else labels)
+                                   if base.record_intent else labels)
                         record(staged_memory, cond, outcome)
                     if r in traces:
                         probe, pos = traces[r]
@@ -419,52 +518,38 @@ def run_generate(
                     ))
             except SteerlabError as exc:
                 log.warning("prompt %s failed: %s", prompt_id, exc)
-                failures.append([prompt_id, str(exc)])
+                arm.failures.append([prompt_id, str(exc)])
             else:
-                memory = staged_memory
-                samples.extend(rows)
-                probe_rows.extend(probes)
-                qualities.append(QualityScores(hits / n, logdens / n))
-
-    report = None
-    if qualities:
-        report = build_report(samples, qualities, target, schema, spec.seed, digest)
-
-    outputs: list[str] = []
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        samples_path = os.path.join(out_dir, "samples.csv")
-        write_samples_csv(samples, world, spec, samples_path)
-        outputs.append("samples.csv")
-        if report is not None:
-            write_report_csv(report, os.path.join(out_dir, "report.csv"), schema)
-            outputs.append("report.csv")
-        if spec.diagnostics and probe_rows:
-            write_csv(os.path.join(out_dir, "diagnostics.csv"), "diagnostics",
-                      {"config_digest": digest},
-                      ["prompt_id", "sample_index", "t_index", "cosine", "base_norm", "attr_norm"],
-                      probe_rows)
-            outputs.append("diagnostics.csv")
-    if spec.memory_path and memory is not None:
-        snapshot_memory(memory, spec.memory_path, schema, prompts_seen=ordinal)
-
-    manifest = RunManifest(
-        config_digest=digest,
-        master_seed=spec.seed,
-        world_digest=world.digest(),
-        outputs=outputs,
-        failures=failures,
-        timings={"total_s": round(time.perf_counter() - t_start, 3)},
-    )
-    if out_dir is not None:
-        with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
-            json.dump(manifest.__dict__, fh, indent=1, sort_keys=True)
-    return RunResult(samples, report, manifest, failures, memory, ordinal)
+                arm.memory = staged_memory
+                arm.samples.extend(rows)
+                arm.probe_rows.extend(probes)
+                arm.qualities.append(QualityScores(hits / n, logdens / n))
+            arm.todo -= 1
+            if not arm.todo:
+                yield _close_arm(arm, world, t_start)
+                t_start = time.perf_counter()
+    for arm in arms if not instances else ():  # no prompts at all
+        yield _close_arm(arm, world, t_start)
+    if error is not None:
+        raise error
 
 
-def write_samples_csv(
-    samples: list[GeneratedSample], world: MixtureWorld, spec: ExperimentSpec, path: str
-) -> None:
+def run_generate(
+    spec: ExperimentSpec, out_dir: str | None = None, world: MixtureWorld | None = None
+) -> RunResult:
+    """Execute one arm: decide, sample, discriminate, record — per generation.
+
+    A failing prompt is logged and skipped with none of its state committed;
+    the rest of the run continues and the failure list marks the run as partial.
+    This is the one-arm case of the batch that sweeps and ablations run.
+    """
+    if world is None:
+        world = load_world(spec.world_path)
+    return next(_run_batch([spec], world, [out_dir]))
+
+
+def write_samples_csv(samples: list[GeneratedSample], world: MixtureWorld, path: str,
+                      config_digest: str, master_seed: int) -> None:
     attrs = world.schema.names()
     header = ["prompt_id", "prompt_ordinal", "sample_index", "stream_seed", "concept"]
     header += [f"x{i}" for i in range(world.dimension)] + list(attrs)
@@ -473,8 +558,8 @@ def write_samples_csv(
         + [repr(float(v)) for v in s.x] + [s.labels[a] for a in attrs]
         for s in samples
     )
-    meta = {"config_digest": spec.digest(), "world_digest": world.digest(),
-            "master_seed": spec.seed}
+    meta = {"config_digest": config_digest, "world_digest": world.digest(),
+            "master_seed": master_seed}
     write_csv(path, "samples", meta, header, rows)
 
 
@@ -501,6 +586,8 @@ def load_samples_csv(path: str) -> tuple[np.ndarray, list[dict[str, str]], list[
             points.append([float(cells[i]) for i in coord_idx])
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
+        if not all(map(math.isfinite, points[-1])):
+            raise ValueError(f"{path}:{lineno}: non-finite coordinate in {points[-1]}")
         labels.append({a: cells[header.index(a)] for a in attr_cols})
     return np.array(points).reshape(len(labels), len(coord_idx)), labels, header
 
@@ -552,17 +639,18 @@ class ArmsResult:
 
 def _run_arms(spec: ExperimentSpec, world: MixtureWorld, arms: list[tuple[str, dict]],
               kind: str, out_dir: str | None) -> ArmsResult:
-    """One arm per (label, spec overrides), each with a fresh memory and derived seed.
+    """One arm per (label, spec overrides), each with a fresh memory and derived
+    seed, all run as row groups of one batch.
 
     Writes `<kind>.csv`; only a sweep's carries the avg/std summary lines.
     """
+    specs = [replace(spec, **overrides, memory_path=None, seed=_child_seed(spec.seed, _ARM_NS, i))
+             for i, (_, overrides) in enumerate(arms)]
+    out_dirs = [os.path.join(out_dir, f"arm_{i:02d}") if out_dir else None
+                for i in range(len(arms))]
     rows: list[ArmRow] = []
     results: list[RunResult] = []
-    for i, (label, overrides) in enumerate(arms):
-        arm_spec = replace(spec, **overrides, memory_path=None,
-                           seed=_child_seed(spec.seed, _ARM_NS, i))
-        arm_dir = os.path.join(out_dir, f"arm_{i:02d}") if out_dir else None
-        result = run_generate(arm_spec, out_dir=arm_dir, world=world)
+    for i, ((label, _), result) in enumerate(zip(arms, _run_batch(specs, world, out_dirs))):
         if result.report is None:
             raise SteerlabError(f"{kind} arm {i} produced no successful prompts")
         rows.append(ArmRow(i, label, result.report.combined, result.report.quality))

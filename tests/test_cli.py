@@ -7,7 +7,7 @@ import pytest
 
 import steerlab
 from steerlab.cli import _parse_target, _parse_window, main
-from steerlab.controller import _container_checksum
+from steerlab.controller import _container_checksum, restore_memory
 
 WORLD = """\
 dimension 2
@@ -306,6 +306,46 @@ class TestOtherCommands:
                      "--world", str(workspace / "demo.world"), "--out", str(workspace / "p.svg")])
         assert code == 2
         assert f"bad.csv:5: {named}" in capsys.readouterr().err
+
+    def test_render_non_finite_coordinate_exits_2(self, workspace, capsys):
+        """An `inf` coordinate used to be drawn as `nan` into the SVG with exit 0."""
+        out = workspace / "out"
+        assert main(["generate", "--config", str(workspace / "run.json"), "--out", str(out)]) == 0
+        capsys.readouterr()
+        lines = (out / "samples.csv").read_text().splitlines(keepends=True)
+        header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+        cells = lines[header + 2].split(",")
+        cells[lines[header].split(",").index("x1")] = "inf"
+        lines[header + 2] = ",".join(cells)
+        (out / "samples.csv").write_text("".join(lines))
+        svg = workspace / "plot.svg"
+        code = main(["render", "--samples", str(out / "samples.csv"),
+                     "--world", str(workspace / "demo.world"), "--out", str(svg)])
+        assert code == 2
+        assert f"samples.csv:{header + 3}: non-finite coordinate" in capsys.readouterr().err
+        assert not svg.exists()
+
+    def test_memory_whose_centroid_overflows_is_never_written(self, workspace, capsys):
+        """A huge but finite centroid loads; the prompts whose record would
+        overflow it fail, and the memory written after them loads again."""
+        mem = workspace / "memory.json"
+        run = ["generate", "--config", str(workspace / "run.json"), "--memory", str(mem)]
+        assert main(run) == 0
+        payload = json.loads(mem.read_text())
+        del payload["checksum"]
+        payload.update(budget=1, prompts_seen=0, clusters=[
+            {"centroid": [1e308, 0.0], "total": 2, "counts": {"gender": {"male": 2}}}])
+        payload["checksum"] = _container_checksum(payload)
+        mem.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(run) == 1
+        err = capsys.readouterr().err
+        assert err.count("merged cluster centroid overflows") == 6
+        memory, seen = restore_memory(str(mem))
+        assert seen == 6
+        assert [(c.centroid.tolist(), c.total, c.counts) for c in memory.clusters] == \
+            [([1e308, 0.0], 2, {"gender": {"male": 2}})]
+        assert main(["inspect-memory", "--memory", str(mem)]) == 0
 
     def test_validate_world_command(self, workspace, capsys):
         code = main(["validate-world", "--world", str(workspace / "demo.world")])

@@ -12,6 +12,8 @@ from steerlab.diffusion import (
     ancestral_step,
     linear_schedule,
     mixture_log_density,
+    noise_tapes,
+    run_trajectories,
     sample,
 )
 from steerlab.world import (
@@ -299,12 +301,11 @@ class TestSampler:
         world = build_gender_world(male_weight=0.65)
         sched = linear_schedule(400, beta_end=0.05)
         cond = make_condition(world, "engineer", {"gender": "female"})
-        hook = lambda state, c: analytic_epsilon(world, sched, state, c)
         rng = np.random.default_rng(2024)
-        hits = 0
         n = 1000
-        for _ in range(n):
-            x = sample(world, sched, cond, hook, rng)
-            labels, _ = discriminate(world, x)
-            hits += labels["gender"] == "female"
+        # The streams share one generator, drawn in turn as `sample` would draw them.
+        x, failed = run_trajectories(world, sched, [cond] * n,
+                                     noise_tapes([rng] * n, sched.steps, world.dimension))
+        assert not failed
+        hits = sum(discriminate(world, p)[0]["gender"] == "female" for p in x)
         assert hits / n >= 0.95, f"only {hits}/{n} honored the constraint"

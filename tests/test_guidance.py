@@ -3,7 +3,8 @@ import pytest
 
 import steerlab.guidance as guidance
 from steerlab import InfeasibleConditionError, WorldValidationError
-from steerlab.diffusion import LatentState, analytic_epsilon, linear_schedule, sample
+from steerlab.diffusion import (LatentState, analytic_epsilon, linear_schedule, noise_tapes,
+                                run_trajectories)
 from steerlab.evaluate import discriminate
 from steerlab.guidance import (
     EMPTY_PLAN,
@@ -14,6 +15,7 @@ from steerlab.guidance import (
     adaptive_latent_direction,
     combined_noise,
     edit_condition,
+    resolve_steering,
     window_mask,
 )
 from steerlab.world import make_condition
@@ -262,27 +264,26 @@ class TestCombinedNoise:
 class TestSteeringEfficacy:
     def test_guidance_moves_rates_toward_target(self):
         """Steering engineer toward female must beat the vanilla female rate
-        by a clear margin (one-sided two-proportion z-test at alpha=0.01)."""
+        by a clear margin (one-sided two-proportion z-test at alpha=0.01).
+        Each arm's streams share one generator, drawn in turn as `sample`
+        would draw them one point at a time."""
         world = build_gender_world(male_weight=0.65)
         sched = linear_schedule(200, beta_end=0.1)
-        cond_seed = 515
+        cond = make_condition(world, "engineer", jitter_seed=515)
         plan = GuidancePlan((("gender", PlanEntry("female", "male")),))
         cfg = GuidanceConfig(gamma=0.7, window=(0.375, 0.625), attribute_scale=1.0)
 
-        def run(hooked, seed, n=600):
+        def run(steering, seed, n=600):
             rng = np.random.default_rng(seed)
-            females = 0
-            cond = make_condition(world, "engineer", jitter_seed=cond_seed)
-            for _ in range(n):
-                x = sample(world, sched, cond, hooked, rng)
-                labels, _ = discriminate(world, x)
-                females += labels["gender"] == "female"
-            return females, n
+            x, failed = run_trajectories(world, sched, [cond] * n,
+                                         noise_tapes([rng] * n, sched.steps, world.dimension),
+                                         steering)
+            assert not failed
+            return sum(discriminate(world, p)[0]["gender"] == "female" for p in x), n
 
-        vanilla_hook = lambda s, c: analytic_epsilon(world, sched, s, c)
-        guided_hook = lambda s, c: combined_noise(world, sched, s, c, plan, cfg)
-        base_f, n1 = run(vanilla_hook, seed=1)
-        guided_f, n2 = run(guided_hook, seed=2)
+        base_f, n1 = run(None, seed=1)
+        guided_f, n2 = run(resolve_steering(world, cond, plan, cfg, window_mask(sched, cfg)),
+                           seed=2)
 
         p1, p2 = base_f / n1, guided_f / n2
         pooled = (base_f + guided_f) / (n1 + n2)

@@ -36,6 +36,7 @@ from steerlab import harness
 from steerlab.harness import _POLICY_NS, _build_policy, _child_seed, load_samples_csv, sweep_targets
 
 from conftest import build_gender_world, single_gaussian_world
+import reference
 from reference import quality_score
 
 GENDER_WORLD_TEXT = """\
@@ -782,6 +783,167 @@ class TestSweeps:
         )
         result = run_window_ablation(spec)
         assert [r.label for r in result.rows] == ["window=0,0.5", "window=0.5,1"]
+
+
+def _tree(root) -> dict:
+    """Every file under root by relative path; manifest.json without its wall-clock timings."""
+    files = {}
+    for d, _, names in os.walk(root):
+        for name in names:
+            path = os.path.join(d, name)
+            with open(path, "rb") as fh:
+                data = fh.read()
+            if name == "manifest.json":
+                data = {k: v for k, v in json.loads(data).items() if k != "timings"}
+            files[os.path.relpath(path, root)] = data
+    return files
+
+
+def _batched_and_per_arm(tmp_path, monkeypatch, caplog, run, spec):
+    """run(spec) arm-batched, then with the per-arm `run_generate` loop of
+    tests/reference.py: for each, the files left, the result or the error
+    raised, and the warnings logged."""
+    outcomes = []
+    for name in ("batched", "per-arm"):
+        out = tmp_path / name
+        caplog.clear()
+        with monkeypatch.context() as m:
+            if name == "per-arm":
+                m.setattr(harness, "_run_arms", reference.run_arms)
+            try:
+                result = run(spec, out_dir=str(out))
+            except Exception as exc:
+                outcome = (type(exc), str(exc))
+            else:
+                outcome = (
+                    [(r.arm, r.label, r.bias, r.quality) for r in result.rows],
+                    result.avg_bias, result.std_bias,
+                    [(r.failures, r.prompts_seen, [s.x.tolist() for s in r.samples],
+                      r.memory and [(c.centroid.tolist(), c.total, list(c.counts.items()))
+                                    for c in r.memory.clusters]) for r in result.results])
+        outcomes.append((_tree(out), outcome, [r.getMessage() for r in caplog.records]))
+    return outcomes
+
+
+def _arms_spec(tmp_path, policy, **overrides):
+    (tmp_path / "mixed.world").write_text(TWO_CONCEPT_WORLD_TEXT)
+    return ExperimentSpec(**{
+        "world_path": str(tmp_path / "mixed.world"), "prompts": MIXED_PROMPTS,
+        "target": TWO_ATTR_TARGET, "policy": policy,
+        "static_pairs": TWO_ATTR_PAIRS if policy == "static" else None,
+        "samples_per_prompt": 3, "steps": 40, "beta_end": 0.3, "gamma": 0.6,
+        "attribute_scale": 4.0, "window": (0.2, 0.6), "seed": 13, "memory_budget": 2,
+        "memory_tau": 0.05,
+        "sweep": {"attribute": "gender", "value": "male", "proportions": [0.0, 0.5, 1.0]},
+        "windows": [[0.0, 0.3], [0.5, 0.505], [0.25, 0.75], [0.6, 1.0]], **overrides})
+
+
+_ARM_RUNS = {"sweep": run_sweep, "ablation": run_window_ablation}
+
+
+class TestArmBatching:
+    """A sweep's or ablation's arms run as row groups of one batch; everything
+    they leave equals one `run_generate` per arm."""
+
+    @pytest.mark.parametrize("policy", ["vanilla", "deficit", "probabilistic", "static"])
+    @pytest.mark.parametrize("diagnostics", [False, True])
+    @pytest.mark.parametrize("kind", ["sweep", "ablation"])
+    def test_arms_equal_one_run_each(self, tmp_path, monkeypatch, caplog, kind, policy,
+                                     diagnostics):
+        spec = _arms_spec(tmp_path, policy, diagnostics=diagnostics)
+        batched, per_arm = _batched_and_per_arm(tmp_path, monkeypatch, caplog, _ARM_RUNS[kind],
+                                                spec)
+        assert batched == per_arm
+        files = batched[0]
+        arms = 3 if kind == "sweep" else 4
+        assert f"{kind}.csv" in files and f"arm_{arms - 1:02d}/samples.csv" in files
+        steered = policy != "vanilla" and diagnostics
+        assert steered == any(name.endswith("diagnostics.csv") for name in files)
+
+    @pytest.mark.parametrize("kind", ["sweep", "ablation"])
+    @pytest.mark.parametrize("chunk_bytes", [1, 40_000])
+    def test_chunks_split_inside_and_across_arms(self, tmp_path, monkeypatch, caplog, kind,
+                                                 chunk_bytes):
+        spec = _arms_spec(tmp_path, "deficit", diagnostics=True)
+        chunks = []
+
+        def tapes(rngs, steps, d):
+            chunks.append(len(rngs))
+            return noise_tapes(rngs, steps, d)
+        monkeypatch.setattr(harness, "noise_tapes", tapes)
+        whole = _batched_and_per_arm(tmp_path / "whole", monkeypatch, caplog, _ARM_RUNS[kind],
+                                     spec)
+        chunks.clear()
+        monkeypatch.setattr(harness, "_CHUNK_BYTES", chunk_bytes)
+        split = _batched_and_per_arm(tmp_path / "split", monkeypatch, caplog, _ARM_RUNS[kind],
+                                     spec)
+        assert split == whole
+        assert whole[0] == whole[1]
+        arm_rows = 5 * 3   # each arm's rows: five prompt instances of three samples
+        batched = chunks[:len(chunks) // 2]
+        assert sum(batched) == arm_rows * (3 if kind == "sweep" else 4)
+        ends = np.cumsum(batched)
+        if chunk_bytes == 1:
+            assert batched == [3] * len(batched)
+        else:  # a chunk holds the last rows of one arm and the first of the next
+            assert any(lo // arm_rows != (hi - 1) // arm_rows
+                       for lo, hi in zip(ends - batched, ends))
+
+    def test_sweep_arm_whose_prompts_all_fail(self, tmp_path, monkeypatch, caplog):
+        """Every row steered toward female goes non-finite, so the arm whose
+        target is all female loses every prompt: the same error at the same
+        arm, the same files and warnings as the per-arm loop."""
+        def poisoned(resolve):
+            def wrapper(world, cond, plan, config, active):
+                steering = resolve(world, cond, plan, config, active)
+                bad = dict(plan.entries)["gender"].target == "female"
+                return replace(steering, scale=math.inf) if bad else steering
+            return wrapper
+        monkeypatch.setattr(harness, "resolve_steering", poisoned(harness.resolve_steering))
+        spec = _arms_spec(tmp_path, "deficit", diagnostics=True, sweep={
+            "attribute": "gender", "value": "male", "proportions": [1.0, 0.0, 1.0]})
+        batched, per_arm = _batched_and_per_arm(tmp_path, monkeypatch, caplog, run_sweep, spec)
+        assert batched == per_arm
+        files, outcome, warned = batched
+        assert outcome == (SteerlabError, "sweep arm 1 produced no successful prompts")
+        assert "arm_01/samples.csv" in files and not any(f.startswith("arm_02") for f in files)
+        assert len(warned) == 5 and "sweep.csv" not in files
+
+    def test_ablation_arm_whose_prompts_all_fail(self, tmp_path, monkeypatch, caplog):
+        """Steering an age=old prompt toward shade=c is infeasible: the arm
+        whose window holds no step keeps its prompts, the next loses them all."""
+        (tmp_path / "shade.world").write_text(SHADE_WORLD_TEXT)
+        spec = ExperimentSpec(
+            world_path=str(tmp_path / "shade.world"),
+            prompts=[PromptSpec("worker", count=2, constraints={"age": "old"})],
+            target=SHADE_TARGET, policy="static", static_pairs={"shade": ["c", "a"],
+                                                                "age": ["young", "old"]},
+            samples_per_prompt=3, steps=40, beta_end=0.3, gamma=0.6, attribute_scale=4.0,
+            windows=[[0.5, 0.505], [0.0, 0.3], [0.6, 1.0]])
+        batched, per_arm = _batched_and_per_arm(tmp_path, monkeypatch, caplog,
+                                                run_window_ablation, spec)
+        assert batched == per_arm
+        files, outcome, warned = batched
+        assert outcome == (SteerlabError, "ablation arm 1 produced no successful prompts")
+        assert sorted(files) == ["arm_00/manifest.json", "arm_00/report.csv",
+                                 "arm_00/samples.csv", "arm_01/manifest.json",
+                                 "arm_01/samples.csv"]
+        assert len(warned) == 2 and all("shade='c'" in w for w in warned)
+
+    @pytest.mark.parametrize("kind, overrides, message", [
+        ("sweep", {"sweep": {"attribute": "gender", "value": "male",
+                             "proportions": [0.5, 1.5]}}, "negative proportion"),
+        ("ablation", {"windows": [[0.0, 0.5], [0.6, 0.2]]}, "window must satisfy"),
+    ])
+    def test_arm_that_cannot_be_set_up_raises_after_the_arms_before_it(
+            self, tmp_path, monkeypatch, caplog, kind, overrides, message):
+        spec = _arms_spec(tmp_path, "deficit", **overrides)
+        batched, per_arm = _batched_and_per_arm(tmp_path, monkeypatch, caplog, _ARM_RUNS[kind],
+                                                spec)
+        assert batched == per_arm
+        files, outcome, _ = batched
+        assert message in outcome[1]
+        assert {f.split("/")[0] for f in files} == {"arm_00"}
 
 
 class TestRender:
