@@ -865,29 +865,27 @@ class TestArmBatching:
     def test_chunks_split_inside_and_across_arms(self, tmp_path, monkeypatch, caplog, kind,
                                                  chunk_bytes):
         spec = _arms_spec(tmp_path, "deficit", diagnostics=True)
+        whole = _batched_and_per_arm(tmp_path / "whole", monkeypatch, caplog, _ARM_RUNS[kind],
+                                     spec)
+        monkeypatch.setattr(harness, "_CHUNK_BYTES", chunk_bytes)
+        split = _batched_and_per_arm(tmp_path / "split", monkeypatch, caplog, _ARM_RUNS[kind],
+                                     spec)
+        assert split == whole and whole[0] == whole[1]
         chunks = []
 
         def tapes(rngs, steps, d):
             chunks.append(len(rngs))
             return noise_tapes(rngs, steps, d)
         monkeypatch.setattr(harness, "noise_tapes", tapes)
-        whole = _batched_and_per_arm(tmp_path / "whole", monkeypatch, caplog, _ARM_RUNS[kind],
-                                     spec)
-        chunks.clear()
-        monkeypatch.setattr(harness, "_CHUNK_BYTES", chunk_bytes)
-        split = _batched_and_per_arm(tmp_path / "split", monkeypatch, caplog, _ARM_RUNS[kind],
-                                     spec)
-        assert split == whole
-        assert whole[0] == whole[1]
+        _ARM_RUNS[kind](spec)
         arm_rows = 5 * 3   # each arm's rows: five prompt instances of three samples
-        batched = chunks[:len(chunks) // 2]
-        assert sum(batched) == arm_rows * (3 if kind == "sweep" else 4)
-        ends = np.cumsum(batched)
+        assert sum(chunks) == arm_rows * (3 if kind == "sweep" else 4)
         if chunk_bytes == 1:
-            assert batched == [3] * len(batched)
+            assert chunks == [3] * len(chunks)
         else:  # a chunk holds the last rows of one arm and the first of the next
+            ends = np.cumsum(chunks)
             assert any(lo // arm_rows != (hi - 1) // arm_rows
-                       for lo, hi in zip(ends - batched, ends))
+                       for lo, hi in zip(ends - chunks, ends))
 
     def test_sweep_arm_whose_prompts_all_fail(self, tmp_path, monkeypatch, caplog):
         """Every row steered toward female goes non-finite, so the arm whose
