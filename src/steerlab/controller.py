@@ -114,15 +114,16 @@ def lookup(memory: MemoryModule, embedding: np.ndarray) -> int | None:
     """Index of the nearest cluster strictly within tau; ties take the lowest index."""
     best = None
     best_dist = memory.tau
-    for i, cluster in enumerate(memory.clusters):
-        if embedding.shape != cluster.centroid.shape:
-            raise ValueError(
-                f"embedding dimension {embedding.shape} != centroid {cluster.centroid.shape}"
-            )
-        dist = float(np.linalg.norm(embedding - cluster.centroid))
-        if dist < best_dist:
-            best = i
-            best_dist = dist
+    with np.errstate(over="ignore"):  # a huge restored centroid is at distance inf
+        for i, cluster in enumerate(memory.clusters):
+            if embedding.shape != cluster.centroid.shape:
+                raise ValueError(
+                    f"embedding dimension {embedding.shape} != centroid {cluster.centroid.shape}"
+                )
+            dist = float(np.linalg.norm(embedding - cluster.centroid))
+            if dist < best_dist:
+                best = i
+                best_dist = dist
     return best
 
 
@@ -233,11 +234,13 @@ def consolidate(memory: MemoryModule) -> None:
         raise ValueError(f"consolidation needs at least 2 clusters, have {n}")
     best = (0, 1)
     best_dist = np.inf
-    for i in range(n):
-        for j in range(i + 1, n):
-            dist = float(np.linalg.norm(memory.clusters[i].centroid - memory.clusters[j].centroid))
-            if dist < best_dist:
-                best, best_dist = (i, j), dist
+    with np.errstate(over="ignore"):  # as in lookup: a huge centroid is at distance inf
+        for i in range(n):
+            for j in range(i + 1, n):
+                dist = float(np.linalg.norm(memory.clusters[i].centroid
+                                            - memory.clusters[j].centroid))
+                if dist < best_dist:
+                    best, best_dist = (i, j), dist
     i, j = best
     memory.clusters[i] = _merge(memory.clusters[i], memory.clusters[j])
     del memory.clusters[j]

@@ -13,7 +13,9 @@ are computed in log space, and `run_trajectories` advances many independent
 streams as one batch.  The streams of a batch may follow different conditions
 of one shape (component count and covariance kind): `stack_rows` gathers
 their mixtures along a leading row axis, and the kernel gives each row the
-bits it would get alone.  `sample` with `analytic_epsilon` and
+bits it would get alone.  A steered step fuses its edited mixtures the same
+way: one kernel call per shape among them, over the batch stacked once per
+mixture.  `sample` with `analytic_epsilon` and
 `ancestral_step` is the one-point reference path the engine is tested against.
 """
 
@@ -99,19 +101,18 @@ class LatentState:
 class RowMixtures:
     """One mixture per row of a batch: row b follows mixes[b], all of one
     component count and covariance kind.  The arrays the kernel reads are the
-    distinct sources' gathered along a leading row axis; the marginal cache
-    stays on each source."""
+    distinct sources' gathered along a leading row axis."""
 
     def __init__(self, mixes):
-        self.sources = tuple({id(m): m for m in mixes}.values())
-        if len({(m.means.shape, m.identity_cov) for m in self.sources}) > 1:
+        sources = tuple({id(m): m for m in mixes}.values())
+        if len({(m.means.shape, m.identity_cov) for m in sources}) > 1:
             raise ValueError("the rows of a batch need mixtures of one shape")
-        index = {id(m): i for i, m in enumerate(self.sources)}
-        self.rows = np.array([index[id(m)] for m in mixes])
-        self.identity_cov = self.sources[0].identity_cov
+        index = {id(m): i for i, m in enumerate(sources)}
+        rows = np.array([index[id(m)] for m in mixes])
+        self.identity_cov = sources[0].identity_cov
         for name in ("means", "log_weights", "eig_vals", "eig_vecs"):
-            arrays = [getattr(m, name) for m in self.sources]
-            setattr(self, name, None if arrays[0] is None else np.stack(arrays)[self.rows])
+            arrays = [getattr(m, name) for m in sources]
+            setattr(self, name, None if arrays[0] is None else np.stack(arrays)[rows])
 
 
 def stack_rows(mixes) -> ConditionalMixture | RowMixtures:
@@ -120,11 +121,12 @@ def stack_rows(mixes) -> ConditionalMixture | RowMixtures:
 
 
 def _marginal(mix, a_bar: float) -> tuple[np.ndarray, np.ndarray]:
-    """Marginal eigenvalues at level a_bar and their log-determinants, cached per
-    mixture and level (they depend on nothing else), gathered per row for RowMixtures."""
+    """Marginal eigenvalues at level a_bar and their log-determinants: cached per
+    mixture and level (they depend on nothing else), or computed on the
+    gathered rows of RowMixtures."""
     if isinstance(mix, RowMixtures):
-        s, log_det = zip(*(_marginal(m, a_bar) for m in mix.sources))
-        return np.stack(s)[mix.rows], np.stack(log_det)[mix.rows]
+        s = a_bar * mix.eig_vals + (1.0 - a_bar)            # (B, K, d)
+        return s, np.log(s).sum(axis=-1)
     marginal = mix.marginals.get(a_bar)
     if marginal is None:
         s = a_bar * mix.eig_vals + (1.0 - a_bar)            # (K, d)
@@ -158,11 +160,12 @@ def _logits(mix, x: np.ndarray, a_bar: float) -> tuple[np.ndarray, np.ndarray]:
 
 def _score(mix, x: np.ndarray, a_bar: float) -> np.ndarray:
     """Score (grad log density) of the noised mixture at every row of a (B, d) batch."""
+    if mix.identity_cov and mix.means.shape[-2] == 1:
+        # One unit Gaussian: the score is minus the offset, and no weight matters.
+        return -(x - math.sqrt(a_bar) * mix.means[..., 0, :])
     logits, offsets = _logits(mix, x, a_bar)
     if not mix.identity_cov:
         offsets = np.einsum("...kij,...kj->...ki", mix.eig_vecs, offsets)
-    elif mix.means.shape[-2] == 1:
-        return -offsets[:, 0, :]
     m = logits.max(axis=1, keepdims=True)
     w = np.exp(logits - m)
     return -np.matmul(w[:, None, :], offsets)[:, 0, :] / w.sum(axis=1, keepdims=True)
@@ -186,13 +189,14 @@ def _noise(mix, x: np.ndarray, schedule: NoiseSchedule, t: int) -> np.ndarray:
 
 
 def _check(values: np.ndarray, message: str, failures: dict[int, str]) -> None:
-    """Keep message as the first failure of each row of the (B, d) batch whose
-    sum is non-finite, and zero that row, so that it poisons neither a later
-    sum nor another row.  The whole batch's sum is the fast path."""
+    """Keep message as the first failure of each row b of the (B, d) batch, or
+    of the (g, B, d) stack of batches, whose sum is non-finite (in any batch),
+    and zero those sums' rows, so that they poison neither a later sum nor
+    another row.  The whole array's sum is the fast path."""
     if math.isfinite(values.sum()):
         return
-    bad = ~np.isfinite(values.sum(axis=1))
-    for b in np.flatnonzero(bad):
+    bad = ~np.isfinite(values.sum(axis=-1))
+    for b in np.flatnonzero(bad.reshape(-1, bad.shape[-1]).any(axis=0)):
         failures.setdefault(int(b), message)
     values[bad] = 0.0
 
@@ -251,28 +255,46 @@ def sample(
 class Steering:
     """A guidance plan resolved for the trajectory engine.
 
-    active[t] marks the steps whose noise estimate is blended.  Each pair
-    holds the mixtures of a plan entry's target- and reference-edited
-    conditions, one mixture or one per row (`stack_rows`).  The probe, if
-    any, receives at each steered step the batch's rows, in batch order.
+    active[t] marks the steps whose noise estimate is blended.  edits[b]
+    holds row b's edited mixtures: those of each plan entry's target- and
+    reference-edited conditions, in plan order.  A single row's edits steer
+    every row of a batch.  The probe, if any, receives at each steered step
+    the batch's rows, in batch order.
     """
 
     active: np.ndarray
-    pairs: tuple[tuple[ConditionalMixture | RowMixtures, ConditionalMixture | RowMixtures], ...]
+    edits: tuple[tuple[ConditionalMixture, ...], ...]
     gamma: float
     scale: float
     probe: object = None
 
 
-def _steer(steering: Steering, base: np.ndarray, x: np.ndarray, schedule: NoiseSchedule,
+def _fuse(edits, n: int) -> list[tuple[ConditionalMixture | RowMixtures, list[int]]]:
+    """The kernel operands of a steered step over n rows: one per distinct
+    shape (component count and covariance kind) among the edited mixtures,
+    with the slots (positions in plan order) it covers.  Its rows are slot
+    by slot, n each (`stack_rows`), so its batch is x stacked once per slot."""
+    columns = list(zip(*(edits * n if len(edits) == 1 else edits)))
+    slots: dict[tuple, list[int]] = {}
+    for j, column in enumerate(columns):
+        slots.setdefault((column[0].means.shape, column[0].identity_cov), []).append(j)
+    return [(stack_rows([m for j in js for m in columns[j]]), js) for js in slots.values()]
+
+
+def _steer(steering: Steering, fused, base: np.ndarray, x: np.ndarray, schedule: NoiseSchedule,
            t: int, failures: dict[int, str]) -> np.ndarray:
+    """The blended noise of a steered step: one kernel call per fused operand."""
+    eps: list = [None] * len(steering.edits[0])
+    for mix, slots in fused:
+        stacked = x if len(slots) == 1 else np.concatenate([x] * len(slots))
+        out = _noise(mix, stacked, schedule, t).reshape(len(slots), *x.shape)
+        _check(out, f"non-finite noise estimate at step {t}", failures)
+        for j, values in zip(slots, out):
+            eps[j] = values
     acc = np.zeros_like(base)
-    for pair in steering.pairs:
-        target, reference = (_noise(mix, x, schedule, t) for mix in pair)
-        _check(target, f"non-finite noise estimate at step {t}", failures)
-        _check(reference, f"non-finite noise estimate at step {t}", failures)
+    for target, reference in zip(eps[::2], eps[1::2]):
         acc += target - reference
-    attr_term = steering.scale * acc / len(steering.pairs)
+    attr_term = steering.scale * acc / (len(eps) // 2)
     if steering.probe is not None:
         steering.probe.record(t, base, attr_term)
     out = steering.gamma * base + (1.0 - steering.gamma) * attr_term
@@ -282,9 +304,8 @@ def _steer(steering: Steering, base: np.ndarray, x: np.ndarray, schedule: NoiseS
 
 def stack_steering(rows: list[Steering], probe=None) -> Steering:
     """One Steering whose row b blends as rows[b] does: one plan and config,
-    each pair's mixtures of one shape across rows (`stack_rows`)."""
-    pairs = tuple(tuple(map(stack_rows, zip(*column))) for column in zip(*(s.pairs for s in rows)))
-    return replace(rows[0], pairs=pairs, probe=probe)
+    each slot's edited mixtures of one shape across rows."""
+    return replace(rows[0], edits=tuple(e for s in rows for e in s.edits), probe=probe)
 
 
 def noise_tapes(rngs: list[np.random.Generator], steps: int, d: int) -> np.ndarray:
@@ -332,13 +353,14 @@ def run_trajectories(
         x = tapes[0].copy()
     failures: dict[int, str] = {}
     mix = stack_rows([conditional_components(world, c) for c in conds])
+    fused = steering and _fuse(steering.edits, len(conds))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for i in range(start, stop):
             t = steps - 1 - i
             eps = _noise(mix, x, schedule, t)
             _check(eps, f"non-finite noise estimate at step {t}", failures)
             if steering is not None and steering.active[t]:
-                eps = _steer(steering, eps, x, schedule, t, failures)
+                eps = _steer(steering, fused, eps, x, schedule, t, failures)
             x = schedule.inv_sqrt_alpha[t] * (x - schedule.noise_coef[t] * eps)
             if t >= 1:
                 x = x + schedule.sqrt_beta[t] * tapes[i + 1]

@@ -174,9 +174,8 @@ def resolve_steering(
     """
     if config.gamma == 1.0 or not plan.entries or not active.any():
         return None
-    pairs = tuple(
-        (conditional_components(world, edit_condition(world, cond, attribute, entry.target)),
-         conditional_components(world, edit_condition(world, cond, attribute, entry.reference)))
-        for attribute, entry in plan.entries
+    edits = tuple(
+        conditional_components(world, edit_condition(world, cond, attribute, value))
+        for attribute, entry in plan.entries for value in (entry.target, entry.reference)
     )
-    return Steering(active, pairs, config.gamma, config.attribute_scale)
+    return Steering(active, (edits,), config.gamma, config.attribute_scale)

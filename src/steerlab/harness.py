@@ -91,7 +91,8 @@ def _is_sweep(v) -> bool:
     if isinstance(v, dict):
         return (set(v) == {"attribute", "value", "proportions"}
                 and isinstance(v["attribute"], str) and isinstance(v["value"], str)
-                and isinstance(v["proportions"], list) and all(map(_is_number, v["proportions"])))
+                and isinstance(v["proportions"], list)
+                and all(_is_number(p) and 0 <= p <= 1 for p in v["proportions"]))
     return v is None or isinstance(v, list) and all(map(_is_target, v))
 
 
@@ -101,21 +102,23 @@ _KEY_CHECKS = {
     "memory_path": (lambda v: v is None or isinstance(v, str), "a string"),
     "prompts": (lambda v: isinstance(v, list), "a list"),
     **dict.fromkeys(("record_intent", "diagnostics"), (lambda v: isinstance(v, bool), "a boolean")),
-    **dict.fromkeys(("samples_per_prompt", "steps", "seed", "memory_budget"),
-                    (_is_int, "an integer")),
+    **dict.fromkeys(("samples_per_prompt", "steps"), (_is_int, "an integer")),
+    "seed": (lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
+    "memory_budget": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
     **dict.fromkeys(("beta_start", "beta_end", "gamma", "attribute_scale"),
                     (_is_number, "a number")),
     "jitter_scale": (lambda v: _is_number(v) and 0 <= v < math.inf, "a finite number >= 0"),
-    "memory_tau": (lambda v: v is None or _is_number(v), "a number"),
+    "memory_tau": (lambda v: v is None or _is_number(v) and v > 0, "a positive number"),
     "window": (_is_pair, "a [lo, hi] pair of numbers"),
-    "windows": (lambda v: v is None or isinstance(v, list) and all(map(_is_pair, v)),
-                "a list of [lo, hi] pairs of numbers"),
+    "windows": (lambda v: v is None or isinstance(v, list) and all(
+        _is_pair(w) and 0 <= w[0] < w[1] <= 1 for w in v),
+        "a list of [lo, hi] pairs with 0 <= lo < hi <= 1"),
     "target": (_is_target, "an object of {attribute: {value: proportion}}"),
     "static_pairs": (lambda v: v is None or isinstance(v, dict) and all(
         isinstance(p, (list, tuple)) and len(p) == 2 for p in v.values()),
         "an object of {attribute: [toward, away]}"),
     "sweep": (_is_sweep, "a list of targets or an object with exactly 'attribute' and "
-                         "'value' (strings) and 'proportions' (a list of numbers)"),
+                         "'value' (strings) and 'proportions' (a list of numbers in [0, 1])"),
 }
 
 
@@ -181,7 +184,8 @@ class ExperimentSpec:
             try:
                 prompts.append(PromptSpec(**p))
             except (TypeError, ValueError) as exc:
-                raise ValueError(f"bad prompt entry {p!r}: {exc}") from None
+                raise ValueError(f"config key 'prompts' holds a bad prompt entry {p!r}: "
+                                 f"{exc}") from None
         data["prompts"] = prompts
         if not os.path.isabs(data["world_path"]):
             data["world_path"] = os.path.join(base_dir, data["world_path"])
@@ -273,7 +277,7 @@ def _run_rows(world: MixtureWorld, schedule, conds: list[Condition], tapes: np.n
                 resolved[key] = str(exc)
             else:
                 mixes = [conditional_components(world, conds[r])]
-                mixes += [m for pair in steering.pairs for m in pair] if steering else []
+                mixes += steering.edits[0] if steering else ()
                 resolved[key] = steering, tuple((m.means.shape[0], m.identity_cov) for m in mixes)
         if isinstance(resolved[key], str):
             failed[r] = resolved[key]
@@ -419,6 +423,9 @@ def _run_batch(specs: list[ExperimentSpec], world: MixtureWorld,
     per_chunk = max(1, _CHUNK_BYTES // max(
         (n * (row_bytes + plans * 8 * (d + 3 * int(arm.active.sum()) * base.diagnostics))
          for arm in arms), default=1))
+    # Each prompt instance's condition, or the error making it raised, keyed
+    # by what it is made from, so that the arms share it.
+    made: dict[tuple, Condition | SteerlabError] = {}
     for lo in range(0, len(instances), per_chunk):
         # Each prompt's condition and streams up front; rows are the streams of
         # the prompts whose condition was made, in run order.
@@ -427,15 +434,19 @@ def _run_batch(specs: list[ExperimentSpec], world: MixtureWorld,
         row_arms: list[_Arm] = []
         streams = []
         for arm, prompt, instance in instances[lo:lo + per_chunk]:
-            try:
-                cond = make_condition(
-                    world, prompt.concept, prompt.constraints,
-                    jitter_seed=_child_seed(prompt.jitter_seed, instance),
-                    jitter_scale=base.jitter_scale,
-                )
-            except SteerlabError as exc:
-                cond = exc
-            else:
+            key = (prompt.concept, tuple(sorted(prompt.constraints.items())), prompt.jitter_seed,
+                   instance)
+            if key not in made:
+                try:
+                    made[key] = make_condition(
+                        world, prompt.concept, prompt.constraints,
+                        jitter_seed=_child_seed(prompt.jitter_seed, instance),
+                        jitter_scale=base.jitter_scale,
+                    )
+                except SteerlabError as exc:
+                    made[key] = exc
+            cond = made[key]
+            if isinstance(cond, Condition):
                 conds += [cond] * n
                 row_arms += [arm] * n
                 streams += [np.random.SeedSequence([arm.spec.seed, arm.ordinal, s_i])
@@ -534,6 +545,15 @@ def _run_batch(specs: list[ExperimentSpec], world: MixtureWorld,
         raise error
 
 
+def _load_world(spec: ExperimentSpec) -> MixtureWorld:
+    """The world of the config; an unreadable file names the config key."""
+    try:
+        return load_world(spec.world_path)
+    except OSError as exc:
+        raise type(exc)(exc.errno, f"config key 'world_path': {exc.strerror}",
+                        exc.filename) from None
+
+
 def run_generate(
     spec: ExperimentSpec, out_dir: str | None = None, world: MixtureWorld | None = None
 ) -> RunResult:
@@ -544,7 +564,7 @@ def run_generate(
     This is the one-arm case of the batch that sweeps and ablations run.
     """
     if world is None:
-        world = load_world(spec.world_path)
+        world = _load_world(spec)
     return next(_run_batch([spec], world, [out_dir]))
 
 
@@ -668,7 +688,7 @@ def _run_arms(spec: ExperimentSpec, world: MixtureWorld, arms: list[tuple[str, d
 
 def run_sweep(spec: ExperimentSpec, out_dir: str | None = None) -> ArmsResult:
     """One arm per sweep target; writes sweep.csv."""
-    world = load_world(spec.world_path)
+    world = _load_world(spec)
     arms = [(_describe_target(t), {"target": t, "sweep": None})
             for t in sweep_targets(spec, world)]
     return _run_arms(spec, world, arms, "sweep", out_dir)
@@ -676,7 +696,7 @@ def run_sweep(spec: ExperimentSpec, out_dir: str | None = None) -> ArmsResult:
 
 def run_window_ablation(spec: ExperimentSpec, out_dir: str | None = None) -> ArmsResult:
     """One arm per guidance window (defaults: early, middle, late); writes ablation.csv."""
-    world = load_world(spec.world_path)
+    world = _load_world(spec)
     arms = [(f"window={lo:g},{hi:g}", {"window": (lo, hi), "windows": None})
             for lo, hi in (spec.windows or DEFAULT_ABLATION_WINDOWS)]
     return _run_arms(spec, world, arms, "ablation", out_dir)

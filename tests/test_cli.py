@@ -6,6 +6,7 @@ import types
 import pytest
 
 import steerlab
+from steerlab import cli
 from steerlab.cli import _parse_target, _parse_window, main
 from steerlab.controller import _container_checksum, restore_memory
 
@@ -162,6 +163,27 @@ class TestGenerateCommand:
         assert code == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, key, patch", [
+        ("generate", "seed", {"seed": -1}),
+        ("generate", "memory_budget", {"memory_budget": 0}),
+        ("generate", "memory_tau", {"memory_tau": 0}),
+        ("ablate-window", "windows", {"windows": [[0.0, 0.5], [0.6, 0.2]]}),
+        ("sweep", "sweep", {"sweep": {"attribute": "gender", "value": "male",
+                                      "proportions": [0.5, 1.5]}}),
+        ("generate", "world_path", {"world_path": "missing.world"}),
+        ("generate", "prompts", {"prompts": [None]}),
+    ], ids=["seed", "memory_budget", "memory_tau", "windows", "sweep", "world_path", "prompts"])
+    def test_out_of_range_config_value_exits_2_naming_the_key(self, workspace, capsys, command,
+                                                              key, patch):
+        """These used to exit 2 with a message that named no config key."""
+        data = json.loads((workspace / "run.json").read_text())
+        data.update(patch)
+        (workspace / "ranged.json").write_text(json.dumps(data))
+        out = workspace / "out"
+        assert main([command, "--config", str(workspace / "ranged.json"), "--out", str(out)]) == 2
+        assert f"config key {key!r}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_memory_from_world_of_other_dimension_exits_2(self, workspace, capsys):
         (workspace / "cube.world").write_text(
             "dimension 3\nattribute gender male female\n"
@@ -292,6 +314,37 @@ class TestOtherCommands:
                      "--world", str(workspace / "demo.world"), "--out", str(svg)])
         assert code == 0
         assert svg.read_text().startswith("<svg ")
+
+    def test_one_parser_serves_a_sequence_of_commands_as_fresh_ones(self, workspace, capsys):
+        """generate, render and a bad-config generate in one process give the
+        exit codes, output and files of the same calls, each with a new parser."""
+        (workspace / "bad.json").write_text(json.dumps({"world_path": "demo.world"}))
+
+        def calls(tag):
+            out, svg = workspace / f"out-{tag}", workspace / f"plot-{tag}.svg"
+            return [
+                ["generate", "--config", str(workspace / "run.json"), "--out", str(out)],
+                ["render", "--samples", str(out / "samples.csv"),
+                 "--world", str(workspace / "demo.world"), "--out", str(svg)],
+                ["generate", "--config", str(workspace / "bad.json"), "--out", str(out)],
+            ]
+
+        def run(tag, fresh):
+            seen = []
+            for argv in calls(tag):
+                if fresh:
+                    cli._parser.cache_clear()
+                code = main(argv)
+                captured = capsys.readouterr()
+                seen.append((code, captured.out.replace(tag, ""), captured.err.replace(tag, "")))
+            out = workspace / f"out-{tag}"
+            files = {p: (out / p).read_bytes() for p in ("samples.csv", "report.csv")}
+            return seen, files, (workspace / f"plot-{tag}.svg").read_bytes()
+
+        shared = run("shared", fresh=False)
+        assert [code for code, _, _ in shared[0]] == [0, 0, 2]
+        assert "config needs at least 'world_path' and 'prompts'" in shared[0][2][2]
+        assert shared == run("fresh", fresh=True)
 
     @pytest.mark.parametrize("row, named", [
         ("p,1.0", "2 cells under a 4-column header"),

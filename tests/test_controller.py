@@ -69,6 +69,14 @@ class TestLookup:
         assert lookup(mem, np.array([1.0, 0.0])) is None
         assert lookup(mem, np.array([1.0 - 1e-9, 0.0])) == 0
 
+    @pytest.mark.filterwarnings("error")
+    def test_huge_centroid_is_out_of_reach_without_a_warning(self):
+        """A restored centroid like [1e308, 0] is at distance inf, silently."""
+        mem = memory_with([Cluster(np.array([1e308, 0.0])), Cluster(np.array([0.0, 0.0]))],
+                          tau=1.0)
+        assert lookup(mem, np.array([-1e308, 0.0])) is None
+        assert lookup(mem, np.array([0.5, 0.0])) == 1
+
     def test_dimension_mismatch(self):
         mem = memory_with([Cluster(np.array([0.0, 0.0]))])
         with pytest.raises(ValueError, match="dimension"):
@@ -305,6 +313,14 @@ class TestConsolidate:
         consolidate(mem)
         np.testing.assert_allclose(mem.clusters[0].centroid, [1.0, 0.0])
         assert mem.clusters[0].total == 0
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_centroid_is_farthest_without_a_warning(self):
+        mem = memory_with([Cluster(np.array([1e308, 0.0]), total=1),
+                           Cluster(np.array([0.0, 0.0]), total=1),
+                           Cluster(np.array([1.0, 0.0]), total=1)])
+        consolidate(mem)
+        assert [c.centroid.tolist() for c in mem.clusters] == [[1e308, 0.0], [0.5, 0.0]]
 
     def test_needs_two_clusters(self):
         with pytest.raises(ValueError, match="at least 2"):

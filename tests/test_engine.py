@@ -5,11 +5,13 @@ when steering, by `combined_noise`) bit for bit, stream by stream, whatever
 the batch size and however a trajectory is split into runs.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from steerlab import InfeasibleConditionError, NumericsError, run_generate
+from steerlab import InfeasibleConditionError, NumericsError, diffusion, run_generate
 from steerlab.diffusion import (
     analytic_epsilon,
     linear_schedule,
@@ -29,7 +31,7 @@ from steerlab.guidance import (
     window_mask,
 )
 from steerlab.world import make_condition
-from steerlab.worldfile import default_world_path, load_world
+from steerlab.worldfile import default_world_path, load_world, parse_world
 from steerlab.harness import ExperimentSpec, PromptSpec, _run_rows
 
 from conftest import build_gender_world, two_attribute_world
@@ -247,30 +249,60 @@ ROW_CONDITIONS = [("engineer", {}), ("teacher", {}), ("engineer", {"gender": "ma
 ROW_WORLDS = {**WORLDS, "all-full-cov": lambda: build_gender_world(
     male_weight=0.65, covariances={**FULL_COV, ("teacher", "male"): [[1.2, 0.3], [0.3, 0.9]]})}
 
+# A full gender x age grid per concept.  The worker's male-young and
+# female-young components have full covariances, the rest the identity, so a
+# two-attribute plan edits a condition into mixtures of one or two components
+# of either covariance kind: worker {} into three full two-component mixtures
+# and one identity one, nurse {} into four identity ones.
+GRID_WORLD = """\
+dimension 2
+attribute gender male female
+attribute age young old
+component worker gender=male   age=young mean=0,0  weight=0.3 cov=1,0.3;0.3,0.8
+component worker gender=male   age=old   mean=4,0  weight=0.2
+component worker gender=female age=young mean=0,4  weight=0.2 cov=0.7,0;0,1.2
+component worker gender=female age=old   mean=4,4  weight=0.3
+component nurse  gender=male   age=young mean=9,0  weight=0.2
+component nurse  gender=male   age=old   mean=13,0 weight=0.2
+component nurse  gender=female age=young mean=9,4  weight=0.3
+component nurse  gender=female age=old   mean=13,4 weight=0.3
+"""
+GRID_CONDITIONS = [("worker", {}), ("nurse", {}), ("worker", {"gender": "male"}),
+                   ("worker", {"gender": "female"}), ("worker", {"age": "old"}),
+                   ("nurse", {"gender": "male"}), ("nurse", {"gender": "female"})]
+# world, the conditions its rows follow, the plan that steers them
+ROW_CASES = {
+    **{name: (world, ROW_CONDITIONS, ONE_ATTR) for name, world in ROW_WORLDS.items()},
+    "two-attribute-grid": (lambda: parse_world(GRID_WORLD), GRID_CONDITIONS, TWO_ATTR),
+}
+
 
 @settings(max_examples=60, deadline=None)
 @given(
-    world_name=st.sampled_from(sorted(ROW_WORLDS)),
+    case=st.sampled_from(sorted(ROW_CASES)),
     seed=st.integers(0, 2**32 - 1),
     steps=st.integers(1, 40),
     steered=st.booleans(),
     data=st.data(),
 )
 def test_rows_of_any_conditions_grouped_and_split_run_as_alone(
-        world_name, seed, steps, steered, data):
+        case, seed, steps, steered, data):
     """Rows of several conditions, batched by kernel shape in any order and
-    split at any step, each give the bits and probe rows of that row alone."""
-    world = ROW_WORLDS[world_name]()
+    split at any step, each give the bits and probe rows of that row alone.
+    On the grid, a steered step fuses the edited mixtures of one shape across
+    plan entries and rows."""
+    make_world, conditions, plan = ROW_CASES[case]
+    world = make_world()
     schedule = linear_schedule(steps, beta_end=0.3)
-    picks = data.draw(st.lists(st.integers(0, len(ROW_CONDITIONS) - 1), min_size=1,
+    picks = data.draw(st.lists(st.integers(0, len(conditions) - 1), min_size=1,
                                max_size=10), label="conditions")
-    conds = [make_condition(world, *ROW_CONDITIONS[i], jitter_seed=b, jitter_scale=0.2)
+    conds = [make_condition(world, *conditions[i], jitter_seed=b, jitter_scale=0.2)
              for b, i in enumerate(picks)]
     n = len(conds)
     k = data.draw(st.integers(0, steps), label="k")
     first = data.draw(st.permutations(range(n)), label="first order")
     then = data.draw(st.lists(st.sampled_from(first), min_size=1, unique=True), label="then")
-    plan = ONE_ATTR if steered else None
+    plan = plan if steered else None
 
     def steer(cond):
         return _steering(world, schedule, cond, plan)
@@ -310,6 +342,59 @@ def test_poisoned_row_fails_alone_and_its_neighbours_keep_their_bits(name, poiso
     assert np.isnan(out[2]).all()
     for b in (0, 1, 3):
         alone = _engine(world, schedule, conds[b], [_rngs(4, seed=5)[b]], ONE_ATTR)
+        np.testing.assert_array_equal(out[b], alone[0])
+
+
+@pytest.mark.parametrize("conditions, calls", [
+    ([("nurse", {})], 2),
+    ([("worker", {})], 3),
+    ([("worker", {"gender": "male"}), ("worker", {"gender": "female"})], 4),
+    ([("worker", {"age": "old"}), ("worker", {"age": "old"})], 4),
+    ([("nurse", {"gender": "female"})], 3),
+])
+def test_a_steered_step_makes_one_kernel_call_per_edited_shape(monkeypatch, conditions, calls):
+    """1 kernel call for the base noise, plus 1 per distinct shape among the
+    four edited mixtures, whatever the rows; 1 on an unsteered step."""
+    world = parse_world(GRID_WORLD)
+    schedule = linear_schedule(10)
+    conds = [make_condition(world, *c) for c in conditions]
+    steering = stack_steering([_steering(world, schedule, c, TWO_ATTR) for c in conds])
+    seen = []
+    noise = diffusion._noise
+
+    def counted(mix, x, schedule, t):
+        seen.append(t)
+        return noise(mix, x, schedule, t)
+    monkeypatch.setattr(diffusion, "_noise", counted)
+    _, failures = run_trajectories(world, schedule, conds,
+                                   noise_tapes(_rngs(len(conds)), 10, 2), steering)
+    assert not failures
+    per_step = Counter(seen)
+    assert steering.active.sum() == 3
+    assert all(per_step[t] == (calls if steering.active[t] else 1) for t in range(10))
+
+
+@pytest.mark.parametrize("poison, message", [
+    ((0, 0), "non-finite noise estimate at step 9"),
+    ((4, 1), "non-finite latent produced at step 6"),
+])
+def test_poisoned_row_under_a_two_attribute_plan_fails_alone(poison, message):
+    """The failed row's fused edited rows are zeroed, not its neighbours'."""
+    world = parse_world(GRID_WORLD)
+    schedule = linear_schedule(10)
+    # Two conditions whose base and four edited mixtures share their shapes.
+    conds = [make_condition(world, *GRID_CONDITIONS[i]) for i in (2, 3, 2, 3)]
+    values = np.zeros((10, 2))
+    values[poison] = np.nan if poison == (0, 0) else np.inf
+    rngs = _rngs(4, seed=5)
+    rngs[1] = _Tape(values.ravel())
+    tapes = noise_tapes(rngs, schedule.steps, world.dimension)
+    steering = stack_steering([_steering(world, schedule, c, TWO_ATTR) for c in conds])
+    out, failures = run_trajectories(world, schedule, conds, tapes, steering)
+    assert failures == {1: message}
+    assert np.isnan(out[1]).all()
+    for b in (0, 2, 3):
+        alone = _engine(world, schedule, conds[b], [_rngs(4, seed=5)[b]], TWO_ATTR)
         np.testing.assert_array_equal(out[b], alone[0])
 
 

@@ -10,6 +10,7 @@ bare exception from deep inside the library.
 import contextlib
 import copy
 import functools
+import io
 import json
 import os
 import re
@@ -122,14 +123,18 @@ def _paths(node, prefix=()):
             yield from _paths(v, prefix + (k,))
 
 
-def mutate_config(data, config: dict) -> dict:
-    """Drop or duplicate a key or list item, or replace a value, anywhere in the tree."""
+def mutate_config(data, config: dict) -> tuple[dict, list[tuple]]:
+    """Drop or duplicate a key or list item, or replace a value, anywhere in
+    the tree; the mutated config and the key paths mutated."""
     config = copy.deepcopy(config)
+    mutated = []
     for _ in range(data.draw(st.integers(1, 3), label="mutations")):
         paths = sorted(_paths(config), key=repr)
         if not paths:
             break
-        *parents, last = data.draw(st.sampled_from(paths), label="path")
+        path = data.draw(st.sampled_from(paths), label="path")
+        mutated.append(path)
+        *parents, last = path
         node = config
         for part in parents:
             node = node[part]
@@ -143,7 +148,7 @@ def mutate_config(data, config: dict) -> dict:
                 node[f"{last}_again"] = copy.deepcopy(node[last])
         else:
             node[last] = copy.deepcopy(data.draw(JSON_VALUES, label="value"))
-    return config
+    return config, mutated
 
 
 @given(data=st.data())
@@ -162,12 +167,18 @@ def test_mutated_world_text_loads_or_names_file_and_line(data):
 @given(data=st.data())
 @settings(max_examples=150, deadline=None)
 def test_mutated_config_runs_or_exits_2(data):
-    config = mutate_config(data, CONFIG)
+    """An exit 2 names a mutated key: a top-level key or one inside it."""
+    config, mutated = mutate_config(data, CONFIG)
     command = data.draw(st.sampled_from(["generate", "sweep", "ablate-window"]), label="command")
-    with fresh_cwd():
+    err = io.StringIO()
+    with fresh_cwd(), contextlib.redirect_stderr(err):
         Path("fuzz.world").write_text(WORLD)
         Path("run.json").write_text(json.dumps(config))
-        assert main([command, "--config", "run.json", "--out", "out"]) in (0, 1, 2)
+        code = main([command, "--config", "run.json", "--out", "out"])
+    assert code in (0, 1, 2)
+    if code == 2:
+        keys = {key for path in mutated for key in path if isinstance(key, str)}
+        assert any(key in err.getvalue() for key in keys), (mutated, err.getvalue())
 
 
 @functools.cache

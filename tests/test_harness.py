@@ -887,6 +887,28 @@ class TestArmBatching:
             assert any(lo // arm_rows != (hi - 1) // arm_rows
                        for lo, hi in zip(ends - chunks, ends))
 
+    @pytest.mark.parametrize("kind", ["sweep", "ablation"])
+    def test_arms_share_each_prompt_instance_condition(self, tmp_path, monkeypatch, caplog, kind):
+        """Each prompt instance's condition is made once, whatever the arm
+        count, and so is an infeasible one's error; the arms still leave what
+        one run each leaves."""
+        made = []
+
+        def counted(world, concept, *args, **kwargs):
+            made.append(concept)
+            return make_condition(world, concept, *args, **kwargs)
+        monkeypatch.setattr(harness, "make_condition", counted)
+        robot = PromptSpec("nurse", count=2, jitter_seed=7, constraints={"gender": "robot"})
+        spec = _arms_spec(tmp_path, "deficit", prompts=MIXED_PROMPTS + [robot])
+        batched, per_arm = _batched_and_per_arm(tmp_path, monkeypatch, caplog, _ARM_RUNS[kind],
+                                                spec)
+        assert batched == per_arm
+        arms = 3 if kind == "sweep" else 4
+        assert sum("unknown value 'robot'" in w for w in batched[2]) == 2 * arms
+        made.clear()
+        _ARM_RUNS[kind](spec)
+        assert sorted(made) == ["nurse"] * 4 + ["worker"] * 3
+
     def test_sweep_arm_whose_prompts_all_fail(self, tmp_path, monkeypatch, caplog):
         """Every row steered toward female goes non-finite, so the arm whose
         target is all female loses every prompt: the same error at the same
