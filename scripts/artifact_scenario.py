@@ -63,8 +63,8 @@ component worker shade=c age=young mean=-4,0 weight=0.2
 """
 
 # Four components per nurse against three per worker (no male old worker), so
-# a run batches each concept's rows apart; an age=old worker steered toward
-# gender=male is infeasible.
+# a run's steps make one kernel call per concept's shape; an age=old worker
+# steered toward gender=male is infeasible.
 UNEQUAL_K_WORLD = """\
 dimension 2
 attribute gender male female

@@ -10,7 +10,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import replace
 
 from . import __version__
 from .controller import POLICY_KINDS, cluster_rows, restore_memory
@@ -33,12 +32,12 @@ def _parse_target(text: str) -> dict[str, dict[str, float]]:
     for part in text.split(";"):
         attr, _, rest = part.partition("=")
         if not rest:
-            raise ValueError(f"bad --target fragment {part!r}")
+            raise ValueError(f"bad fragment {part!r}")
         dist = {}
         for pair in rest.split(","):
             value, _, prop = pair.partition(":")
             if not prop:
-                raise ValueError(f"bad --target proportion {pair!r}")
+                raise ValueError(f"bad proportion {pair!r}")
             dist[value] = float(prop)
         target[attr.strip()] = dist
     return target
@@ -47,7 +46,7 @@ def _parse_target(text: str) -> dict[str, dict[str, float]]:
 def _parse_window(text: str) -> tuple[float, float]:
     parts = text.split(",")
     if len(parts) != 2:
-        raise ValueError(f"--window expects 'lo,hi', got {text!r}")
+        raise ValueError(f"expected 'lo,hi', got {text!r}")
     return float(parts[0]), float(parts[1])
 
 
@@ -58,10 +57,16 @@ _OVERRIDES = (("seed", "seed", None), ("memory", "memory_path", None), ("policy"
 
 
 def _load_spec(args) -> ExperimentSpec:
-    spec = ExperimentSpec.from_file(args.config)
-    overrides = {key: parse(value) if parse else value for flag, key, parse in _OVERRIDES
-                 if (value := getattr(args, flag)) is not None}
-    return replace(spec, **overrides)
+    """The config file with the given override flags, checked as one config."""
+    overrides = {}
+    for flag, key, parse in _OVERRIDES:
+        value = getattr(args, flag)
+        if value is not None:
+            try:
+                overrides[key] = parse(value) if parse else value
+            except ValueError as exc:
+                raise ValueError(f"config key {key!r} from --{flag}: {exc}") from None
+    return ExperimentSpec.from_file(args.config, overrides)
 
 
 def _cmd_generate(args) -> int:

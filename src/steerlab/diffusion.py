@@ -10,12 +10,10 @@ which lets the sampler and every steering experiment run without any trained
 network.  Cheap per-step evaluation matters here (millions of calls per
 experiment), so mixtures are prepared once per condition, responsibilities
 are computed in log space, and `run_trajectories` advances many independent
-streams as one batch.  The streams of a batch may follow different conditions
-of one shape (component count and covariance kind): `stack_rows` gathers
-their mixtures along a leading row axis, and the kernel gives each row the
-bits it would get alone.  A steered step fuses its edited mixtures the same
-way: one kernel call per shape among them, over the batch stacked once per
-mixture.  `sample` with `analytic_epsilon` and
+streams as one batch.  Its rows may follow any conditions: a step makes one
+kernel call per shape (component count and covariance kind) among the rows'
+base mixtures and, when steered, their edited ones, and the kernel gives each
+row the bits it would get alone.  `sample` with `analytic_epsilon` and
 `ancestral_step` is the one-point reference path the engine is tested against.
 """
 
@@ -105,19 +103,12 @@ class RowMixtures:
 
     def __init__(self, mixes):
         sources = tuple({id(m): m for m in mixes}.values())
-        if len({(m.means.shape, m.identity_cov) for m in sources}) > 1:
-            raise ValueError("the rows of a batch need mixtures of one shape")
         index = {id(m): i for i, m in enumerate(sources)}
         rows = np.array([index[id(m)] for m in mixes])
         self.identity_cov = sources[0].identity_cov
         for name in ("means", "log_weights", "eig_vals", "eig_vecs"):
             arrays = [getattr(m, name) for m in sources]
             setattr(self, name, None if arrays[0] is None else np.stack(arrays)[rows])
-
-
-def stack_rows(mixes) -> ConditionalMixture | RowMixtures:
-    """The kernel operand for a batch whose row b follows mixes[b]; one shared mixture is itself."""
-    return mixes[0] if all(m is mixes[0] for m in mixes) else RowMixtures(mixes)
 
 
 def _marginal(mix, a_bar: float) -> tuple[np.ndarray, np.ndarray]:
@@ -269,30 +260,31 @@ class Steering:
     probe: object = None
 
 
-def _fuse(edits, n: int) -> list[tuple[ConditionalMixture | RowMixtures, list[int]]]:
-    """The kernel operands of a steered step over n rows: one per distinct
-    shape (component count and covariance kind) among the edited mixtures,
-    with the slots (positions in plan order) it covers.  Its rows are slot
-    by slot, n each (`stack_rows`), so its batch is x stacked once per slot."""
-    columns = list(zip(*(edits * n if len(edits) == 1 else edits)))
-    slots: dict[tuple, list[int]] = {}
+def _operands(columns) -> list[tuple]:
+    """A step's kernel calls, one per shape among its (slot, row) cells, where
+    row b follows columns[j][b] in slot j (0 the base, then the plan's edits):
+    (operand, its rows of the (slots * B, d) noise stack, its rows of x or None for all)."""
+    n = len(columns[0])
+    groups: dict[tuple, list[tuple[int, int]]] = {}
     for j, column in enumerate(columns):
-        slots.setdefault((column[0].means.shape, column[0].identity_cov), []).append(j)
-    return [(stack_rows([m for j in js for m in columns[j]]), js) for js in slots.values()]
+        for b, m in enumerate(column):
+            groups.setdefault((m.means.shape, m.identity_cov), []).append((j, b))
+    operands = []
+    for cells in groups.values():
+        mixes = [columns[j][b] for j, b in cells]
+        mix = mixes[0] if all(m is mixes[0] for m in mixes) else RowMixtures(mixes)
+        at = [j * n + b for j, b in cells]  # increasing: cells come slot by slot, row by row
+        at = slice(at[0], at[-1] + 1) if at[-1] - at[0] == len(at) - 1 else np.array(at)
+        whole = len(cells) == n and all(j == cells[0][0] for j, _ in cells)  # rows 0..B-1
+        operands.append((mix, at, None if whole else np.array([b for _, b in cells])))
+    return operands
 
 
-def _steer(steering: Steering, fused, base: np.ndarray, x: np.ndarray, schedule: NoiseSchedule,
-           t: int, failures: dict[int, str]) -> np.ndarray:
-    """The blended noise of a steered step: one kernel call per fused operand."""
-    eps: list = [None] * len(steering.edits[0])
-    for mix, slots in fused:
-        stacked = x if len(slots) == 1 else np.concatenate([x] * len(slots))
-        out = _noise(mix, stacked, schedule, t).reshape(len(slots), *x.shape)
-        _check(out, f"non-finite noise estimate at step {t}", failures)
-        for j, values in zip(slots, out):
-            eps[j] = values
+def _steer(steering: Steering, eps: np.ndarray, t: int, failures: dict[int, str]) -> np.ndarray:
+    """The blended noise of a steered step from its (slots, B, d) noise stack."""
+    base = eps[0]
     acc = np.zeros_like(base)
-    for target, reference in zip(eps[::2], eps[1::2]):
+    for target, reference in zip(eps[1::2], eps[2::2]):
         acc += target - reference
     attr_term = steering.scale * acc / (len(eps) // 2)
     if steering.probe is not None:
@@ -303,8 +295,7 @@ def _steer(steering: Steering, fused, base: np.ndarray, x: np.ndarray, schedule:
 
 
 def stack_steering(rows: list[Steering], probe=None) -> Steering:
-    """One Steering whose row b blends as rows[b] does: one plan and config,
-    each slot's edited mixtures of one shape across rows."""
+    """One Steering whose row b blends as rows[b] does, with the batch's probe."""
     return replace(rows[0], edits=tuple(e for s in rows for e in s.edits), probe=probe)
 
 
@@ -336,7 +327,8 @@ def run_trajectories(
     Runs reverse steps start..stop-1 from x, the batch's latents after
     `start` steps.  x defaults to x_T, row 0 of the tapes, and stop to the
     number of steps, so that the result is the clean samples.  conds[b] is
-    row b's condition, all of one shape (`stack_rows`).  Every operation is
+    row b's condition, of any shape: a step makes one kernel call per shape
+    among its base and edited mixtures (`_operands`).  Every operation is
     row-wise, so row b equals `sample` with the same steering run on stream
     b's generator alone, however the trajectory is split and the rows grouped.
 
@@ -352,15 +344,27 @@ def run_trajectories(
             raise ValueError("x is needed to start past step 0")
         x = tapes[0].copy()
     failures: dict[int, str] = {}
-    mix = stack_rows([conditional_components(world, c) for c in conds])
-    fused = steering and _fuse(steering.edits, len(conds))
+    columns = [[conditional_components(world, c) for c in conds]]
+    plain = steered = _operands(columns)
+    if steering is not None:
+        columns += zip(*(steering.edits * len(conds) if len(steering.edits) == 1
+                         else steering.edits))
+        steered = _operands(columns)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for i in range(start, stop):
             t = steps - 1 - i
-            eps = _noise(mix, x, schedule, t)
+            blend = steering is not None and steering.active[t]
+            operands = steered if blend else plain
+            if len(operands) == 1 and operands[0][2] is None:  # one call over the batch itself
+                eps = _noise(operands[0][0], x, schedule, t)
+            else:
+                eps = np.empty(((len(columns) if blend else 1) * len(x), x.shape[1]))
+                for mix, at, rows in operands:
+                    eps[at] = _noise(mix, x if rows is None else x[rows], schedule, t)
+                eps = eps.reshape(-1, *x.shape) if blend else eps
             _check(eps, f"non-finite noise estimate at step {t}", failures)
-            if steering is not None and steering.active[t]:
-                eps = _steer(steering, fused, eps, x, schedule, t, failures)
+            if blend:
+                eps = _steer(steering, eps, t, failures)
             x = schedule.inv_sqrt_alpha[t] * (x - schedule.noise_coef[t] * eps)
             if t >= 1:
                 x = x + schedule.sqrt_beta[t] * tapes[i + 1]

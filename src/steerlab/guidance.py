@@ -168,7 +168,7 @@ def resolve_steering(
 
     `active` is the config's `window_mask`.  Edited conditions are resolved
     once, in plan order; `stack_steering` batches the steerings of several
-    conditions and attaches the batch's probe.  None when no step would be
+    conditions, of any shapes, and attaches the batch's probe.  None when no step would be
     blended (gamma = 1, an empty plan, or a window holding no step); then, as
     in combined_noise, no edited condition is evaluated.
     """

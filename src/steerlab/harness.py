@@ -17,9 +17,9 @@ in order, arm by arm.  The first time a sample chooses a plan, every row from
 it to the end of the batch whose arm has the same window finishes under that
 plan as one batch, each under its own condition's edited mixtures; later
 samples, of that arm or a later one, that choose the plan take their rows
-from that batch, and the other rows are discarded.  Rows share a batch when
-their mixtures have one shape, and a long run is cut into chunks of whole
-prompts, across arms, that each hold under `_CHUNK_BYTES`.  Every row is
+from that batch, and the other rows are discarded.  Rows of any conditions
+share a batch, and a long run is cut into chunks of whole prompts, across
+arms, that each hold under `_CHUNK_BYTES`.  Every row is
 computed as if alone, so none of this changes a bit of output, and a row that
 fails (goes non-finite, or cannot take a plan) fails only a prompt that
 chooses it.  A prompt works on a copy of its arm's memory and stages its
@@ -61,8 +61,8 @@ from .controller import (
     restore_memory,
     snapshot_memory,
 )
-from .diffusion import (linear_schedule, mixture_log_density, noise_tapes, run_trajectories,
-                        stack_steering)
+from .diffusion import (Steering, linear_schedule, mixture_log_density, noise_tapes,
+                        run_trajectories, stack_steering)
 from .errors import SteerlabError
 from .evaluate import BiasReport, QualityScores, build_report, discriminate, write_csv, write_report_csv
 from .guidance import EMPTY_PLAN, GuidanceConfig, GuidanceProbe, resolve_steering, window_mask
@@ -199,10 +199,14 @@ class ExperimentSpec:
         return spec
 
     @classmethod
-    def from_file(cls, path: str) -> "ExperimentSpec":
+    def from_file(cls, path: str, overrides: dict | None = None) -> "ExperimentSpec":
+        """The config in the JSON file, with `overrides` replacing its keys."""
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        return cls.from_dict(data, base_dir=os.path.dirname(os.path.abspath(path)))
+        if not isinstance(data, dict):
+            raise ValueError(f"{path}: a config must be a JSON object")
+        return cls.from_dict({**data, **(overrides or {})},
+                             base_dir=os.path.dirname(os.path.abspath(path)))
 
     def digest(self) -> str:
         # vars() serializes nested dataclasses as asdict() would, without its deep copy.
@@ -257,48 +261,43 @@ def _build_policy(spec: ExperimentSpec) -> IndicatorPolicy | None:
 def _run_rows(world: MixtureWorld, schedule, conds: list[Condition], tapes: np.ndarray, rows,
               x: np.ndarray | None, start: int, stop: int, diagnostics: bool = False, steer=None
               ) -> tuple[np.ndarray, dict[int, str], dict[int, tuple[GuidanceProbe, int]]]:
-    """Advance `rows` (indices into conds) from step `start` to `stop`, one
-    `run_trajectories` batch per kernel shape (the component counts and
-    covariance kinds of the base and edited mixtures).  steer(cond) gives a
-    condition's steering, or None, and is called once per condition key.
-    Returns every row's latents (NaN where not run or failed), each failed
-    row's first message (rows whose condition cannot take the steering fail
-    unrun), and each row's probe with its position in that probe's batch.
-    """
-    resolved: dict[tuple, tuple | str] = {}
-    groups: dict[tuple, list[int]] = {}
+    """Advance `rows` (indices into conds) from step `start` to `stop` in one
+    `run_trajectories` batch.  steer(cond), called once per condition key,
+    gives a condition's steering, or None for every condition.  Returns every
+    row's latents (NaN where not run or failed), each failed row's first
+    message (rows whose condition cannot take the steering fail unrun), and
+    each row's probe with its position in the probe's batch."""
+    resolved: dict[tuple, Steering | str | None] = {}
     failed: dict[int, str] = {}
+    members: list[int] = []
     for r in rows:
         key = conds[r].key()
         if key not in resolved:
             try:
-                steering = steer(conds[r]) if steer else None
+                resolved[key] = steer(conds[r]) if steer else None
             except SteerlabError as exc:
                 resolved[key] = str(exc)
-            else:
-                mixes = [conditional_components(world, conds[r])]
-                mixes += steering.edits[0] if steering else ()
-                resolved[key] = steering, tuple((m.means.shape[0], m.identity_cov) for m in mixes)
         if isinstance(resolved[key], str):
             failed[r] = resolved[key]
         else:
-            groups.setdefault(resolved[key][1], []).append(r)
+            members.append(r)
     out = np.full((len(conds), world.dimension), np.nan)
     probes: dict[int, tuple[GuidanceProbe, int]] = {}
-    for members in groups.values():
-        # A run of consecutive rows is a view of the tapes, not a copy.
-        sel = (slice(members[0], members[-1] + 1)
-               if members == list(range(members[0], members[-1] + 1)) else np.array(members))
-        batch = [conds[r] for r in members]
-        steering = None
-        if resolved[batch[0].key()][0] is not None:
-            probe = GuidanceProbe() if diagnostics else None
-            steering = stack_steering([resolved[c.key()][0] for c in batch], probe)
-            if probe is not None:
-                probes.update((r, (probe, j)) for j, r in enumerate(members))
-        out[sel], fails = run_trajectories(world, schedule, batch, tapes[:, sel], steering,
-                                           start, stop, None if x is None else x[sel])
-        failed.update((members[b], message) for b, message in fails.items())
+    if not members:
+        return out, failed, probes
+    # A run of consecutive rows is a view of the tapes, not a copy.
+    sel = (slice(members[0], members[-1] + 1)
+           if members == list(range(members[0], members[-1] + 1)) else np.array(members))
+    batch = [conds[r] for r in members]
+    steering = None
+    if resolved[batch[0].key()] is not None:
+        probe = GuidanceProbe() if diagnostics else None
+        steering = stack_steering([resolved[c.key()] for c in batch], probe)
+        if probe is not None:
+            probes = {r: (probe, j) for j, r in enumerate(members)}
+    out[sel], fails = run_trajectories(world, schedule, batch, tapes[:, sel], steering,
+                                       start, stop, None if x is None else x[sel])
+    failed.update((members[b], message) for b, message in fails.items())
     return out, failed, probes
 
 
@@ -335,9 +334,13 @@ def _open_arm(spec: ExperimentSpec, world: MixtureWorld, schedule, out_dir: str 
     memory: MemoryModule | None = None
     if policy is not None:
         tau = spec.memory_tau if spec.memory_tau is not None else default_match_threshold(world)
-        if spec.memory_path and os.path.exists(spec.memory_path):
-            memory, prompts_seen = restore_memory(spec.memory_path, world.schema, world.dimension)
+        path = spec.memory_path
+        if path and os.path.exists(path):
+            memory, prompts_seen = restore_memory(path, world.schema, world.dimension)
         else:
+            # Refused before any row runs, not when the run's end writes it.
+            if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+                raise ValueError(f"config key 'memory_path': no directory to write {path!r} in")
             memory = MemoryModule(budget=spec.memory_budget, tau=tau)
     active = window_mask(schedule, config)
     # Steps before the first steered one are the same under every plan, so

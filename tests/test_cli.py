@@ -6,9 +6,10 @@ import types
 import pytest
 
 import steerlab
-from steerlab import cli
+from steerlab import cli, harness
 from steerlab.cli import _parse_target, _parse_window, main
 from steerlab.controller import _container_checksum, restore_memory
+from steerlab.diffusion import run_trajectories
 
 WORLD = """\
 dimension 2
@@ -163,26 +164,57 @@ class TestGenerateCommand:
         assert code == 2
         assert key in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command, key, patch", [
-        ("generate", "seed", {"seed": -1}),
-        ("generate", "memory_budget", {"memory_budget": 0}),
-        ("generate", "memory_tau", {"memory_tau": 0}),
-        ("ablate-window", "windows", {"windows": [[0.0, 0.5], [0.6, 0.2]]}),
+    @pytest.mark.parametrize("command, key, patch, flags", [
+        ("generate", "seed", {"seed": -1}, []),
+        ("generate", "memory_budget", {"memory_budget": 0}, []),
+        ("generate", "memory_tau", {"memory_tau": 0}, []),
+        ("ablate-window", "windows", {"windows": [[0.0, 0.5], [0.6, 0.2]]}, []),
         ("sweep", "sweep", {"sweep": {"attribute": "gender", "value": "male",
-                                      "proportions": [0.5, 1.5]}}),
-        ("generate", "world_path", {"world_path": "missing.world"}),
-        ("generate", "prompts", {"prompts": [None]}),
-    ], ids=["seed", "memory_budget", "memory_tau", "windows", "sweep", "world_path", "prompts"])
+                                      "proportions": [0.5, 1.5]}}, []),
+        ("generate", "world_path", {"world_path": "missing.world"}, []),
+        ("generate", "prompts", {"prompts": [None]}, []),
+        ("generate", "seed", {}, ["--seed", "-1"]),
+        ("generate", "target", {}, ["--target", "gender=male:x"]),
+        ("generate", "target", {}, ["--target", "gender"]),
+        ("generate", "window", {}, ["--window", "0.2,x"]),
+        ("sweep", "window", {}, ["--window", "0.2"]),
+    ], ids=["seed", "memory_budget", "memory_tau", "windows", "sweep", "world_path", "prompts",
+            "--seed", "--target-proportion", "--target-fragment", "--window-number",
+            "--window-pair"])
     def test_out_of_range_config_value_exits_2_naming_the_key(self, workspace, capsys, command,
-                                                              key, patch):
-        """These used to exit 2 with a message that named no config key."""
+                                                              key, patch, flags):
+        """These used to exit 2 with a message that named no config key.
+        Override flags are checked as config keys, and a flag that does not
+        parse is named."""
         data = json.loads((workspace / "run.json").read_text())
         data.update(patch)
         (workspace / "ranged.json").write_text(json.dumps(data))
         out = workspace / "out"
-        assert main([command, "--config", str(workspace / "ranged.json"), "--out", str(out)]) == 2
-        assert f"config key {key!r}" in capsys.readouterr().err
+        assert main([command, "--config", str(workspace / "ranged.json"), "--out", str(out),
+                     *flags]) == 2
+        err = capsys.readouterr().err
+        assert f"config key {key!r}" in err
+        if key in ("target", "window"):
+            assert f"from {flags[0]}" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["[]", '[{"world_path": "demo.world"}]', '"run"'])
+    def test_config_that_is_not_an_object_exits_2(self, workspace, capsys, text):
+        (workspace / "list.json").write_text(text)
+        assert main(["generate", "--config", str(workspace / "list.json")]) == 2
+        assert "a config must be a JSON object" in capsys.readouterr().err
+
+    def test_memory_path_in_missing_directory_exits_2_before_any_row(self, workspace, capsys,
+                                                                       monkeypatch):
+        ran = []
+        monkeypatch.setattr(harness, "run_trajectories",
+                            lambda *args: ran.append(1) or run_trajectories(*args))
+        out = workspace / "out"
+        memory = workspace / "missing" / "memory.json"
+        assert main(["generate", "--config", str(workspace / "run.json"), "--out", str(out),
+                     "--memory", str(memory)]) == 2
+        assert "config key 'memory_path'" in capsys.readouterr().err
+        assert not ran and not out.exists() and not memory.parent.exists()
 
     def test_memory_from_world_of_other_dimension_exits_2(self, workspace, capsys):
         (workspace / "cube.world").write_text(

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from steerlab import InfeasibleConditionError, NumericsError, diffusion, run_generate
+from steerlab import InfeasibleConditionError, NumericsError, diffusion, harness, run_generate
 from steerlab.diffusion import (
     analytic_epsilon,
     linear_schedule,
@@ -58,6 +58,7 @@ TWO_ATTR = GuidancePlan((
     ("gender", PlanEntry("female", "male")),
     ("age", PlanEntry("young", "old")),
 ))
+AGE_ONLY = GuidancePlan((("age", PlanEntry("young", "old")),))
 
 
 def _rngs(n, seed=0):
@@ -253,7 +254,9 @@ ROW_WORLDS = {**WORLDS, "all-full-cov": lambda: build_gender_world(
 # female-young components have full covariances, the rest the identity, so a
 # two-attribute plan edits a condition into mixtures of one or two components
 # of either covariance kind: worker {} into three full two-component mixtures
-# and one identity one, nurse {} into four identity ones.
+# and one identity one, nurse {} into four identity ones.  Under the age-only
+# plan, the full two-component shape holds worker {gender=male}'s base and
+# worker {}'s edit toward young, so one kernel call covers both kinds of cell.
 GRID_WORLD = """\
 dimension 2
 attribute gender male female
@@ -274,6 +277,7 @@ GRID_CONDITIONS = [("worker", {}), ("nurse", {}), ("worker", {"gender": "male"})
 ROW_CASES = {
     **{name: (world, ROW_CONDITIONS, ONE_ATTR) for name, world in ROW_WORLDS.items()},
     "two-attribute-grid": (lambda: parse_world(GRID_WORLD), GRID_CONDITIONS, TWO_ATTR),
+    "age-only-grid": (lambda: parse_world(GRID_WORLD), GRID_CONDITIONS, AGE_ONLY),
 }
 
 
@@ -287,10 +291,11 @@ ROW_CASES = {
 )
 def test_rows_of_any_conditions_grouped_and_split_run_as_alone(
         case, seed, steps, steered, data):
-    """Rows of several conditions, batched by kernel shape in any order and
-    split at any step, each give the bits and probe rows of that row alone.
-    On the grid, a steered step fuses the edited mixtures of one shape across
-    plan entries and rows."""
+    """Rows of several conditions, in one batch in any order and split at any
+    step, each give the bits and probe rows of that row alone, as they do in
+    one `run_trajectories` call over all the rows.  A step makes one kernel
+    call per shape among the base and edited mixtures, across plan entries
+    and rows."""
     make_world, conditions, plan = ROW_CASES[case]
     world = make_world()
     schedule = linear_schedule(steps, beta_end=0.3)
@@ -308,6 +313,10 @@ def test_rows_of_any_conditions_grouped_and_split_run_as_alone(
         return _steering(world, schedule, cond, plan)
 
     tapes = noise_tapes(_rngs(n, seed), steps, world.dimension)
+    steerings = [steer(c) for c in conds]
+    whole, failed = run_trajectories(world, schedule, conds, tapes,
+                                     steerings[0] and stack_steering(steerings))
+    assert not failed
     x, failed, probes_a = _run_rows(world, schedule, conds, tapes, first, None, 0, k, True, steer)
     out, failed_b, probes_b = _run_rows(world, schedule, conds, tapes, then, x, k, steps, True,
                                         steer)
@@ -317,6 +326,7 @@ def test_rows_of_any_conditions_grouped_and_split_run_as_alone(
         probe = GuidanceProbe()
         alone = _engine(world, schedule, conds[b], [_rngs(n, seed)[b]], plan, probe)
         np.testing.assert_array_equal(out[b], alone[0])
+        np.testing.assert_array_equal(whole[b], alone[0])
         rows = [got[0].stream(got[1]) for got in (probes_a.get(b), probes_b.get(b)) if got]
         assert sum(rows, []) == probe.stream(0)
 
@@ -345,16 +355,18 @@ def test_poisoned_row_fails_alone_and_its_neighbours_keep_their_bits(name, poiso
         np.testing.assert_array_equal(out[b], alone[0])
 
 
-@pytest.mark.parametrize("conditions, calls", [
-    ([("nurse", {})], 2),
-    ([("worker", {})], 3),
-    ([("worker", {"gender": "male"}), ("worker", {"gender": "female"})], 4),
-    ([("worker", {"age": "old"}), ("worker", {"age": "old"})], 4),
-    ([("nurse", {"gender": "female"})], 3),
+@pytest.mark.parametrize("conditions, calls, plain", [
+    ([("nurse", {})], 2, 1),
+    ([("worker", {})], 3, 1),
+    ([("worker", {"gender": "male"}), ("worker", {"gender": "female"})], 3, 1),
+    ([("worker", {"age": "old"}), ("worker", {"age": "old"})], 3, 1),
+    ([("nurse", {"gender": "female"})], 2, 1),
+    ([("worker", {}), ("nurse", {}), ("worker", {"gender": "male"})], 6, 3),
 ])
-def test_a_steered_step_makes_one_kernel_call_per_edited_shape(monkeypatch, conditions, calls):
-    """1 kernel call for the base noise, plus 1 per distinct shape among the
-    four edited mixtures, whatever the rows; 1 on an unsteered step."""
+def test_a_step_makes_one_kernel_call_per_mixture_shape(monkeypatch, conditions, calls, plain):
+    """A steered step makes 1 kernel call per distinct shape among the rows'
+    base and four edited mixtures; an unsteered step 1 per distinct shape
+    among their base mixtures."""
     world = parse_world(GRID_WORLD)
     schedule = linear_schedule(10)
     conds = [make_condition(world, *c) for c in conditions]
@@ -371,7 +383,45 @@ def test_a_steered_step_makes_one_kernel_call_per_edited_shape(monkeypatch, cond
     assert not failures
     per_step = Counter(seen)
     assert steering.active.sum() == 3
-    assert all(per_step[t] == (calls if steering.active[t] else 1) for t in range(10))
+    assert all(per_step[t] == (calls if steering.active[t] else plain) for t in range(10))
+
+
+@pytest.mark.parametrize("picks", [(2, 2, 0, 0), (0, 0, 2, 2)])
+def test_base_and_edited_cells_of_one_shape_keep_their_rows(picks):
+    """Rows of worker {gender=male} and worker {} under the age-only plan: the
+    full two-component cells are the male rows' base and the other rows' edit
+    toward young, four cells over rows 0..3 in order (or, in the second order,
+    four adjacent cells of the noise stack), yet not one slot.  Each row gives
+    its bits alone."""
+    world = parse_world(GRID_WORLD)
+    schedule = linear_schedule(20, beta_end=0.3)
+    conds = [make_condition(world, *GRID_CONDITIONS[i]) for i in picks]
+    tapes = noise_tapes(_rngs(4, seed=3), schedule.steps, world.dimension)
+    steering = stack_steering([_steering(world, schedule, c, AGE_ONLY) for c in conds])
+    out, failures = run_trajectories(world, schedule, conds, tapes, steering)
+    assert not failures
+    for b in range(4):
+        alone = _engine(world, schedule, conds[b], [_rngs(4, seed=3)[b]], AGE_ONLY)
+        np.testing.assert_array_equal(out[b], alone[0])
+
+
+def test_rows_of_several_shapes_take_one_engine_call(monkeypatch):
+    world = parse_world(GRID_WORLD)
+    schedule = linear_schedule(10)
+    conds = [make_condition(world, *c) for c in GRID_CONDITIONS]
+    calls = []
+    engine = harness.run_trajectories
+
+    def counted(*args):
+        calls.append(len(args[2]))
+        return engine(*args)
+    monkeypatch.setattr(harness, "run_trajectories", counted)
+    for plan in (None, TWO_ATTR):
+        calls.clear()
+        _, failed, _ = _run_rows(world, schedule, conds,
+                                 noise_tapes(_rngs(len(conds)), 10, 2), range(len(conds)),
+                                 None, 0, 10, steer=lambda c: _steering(world, schedule, c, plan))
+        assert not failed and calls == [len(conds)]
 
 
 @pytest.mark.parametrize("poison, message", [

@@ -395,8 +395,8 @@ component nurse  gender=female age=old   mean=13,0 weight=0.3
 component nurse  gender=female age=young mean=9,4 weight=0.4
 """
 
-# The nurse has all four components against the worker's three, so a run
-# batches each concept's rows apart.
+# The nurse has all four components against the worker's three, so a run's
+# steps make one kernel call per concept's shape.
 UNEQUAL_K_WORLD_TEXT = TWO_ATTR_WORLD_TEXT + """\
 component nurse  gender=male   age=young mean=9,0  weight=0.2
 component nurse  gender=male   age=old   mean=13,0 weight=0.2
