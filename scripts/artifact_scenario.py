@@ -16,7 +16,8 @@ prompts of one sample); and a world whose concepts have unequal component
 counts, with diagnostics.  The output lists, one line each, the sha256 of every
 file left in the work directory except `manifest.json` (it holds wall-clock
 time), then each command's exit code.  Each command's stdout and stderr are
-kept as files in the work directory, so they are in the list too.
+kept as files in the work directory, so they are in the list too.  The script
+prints the list's own sha256 beside its file and command counts.
 
 A refactor that must not move a bit of output should give the same list on
 its parent and on itself.  The work directory is emptied first; it must be
@@ -236,9 +237,11 @@ def main(argv: list[str] | None = None) -> int:
             with open(path, "rb") as fh:
                 digest = hashlib.sha256(fh.read()).hexdigest()
             lines.append(f"{digest}  {os.path.relpath(path, work)}")
+    text = "\n".join(lines + codes) + "\n"
     with open(out, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines + codes) + "\n")
-    print(f"wrote {out}: {len(lines)} files, {len(codes)} commands")
+        fh.write(text)
+    print(f"wrote {out}: {len(lines)} files, {len(codes)} commands, "
+          f"sha256 {hashlib.sha256(text.encode()).hexdigest()}")
     return 0
 
 

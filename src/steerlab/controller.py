@@ -89,7 +89,8 @@ class IndicatorPolicy:
             raise ValueError("static_pairs must be given exactly when kind='static'")
 
     def validate_for(self, schema: AttributeSchema) -> None:
-        """Static pairs must name known values for exactly the schema's attributes."""
+        """Static pairs must name two different known values for exactly the
+        schema's attributes."""
         if self.static_pairs is None:
             return
         for name in schema.names():
@@ -102,6 +103,9 @@ class IndicatorPolicy:
                 if value not in schema.values_of(name):
                     raise WorldValidationError(
                         f"static_pairs value {value!r} is not a value of attribute {name!r}")
+            if pair[0] == pair[1]:
+                raise WorldValidationError(f"config key 'static_pairs': the pair for attribute "
+                                           f"{name!r} names {pair[0]!r} twice")
 
 
 def default_match_threshold(world: MixtureWorld) -> float:

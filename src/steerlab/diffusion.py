@@ -10,22 +10,24 @@ which lets the sampler and every steering experiment run without any trained
 network.  Cheap per-step evaluation matters here (millions of calls per
 experiment), so mixtures are prepared once per condition, responsibilities
 are computed in log space, and `run_trajectories` advances many independent
-streams as one batch.  Its rows may follow any conditions: a step makes one
-kernel call per shape (component count and covariance kind) among the rows'
-base mixtures and, when steered, their edited ones, and the kernel gives each
-row the bits it would get alone.  `sample` with `analytic_epsilon` and
+streams as one batch.  Its rows may follow any conditions, and it edits each
+row's condition by a plan's pins (`Steering`) itself: a step makes one kernel
+call per shape (component count and covariance kind) among the rows' base
+mixtures and, when steered, their edited ones, and the kernel gives each row
+the bits it would get alone.  `sample` with `analytic_epsilon` and
 `ancestral_step` is the one-point reference path the engine is tested against.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericsError
-from .world import Condition, ConditionalMixture, MixtureWorld, conditional_components
+from .errors import NumericsError, SteerlabError
+from .world import (Condition, ConditionalMixture, MixtureWorld, conditional_components,
+                    edit_condition)
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -244,20 +246,17 @@ def sample(
 
 @dataclass(frozen=True)
 class Steering:
-    """A guidance plan resolved for the trajectory engine.
+    """A guidance plan as the trajectory engine applies it, to rows of any conditions.
 
-    active[t] marks the steps whose noise estimate is blended.  edits[b]
-    holds row b's edited mixtures: those of each plan entry's target- and
-    reference-edited conditions, in plan order.  A single row's edits steer
-    every row of a batch.  The probe, if any, receives at each steered step
-    the batch's rows, in batch order.
+    active[t] marks the steps whose noise estimate is blended.  pins holds
+    each plan entry's (attribute, target) and (attribute, reference) pairs, in
+    plan order; `run_trajectories` edits each row's condition by every pin.
     """
 
     active: np.ndarray
-    edits: tuple[tuple[ConditionalMixture, ...], ...]
+    pins: tuple[tuple[str, str], ...]
     gamma: float
     scale: float
-    probe: object = None
 
 
 def _operands(columns) -> list[tuple]:
@@ -280,23 +279,28 @@ def _operands(columns) -> list[tuple]:
     return operands
 
 
-def _steer(steering: Steering, eps: np.ndarray, t: int, failures: dict[int, str]) -> np.ndarray:
+def _steer(steering: Steering, eps: np.ndarray, t: int, failures: dict[int, str], probe
+           ) -> np.ndarray:
     """The blended noise of a steered step from its (slots, B, d) noise stack."""
     base = eps[0]
     acc = np.zeros_like(base)
     for target, reference in zip(eps[1::2], eps[2::2]):
         acc += target - reference
     attr_term = steering.scale * acc / (len(eps) // 2)
-    if steering.probe is not None:
-        steering.probe.record(t, base, attr_term)
+    if probe is not None:
+        probe.record(t, base, attr_term)
     out = steering.gamma * base + (1.0 - steering.gamma) * attr_term
     _check(out, f"non-finite steered noise at step {t}", failures)
     return out
 
 
-def stack_steering(rows: list[Steering], probe=None) -> Steering:
-    """One Steering whose row b blends as rows[b] does, with the batch's probe."""
-    return replace(rows[0], edits=tuple(e for s in rows for e in s.edits), probe=probe)
+def _edited(world: MixtureWorld, cond: Condition, pins) -> tuple[ConditionalMixture, ...] | str:
+    """The condition's edited mixtures, one per pin, or the message of the error an edit raises."""
+    try:
+        return tuple(conditional_components(world, edit_condition(world, cond, attribute, value))
+                     for attribute, value in pins)
+    except SteerlabError as exc:
+        return str(exc)
 
 
 def noise_tapes(rngs: list[np.random.Generator], steps: int, d: int) -> np.ndarray:
@@ -321,6 +325,7 @@ def run_trajectories(
     start: int = 0,
     stop: int | None = None,
     x: np.ndarray | None = None,
+    probe=None,
 ) -> tuple[np.ndarray, dict[int, str]]:
     """Independent streams advanced together as one (B, d) batch.
 
@@ -328,14 +333,18 @@ def run_trajectories(
     `start` steps.  x defaults to x_T, row 0 of the tapes, and stop to the
     number of steps, so that the result is the clean samples.  conds[b] is
     row b's condition, of any shape: a step makes one kernel call per shape
-    among its base and edited mixtures (`_operands`).  Every operation is
+    among its base and edited mixtures (`_operands`).  The steering's edited
+    mixtures are resolved once per condition key; the probe, if any, receives
+    at each steered step the batch's rows, in batch order.  Every operation is
     row-wise, so row b equals `sample` with the same steering run on stream
     b's generator alone, however the trajectory is split and the rows grouped.
 
     Returns the latents and the failed rows: each row that goes non-finite
-    maps to the message it would raise alone, and its latents are NaN.  The
-    other rows carry on untouched, and numpy's floating-point warnings are
-    silenced, since the failed rows are the report.
+    maps to the message it would raise alone, and each row whose condition
+    cannot take the steering's edits to that error's message, from before its
+    first step.  A failed row's latents are NaN.  The other rows carry on
+    untouched, and numpy's floating-point warnings are silenced, since the
+    failed rows are the report.
     """
     steps = schedule.steps
     stop = steps if stop is None else stop
@@ -347,8 +356,16 @@ def run_trajectories(
     columns = [[conditional_components(world, c) for c in conds]]
     plain = steered = _operands(columns)
     if steering is not None:
-        columns += zip(*(steering.edits * len(conds) if len(steering.edits) == 1
-                         else steering.edits))
+        edits = {key: _edited(world, c, steering.pins)
+                 for key, c in {c.key(): c for c in conds}.items()}
+        slots = []
+        for b, c in enumerate(conds):
+            mixes = edits[c.key()]
+            if isinstance(mixes, str):  # the row fails unrun; its base mixture fills its edit slots
+                failures[b] = mixes
+                mixes = (columns[0][b],) * len(steering.pins)
+            slots.append(mixes)
+        columns += zip(*slots)
         steered = _operands(columns)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for i in range(start, stop):
@@ -364,7 +381,7 @@ def run_trajectories(
                 eps = eps.reshape(-1, *x.shape) if blend else eps
             _check(eps, f"non-finite noise estimate at step {t}", failures)
             if blend:
-                eps = _steer(steering, eps, t, failures)
+                eps = _steer(steering, eps, t, failures, probe)
             x = schedule.inv_sqrt_alpha[t] * (x - schedule.noise_coef[t] * eps)
             if t >= 1:
                 x = x + schedule.sqrt_beta[t] * tapes[i + 1]

@@ -8,8 +8,9 @@ points along the latent separation between those attribute values at the
 current noise level.  Outside the window the base estimate passes through
 untouched and no edited condition is ever evaluated.
 
-`resolve_steering` hands a plan to the trajectory engine, which applies the
-blend; `combined_noise` is the one-point reference of the same blend.
+`resolve_steering` turns a plan into the attribute-value pins the trajectory
+engine edits each row's condition by (`world.edit_condition`) before it applies
+the blend; `combined_noise` is the one-point reference of the same blend.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from .diffusion import LatentState, NoiseSchedule, Steering, analytic_epsilon
 from .errors import NumericsError
-from .world import Condition, MixtureWorld, conditional_components
+from .world import Condition, MixtureWorld, edit_condition
 
 
 @dataclass(frozen=True)
@@ -73,13 +74,6 @@ def window_mask(schedule: NoiseSchedule, config: GuidanceConfig) -> np.ndarray:
     progress = np.arange(schedule.steps - 1, -1, -1) / max(schedule.steps - 1, 1)
     lo, hi = config.window
     return (lo <= progress) & ((progress < hi) | ((hi >= 1.0) & (progress == 1.0)))
-
-
-def edit_condition(world: MixtureWorld, cond: Condition, attribute: str, value: str) -> Condition:
-    """Pin one attribute constraint; everything else (embedding included) unchanged."""
-    new = Condition(cond.concept, {**cond.constraints, attribute: value}, cond.embedding)
-    conditional_components(world, new)  # raises on an unknown value or an empty slice
-    return new
 
 
 def adaptive_latent_direction(
@@ -157,25 +151,16 @@ def combined_noise(
     return out
 
 
-def resolve_steering(
-    world: MixtureWorld,
-    cond: Condition,
-    plan: GuidancePlan,
-    config: GuidanceConfig,
-    active: np.ndarray,
-) -> Steering | None:
+def resolve_steering(plan: GuidancePlan, config: GuidanceConfig, active: np.ndarray
+                     ) -> Steering | None:
     """The plan as `run_trajectories` applies it: the blend of `combined_noise`.
 
-    `active` is the config's `window_mask`.  Edited conditions are resolved
-    once, in plan order; `stack_steering` batches the steerings of several
-    conditions, of any shapes, and attaches the batch's probe.  None when no step would be
+    `active` is the config's `window_mask`.  None when no step would be
     blended (gamma = 1, an empty plan, or a window holding no step); then, as
     in combined_noise, no edited condition is evaluated.
     """
     if config.gamma == 1.0 or not plan.entries or not active.any():
         return None
-    edits = tuple(
-        conditional_components(world, edit_condition(world, cond, attribute, value))
-        for attribute, entry in plan.entries for value in (entry.target, entry.reference)
-    )
-    return Steering(active, (edits,), config.gamma, config.attribute_scale)
+    pins = tuple((attribute, value) for attribute, entry in plan.entries
+                 for value in (entry.target, entry.reference))
+    return Steering(active, pins, config.gamma, config.attribute_scale)

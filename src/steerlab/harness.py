@@ -61,9 +61,8 @@ from .controller import (
     restore_memory,
     snapshot_memory,
 )
-from .diffusion import (Steering, linear_schedule, mixture_log_density, noise_tapes,
-                        run_trajectories, stack_steering)
-from .errors import SteerlabError
+from .diffusion import Steering, linear_schedule, mixture_log_density, noise_tapes, run_trajectories
+from .errors import SteerlabError, WorldValidationError
 from .evaluate import BiasReport, QualityScores, build_report, discriminate, write_csv, write_report_csv
 from .guidance import EMPTY_PLAN, GuidanceConfig, GuidanceProbe, resolve_steering, window_mask
 from .world import Condition, MixtureWorld, TargetDistribution, conditional_components, make_condition
@@ -110,9 +109,9 @@ _KEY_CHECKS = {
     "jitter_scale": (lambda v: _is_number(v) and 0 <= v < math.inf, "a finite number >= 0"),
     "memory_tau": (lambda v: v is None or _is_number(v) and v > 0, "a positive number"),
     "window": (_is_pair, "a [lo, hi] pair of numbers"),
-    "windows": (lambda v: v is None or isinstance(v, list) and all(
+    "windows": (lambda v: v is None or isinstance(v, list) and v != [] and all(
         _is_pair(w) and 0 <= w[0] < w[1] <= 1 for w in v),
-        "a list of [lo, hi] pairs with 0 <= lo < hi <= 1"),
+        "null or a non-empty list of [lo, hi] pairs with 0 <= lo < hi <= 1"),
     "target": (_is_target, "an object of {attribute: {value: proportion}}"),
     "static_pairs": (lambda v: v is None or isinstance(v, dict) and all(
         isinstance(p, (list, tuple)) and len(p) == 2 for p in v.values()),
@@ -258,47 +257,23 @@ def _build_policy(spec: ExperimentSpec) -> IndicatorPolicy | None:
     return IndicatorPolicy(kind=spec.policy)
 
 
-def _run_rows(world: MixtureWorld, schedule, conds: list[Condition], tapes: np.ndarray, rows,
-              x: np.ndarray | None, start: int, stop: int, diagnostics: bool = False, steer=None
-              ) -> tuple[np.ndarray, dict[int, str], dict[int, tuple[GuidanceProbe, int]]]:
+def _advance(world: MixtureWorld, schedule, conds: list[Condition], tapes: np.ndarray,
+             rows: list[int], x: np.ndarray | None, start: int, stop: int,
+             steering: Steering | None = None, probe: GuidanceProbe | None = None
+             ) -> tuple[np.ndarray, dict[int, str]]:
     """Advance `rows` (indices into conds) from step `start` to `stop` in one
-    `run_trajectories` batch.  steer(cond), called once per condition key,
-    gives a condition's steering, or None for every condition.  Returns every
-    row's latents (NaN where not run or failed), each failed row's first
-    message (rows whose condition cannot take the steering fail unrun), and
-    each row's probe with its position in the probe's batch."""
-    resolved: dict[tuple, Steering | str | None] = {}
-    failed: dict[int, str] = {}
-    members: list[int] = []
-    for r in rows:
-        key = conds[r].key()
-        if key not in resolved:
-            try:
-                resolved[key] = steer(conds[r]) if steer else None
-            except SteerlabError as exc:
-                resolved[key] = str(exc)
-        if isinstance(resolved[key], str):
-            failed[r] = resolved[key]
-        else:
-            members.append(r)
+    `run_trajectories` call.  Returns every row's latents (NaN where not run
+    or failed) and each failed row's first message; the probe receives the
+    rows in the order given."""
     out = np.full((len(conds), world.dimension), np.nan)
-    probes: dict[int, tuple[GuidanceProbe, int]] = {}
-    if not members:
-        return out, failed, probes
+    if not rows:
+        return out, {}
     # A run of consecutive rows is a view of the tapes, not a copy.
-    sel = (slice(members[0], members[-1] + 1)
-           if members == list(range(members[0], members[-1] + 1)) else np.array(members))
-    batch = [conds[r] for r in members]
-    steering = None
-    if resolved[batch[0].key()] is not None:
-        probe = GuidanceProbe() if diagnostics else None
-        steering = stack_steering([resolved[c.key()] for c in batch], probe)
-        if probe is not None:
-            probes = {r: (probe, j) for j, r in enumerate(members)}
-    out[sel], fails = run_trajectories(world, schedule, batch, tapes[:, sel], steering,
-                                       start, stop, None if x is None else x[sel])
-    failed.update((members[b], message) for b, message in fails.items())
-    return out, failed, probes
+    sel = (slice(rows[0], rows[-1] + 1) if rows == list(range(rows[0], rows[-1] + 1))
+           else np.array(rows))
+    out[sel], failed = run_trajectories(world, schedule, [conds[r] for r in rows], tapes[:, sel],
+                                        steering, start, stop, None if x is None else x[sel], probe)
+    return out, {rows[b]: message for b, message in failed.items()}
 
 
 @dataclass
@@ -467,7 +442,7 @@ def _run_batch(specs: list[ExperimentSpec], world: MixtureWorld,
         for stop in sorted({arm.prefix for arm in row_arms} - {0}):
             going = [r for r, arm in enumerate(row_arms)
                      if arm.prefix >= stop and r not in prefix_failed]
-            latents, failed, _ = _run_rows(world, schedule, conds, tapes, going, x, at, stop)
+            latents, failed = _advance(world, schedule, conds, tapes, going, x, at, stop)
             x[going] = latents[going]
             prefix_failed.update(failed)
             at = stop
@@ -476,10 +451,10 @@ def _run_batch(specs: list[ExperimentSpec], world: MixtureWorld,
         for r, arm in enumerate(row_arms):
             if r not in prefix_failed:
                 members.setdefault(arm.config, []).append(r)
-        # (config, plan) -> every row's latents, failures and probe rows,
-        # finished under it from the first row to choose it to the end of the
-        # chunk, over the rows of the arms with that config.
-        runs: dict[tuple, tuple[np.ndarray, dict[int, str], dict]] = {}
+        # (config, plan) -> every row's latents and failures, finished under it from
+        # the first row to choose it to the end of the chunk, over the rows of the
+        # arms with that config, and (with diagnostics) its probe and each row's place.
+        runs: dict[tuple, tuple] = {}
         for arm, prompt, prompt_id, p_ordinal, cond, row0 in chunk:
             try:
                 if not isinstance(cond, Condition):
@@ -504,13 +479,14 @@ def _run_batch(specs: list[ExperimentSpec], world: MixtureWorld,
                         plan = decide(staged_memory, cond, schema, arm.target, arm.policy, rng)
                     key = arm.config, plan
                     if key not in runs:
-                        finished, failed, traces = _run_rows(
-                            world, schedule, conds, tapes,
-                            [q for q in members.get(arm.config, ()) if q >= r], x, arm.prefix,
-                            schedule.steps, base.diagnostics,
-                            lambda c: resolve_steering(world, c, plan, arm.config, arm.active))
-                        runs[key] = (finished, {**failed, **prefix_failed}, traces)
-                    finished, failed, traces = runs[key]
+                        going = [q for q in members.get(arm.config, ()) if q >= r]
+                        probe = GuidanceProbe() if base.diagnostics else None
+                        finished, failed = _advance(
+                            world, schedule, conds, tapes, going, x, arm.prefix, schedule.steps,
+                            resolve_steering(plan, arm.config, arm.active), probe)
+                        runs[key] = (finished, {**failed, **prefix_failed}, probe,
+                                     {q: j for j, q in enumerate(going)} if probe else None)
+                    finished, failed, probe, place = runs[key]
                     if r in failed:
                         raise SteerlabError(failed[r])
                     x0 = finished[r]
@@ -519,9 +495,8 @@ def _run_batch(specs: list[ExperimentSpec], world: MixtureWorld,
                         outcome = ({a: e.target for a, e in plan.entries}
                                    if base.record_intent else labels)
                         record(staged_memory, cond, outcome)
-                    if r in traces:
-                        probe, pos = traces[r]
-                        probes.extend((prompt_id, s_i) + row for row in probe.stream(pos))
+                    if probe is not None:
+                        probes.extend((prompt_id, s_i) + row for row in probe.stream(place[r]))
                     if max(concept_post, key=lambda c: concept_post[c]) == prompt.concept:
                         hits += 1
                     logdens += mixture_log_density(marg_mix, x0, 1.0)
@@ -626,14 +601,18 @@ def sweep_targets(spec: ExperimentSpec, world: MixtureWorld) -> list[dict]:
     """Expand the config's sweep declaration into full target distributions."""
     if spec.sweep is None:
         raise ValueError("config has no sweep section")
+    if not (spec.sweep if isinstance(spec.sweep, list) else spec.sweep["proportions"]):
+        raise ValueError("config key 'sweep' holds no arm: give at least one target or proportion")
     if isinstance(spec.sweep, list):
         return [dict(t) for t in spec.sweep]
     attr = spec.sweep["attribute"]
     value = spec.sweep["value"]
     proportions = spec.sweep["proportions"]
+    if attr not in world.schema.names():
+        raise WorldValidationError(f"config key 'sweep': unknown attribute {attr!r}")
     values = world.schema.values_of(attr)
     if value not in values:
-        raise ValueError(f"sweep value {value!r} not in attribute {attr!r}")
+        raise ValueError(f"config key 'sweep': value {value!r} not in attribute {attr!r}")
     others = [v for v in values if v != value]
     targets = []
     for p in proportions:

@@ -308,6 +308,13 @@ def make_condition(
     return cond
 
 
+def edit_condition(world: MixtureWorld, cond: Condition, attribute: str, value: str) -> Condition:
+    """Pin one attribute constraint; everything else (embedding included) unchanged."""
+    new = Condition(cond.concept, {**cond.constraints, attribute: value}, cond.embedding)
+    conditional_components(world, new)  # raises on an unknown value or an empty slice
+    return new
+
+
 class TargetDistribution:
     """Desired per-attribute value proportions (each attribute sums to 1)."""
 

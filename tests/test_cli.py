@@ -178,14 +178,27 @@ class TestGenerateCommand:
         ("generate", "target", {}, ["--target", "gender"]),
         ("generate", "window", {}, ["--window", "0.2,x"]),
         ("sweep", "window", {}, ["--window", "0.2"]),
+        # Used to run the prefix pass first, then name no key.
+        ("generate", "static_pairs", {"policy": "static",
+                                      "static_pairs": {"gender": ["male", "male"]}}, []),
+        # Used to warn about an empty mean, then fail writing sweep.csv.
+        ("sweep", "sweep", {"sweep": {"attribute": "gender", "value": "male",
+                                      "proportions": []}}, []),
+        ("sweep", "sweep", {"sweep": []}, []),
+        ("sweep", "sweep", {"sweep": {"attribute": "colour", "value": "red",
+                                      "proportions": [0.5]}}, []),
+        # Used to run the default windows, which only null asks for.
+        ("ablate-window", "windows", {"windows": []}, []),
     ], ids=["seed", "memory_budget", "memory_tau", "windows", "sweep", "world_path", "prompts",
             "--seed", "--target-proportion", "--target-fragment", "--window-number",
-            "--window-pair"])
+            "--window-pair", "static_pairs-equal", "sweep-no-proportions", "sweep-no-targets",
+            "sweep-unknown-attribute", "windows-empty"])
+    @pytest.mark.filterwarnings("error")
     def test_out_of_range_config_value_exits_2_naming_the_key(self, workspace, capsys, command,
                                                               key, patch, flags):
-        """These used to exit 2 with a message that named no config key.
-        Override flags are checked as config keys, and a flag that does not
-        parse is named."""
+        """These used to exit 2 with a message that named no config key, or
+        later than they could.  Override flags are checked as config keys, and
+        a flag that does not parse is named.  No case warns."""
         data = json.loads((workspace / "run.json").read_text())
         data.update(patch)
         (workspace / "ranged.json").write_text(json.dumps(data))

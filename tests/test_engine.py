@@ -18,7 +18,6 @@ from steerlab.diffusion import (
     noise_tapes,
     run_trajectories,
     sample,
-    stack_steering,
 )
 from steerlab.guidance import (
     EMPTY_PLAN,
@@ -32,7 +31,7 @@ from steerlab.guidance import (
 )
 from steerlab.world import make_condition
 from steerlab.worldfile import default_world_path, load_world, parse_world
-from steerlab.harness import ExperimentSpec, PromptSpec, _run_rows
+from steerlab.harness import ExperimentSpec, PromptSpec, _advance
 
 from conftest import build_gender_world, two_attribute_world
 
@@ -75,17 +74,14 @@ def _reference(world, schedule, cond, rng, plan=None, probe=None):
     return sample(world, schedule, cond, hook, rng)
 
 
-def _steering(world, schedule, cond, plan, probe=None):
-    if plan is None:
-        return None
-    steering = resolve_steering(world, cond, plan, CONFIG, window_mask(schedule, CONFIG))
-    return steering and stack_steering([steering], probe)
+def _steering(schedule, plan):
+    return plan and resolve_steering(plan, CONFIG, window_mask(schedule, CONFIG))
 
 
 def _engine(world, schedule, cond, rngs, plan=None, probe=None):
     tapes = noise_tapes(rngs, schedule.steps, world.dimension)
     x, failures = run_trajectories(world, schedule, [cond] * len(rngs), tapes,
-                                   _steering(world, schedule, cond, plan, probe))
+                                   _steering(schedule, plan), probe=probe)
     assert not failures
     return x
 
@@ -172,11 +168,10 @@ def test_split_run_finishes_any_subset_like_each_stream_alone(
     plan = ONE_ATTR if steered else None
     tapes = noise_tapes(_rngs(n, seed), steps, world.dimension)
     probe_all, probe_sub = GuidanceProbe(), GuidanceProbe()
-    x, failed = run_trajectories(world, schedule, [cond] * n, tapes,
-                                 _steering(world, schedule, cond, plan, probe_all), stop=k)
+    x, failed = run_trajectories(world, schedule, [cond] * n, tapes, _steering(schedule, plan),
+                                 stop=k, probe=probe_all)
     out, failed_sub = run_trajectories(world, schedule, [cond] * len(subset), tapes[:, subset],
-                                       _steering(world, schedule, cond, plan, probe_sub), k,
-                                       x=x[subset])
+                                       _steering(schedule, plan), k, x=x[subset], probe=probe_sub)
     assert not failed and not failed_sub
     for j, b in enumerate(subset):
         probe = GuidanceProbe()
@@ -195,19 +190,54 @@ def test_starting_past_step_zero_needs_a_state():
 
 
 def test_steering_resolves_to_none_when_no_step_is_blended():
-    world = two_attribute_world()
-    cond = make_condition(world, "worker", {"age": "old"})
-    infeasible = GuidancePlan((("gender", PlanEntry("male", "female")),))
+    plan = GuidancePlan((("gender", PlanEntry("male", "female")),))
     narrow = GuidanceConfig(window=(0.3, 0.6))
     schedule = linear_schedule(2)          # reverse progress hits only 0 and 1
-    assert resolve_steering(world, cond, infeasible, narrow,
-                            window_mask(schedule, narrow)) is None
+    assert resolve_steering(plan, narrow, window_mask(schedule, narrow)) is None
     schedule = linear_schedule(20)
     active = window_mask(schedule, CONFIG)
-    assert resolve_steering(world, cond, infeasible, GuidanceConfig(gamma=1.0), active) is None
-    assert resolve_steering(world, cond, EMPTY_PLAN, CONFIG, active) is None
+    assert resolve_steering(plan, GuidanceConfig(gamma=1.0), active) is None
+    assert resolve_steering(EMPTY_PLAN, CONFIG, active) is None
+    assert resolve_steering(plan, CONFIG, active).pins == (("gender", "male"), ("gender", "female"))
+
+
+@pytest.mark.parametrize("n", [2, 5, 16])
+def test_edits_are_resolved_once_per_condition_key(monkeypatch, n):
+    """Rows of two condition keys under the two-attribute plan: each key is
+    edited by each of the plan's four pins once, whatever the batch size."""
+    world = parse_world(GRID_WORLD)
+    schedule = linear_schedule(10)
+    conds = [make_condition(world, ("worker", "nurse")[b % 2], jitter_seed=b, jitter_scale=0.2)
+             for b in range(n)]
+    edits = []
+    edit = diffusion.edit_condition
+
+    def counted(world, cond, attribute, value):
+        edits.append((cond.concept, attribute, value))
+        return edit(world, cond, attribute, value)
+    monkeypatch.setattr(diffusion, "edit_condition", counted)
+    _, failures = run_trajectories(world, schedule, conds, noise_tapes(_rngs(n), 10, 2),
+                                   _steering(schedule, TWO_ATTR))
+    assert not failures
+    assert len(edits) == 2 * 4 and len(set(edits)) == 2 * 4
+
+
+def test_row_that_cannot_take_the_plan_fails_alone_and_its_neighbours_keep_their_bits():
+    """worker {age=old} has no male component, so steering it by the gender
+    plan fails it before its first step, with the error its edit raises."""
+    world = two_attribute_world()
+    schedule = linear_schedule(20, beta_end=0.3)
+    conds = [make_condition(world, "worker", c)
+             for c in ({}, {"age": "old"}, {"gender": "female"})]
+    tapes = noise_tapes(_rngs(3, seed=4), schedule.steps, world.dimension)
+    out, failures = run_trajectories(world, schedule, conds, tapes, _steering(schedule, ONE_ATTR))
+    assert list(failures) == [1] and "gender='male'" in failures[1]
     with pytest.raises(InfeasibleConditionError, match="gender='male'"):
-        resolve_steering(world, cond, infeasible, CONFIG, active)
+        _reference(world, schedule, conds[1], _rngs(3, seed=4)[1], ONE_ATTR)
+    assert np.isnan(out[1]).all()
+    for b in (0, 2):
+        alone = _engine(world, schedule, conds[b], [_rngs(3, seed=4)[b]], ONE_ATTR)
+        np.testing.assert_array_equal(out[b], alone[0])
 
 
 class _Tape:
@@ -309,17 +339,13 @@ def test_rows_of_any_conditions_grouped_and_split_run_as_alone(
     then = data.draw(st.lists(st.sampled_from(first), min_size=1, unique=True), label="then")
     plan = plan if steered else None
 
-    def steer(cond):
-        return _steering(world, schedule, cond, plan)
-
+    steering = _steering(schedule, plan)
     tapes = noise_tapes(_rngs(n, seed), steps, world.dimension)
-    steerings = [steer(c) for c in conds]
-    whole, failed = run_trajectories(world, schedule, conds, tapes,
-                                     steerings[0] and stack_steering(steerings))
+    whole, failed = run_trajectories(world, schedule, conds, tapes, steering)
     assert not failed
-    x, failed, probes_a = _run_rows(world, schedule, conds, tapes, first, None, 0, k, True, steer)
-    out, failed_b, probes_b = _run_rows(world, schedule, conds, tapes, then, x, k, steps, True,
-                                        steer)
+    probe_a, probe_b = GuidanceProbe(), GuidanceProbe()
+    x, failed = _advance(world, schedule, conds, tapes, first, None, 0, k, steering, probe_a)
+    out, failed_b = _advance(world, schedule, conds, tapes, then, x, k, steps, steering, probe_b)
     assert not failed and not failed_b
     assert np.isnan(out[[b for b in range(n) if b not in then]]).all()
     for b in then:
@@ -327,8 +353,7 @@ def test_rows_of_any_conditions_grouped_and_split_run_as_alone(
         alone = _engine(world, schedule, conds[b], [_rngs(n, seed)[b]], plan, probe)
         np.testing.assert_array_equal(out[b], alone[0])
         np.testing.assert_array_equal(whole[b], alone[0])
-        rows = [got[0].stream(got[1]) for got in (probes_a.get(b), probes_b.get(b)) if got]
-        assert sum(rows, []) == probe.stream(0)
+        assert probe_a.stream(first.index(b)) + probe_b.stream(then.index(b)) == probe.stream(0)
 
 
 @pytest.mark.parametrize("name", WORLDS)
@@ -346,8 +371,7 @@ def test_poisoned_row_fails_alone_and_its_neighbours_keep_their_bits(name, poiso
     rngs = _rngs(4, seed=5)
     rngs[2] = _Tape(values.ravel())
     tapes = noise_tapes(rngs, schedule.steps, world.dimension)
-    steering = stack_steering([_steering(world, schedule, c, ONE_ATTR) for c in conds])
-    out, failures = run_trajectories(world, schedule, conds, tapes, steering)
+    out, failures = run_trajectories(world, schedule, conds, tapes, _steering(schedule, ONE_ATTR))
     assert failures == {2: message}
     assert np.isnan(out[2]).all()
     for b in (0, 1, 3):
@@ -370,7 +394,7 @@ def test_a_step_makes_one_kernel_call_per_mixture_shape(monkeypatch, conditions,
     world = parse_world(GRID_WORLD)
     schedule = linear_schedule(10)
     conds = [make_condition(world, *c) for c in conditions]
-    steering = stack_steering([_steering(world, schedule, c, TWO_ATTR) for c in conds])
+    steering = _steering(schedule, TWO_ATTR)
     seen = []
     noise = diffusion._noise
 
@@ -397,8 +421,7 @@ def test_base_and_edited_cells_of_one_shape_keep_their_rows(picks):
     schedule = linear_schedule(20, beta_end=0.3)
     conds = [make_condition(world, *GRID_CONDITIONS[i]) for i in picks]
     tapes = noise_tapes(_rngs(4, seed=3), schedule.steps, world.dimension)
-    steering = stack_steering([_steering(world, schedule, c, AGE_ONLY) for c in conds])
-    out, failures = run_trajectories(world, schedule, conds, tapes, steering)
+    out, failures = run_trajectories(world, schedule, conds, tapes, _steering(schedule, AGE_ONLY))
     assert not failures
     for b in range(4):
         alone = _engine(world, schedule, conds[b], [_rngs(4, seed=3)[b]], AGE_ONLY)
@@ -418,9 +441,8 @@ def test_rows_of_several_shapes_take_one_engine_call(monkeypatch):
     monkeypatch.setattr(harness, "run_trajectories", counted)
     for plan in (None, TWO_ATTR):
         calls.clear()
-        _, failed, _ = _run_rows(world, schedule, conds,
-                                 noise_tapes(_rngs(len(conds)), 10, 2), range(len(conds)),
-                                 None, 0, 10, steer=lambda c: _steering(world, schedule, c, plan))
+        _, failed = _advance(world, schedule, conds, noise_tapes(_rngs(len(conds)), 10, 2),
+                             list(range(len(conds))), None, 0, 10, _steering(schedule, plan))
         assert not failed and calls == [len(conds)]
 
 
@@ -439,8 +461,7 @@ def test_poisoned_row_under_a_two_attribute_plan_fails_alone(poison, message):
     rngs = _rngs(4, seed=5)
     rngs[1] = _Tape(values.ravel())
     tapes = noise_tapes(rngs, schedule.steps, world.dimension)
-    steering = stack_steering([_steering(world, schedule, c, TWO_ATTR) for c in conds])
-    out, failures = run_trajectories(world, schedule, conds, tapes, steering)
+    out, failures = run_trajectories(world, schedule, conds, tapes, _steering(schedule, TWO_ATTR))
     assert failures == {1: message}
     assert np.isnan(out[1]).all()
     for b in (0, 2, 3):

@@ -282,7 +282,7 @@ class TestSteeringEfficacy:
             return sum(discriminate(world, p)[0]["gender"] == "female" for p in x), n
 
         base_f, n1 = run(None, seed=1)
-        guided_f, n2 = run(resolve_steering(world, cond, plan, cfg, window_mask(sched, cfg)),
+        guided_f, n2 = run(resolve_steering(plan, cfg, window_mask(sched, cfg)),
                            seed=2)
 
         p1, p2 = base_f / n1, guided_f / n2

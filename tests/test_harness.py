@@ -26,7 +26,7 @@ from steerlab.controller import (
     record,
     restore_memory,
 )
-from steerlab.diffusion import linear_schedule, noise_tapes, run_trajectories, stack_steering
+from steerlab.diffusion import linear_schedule, noise_tapes, run_trajectories
 from steerlab.evaluate import discriminate
 from steerlab.guidance import EMPTY_PLAN, GuidanceConfig, GuidanceProbe, resolve_steering, window_mask
 from steerlab.render import render_scatter
@@ -364,12 +364,12 @@ def _one_at_a_time(spec, world):
                         plan = decide(staged, cond, world.schema, target, policy, rng)
                     plans[-1].append(plan)
                     probe = GuidanceProbe()
-                    steering = resolve_steering(world, cond, plan, config, active)
-                    steering = steering and stack_steering([steering], probe)
+                    steering = resolve_steering(plan, config, active)
                     stream = np.random.default_rng(
                         np.random.SeedSequence([spec.seed, ordinal, s_i]))
                     tapes = noise_tapes([stream], spec.steps, world.dimension)
-                    x, failed = run_trajectories(world, schedule, [cond], tapes, steering)
+                    x, failed = run_trajectories(world, schedule, [cond], tapes, steering,
+                                                 probe=probe)
                     if failed:
                         raise NumericsError(failed[0])
                     x0 = x[0]
@@ -528,8 +528,8 @@ def test_rows_failing_under_one_plan_fail_only_prompts_that_choose_it(tmp_path, 
     gets alone; rows of other prompts finished under the plan are discarded
     and fail nothing."""
     def poisoned(resolve):
-        def wrapper(world, cond, plan, config, active):
-            steering = resolve(world, cond, plan, config, active)
+        def wrapper(plan, config, active):
+            steering = resolve(plan, config, active)
             bad = {a: e.target for a, e in plan.entries} == {"gender": "female", "age": "old"}
             return replace(steering, scale=math.inf) if bad else steering
         return wrapper
@@ -914,8 +914,8 @@ class TestArmBatching:
         target is all female loses every prompt: the same error at the same
         arm, the same files and warnings as the per-arm loop."""
         def poisoned(resolve):
-            def wrapper(world, cond, plan, config, active):
-                steering = resolve(world, cond, plan, config, active)
+            def wrapper(plan, config, active):
+                steering = resolve(plan, config, active)
                 bad = dict(plan.entries)["gender"].target == "female"
                 return replace(steering, scale=math.inf) if bad else steering
             return wrapper
