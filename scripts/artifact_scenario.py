@@ -12,8 +12,9 @@ config window, `--gamma 1.0` and an empty window; diagnostics, recorded
 intent and a memory budget of 2; failing prompts; a `--memory` chain with
 `inspect-memory`; sweeps and window ablations; render; a world with a
 3-valued attribute, with a run of 30 prompts on it; criterion-05's shape (50
-prompts of one sample); and a world whose concepts have unequal component
-counts, with diagnostics.  The output lists, one line each, the sha256 of every
+prompts of one sample); a world whose concepts have unequal component
+counts, with diagnostics; and a world with no attributes, whose plans are all
+empty, with diagnostics, a window ablation and render.  The output lists, one line each, the sha256 of every
 file left in the work directory except `manifest.json` (it holds wall-clock
 time), then each command's exit code.  Each command's stdout and stderr are
 kept as files in the work directory, so they are in the list too.  The script
@@ -79,6 +80,15 @@ component nurse  gender=female age=young mean=9,4  weight=0.3
 component nurse  gender=female age=old   mean=13,4 weight=0.3
 """
 
+# No attributes: every plan is empty, samples.csv has no attribute column and
+# report.csv no rows.
+PLAIN_WORLD = """\
+dimension 2
+component origin mean=0,0  weight=0.3
+component origin mean=3,1  weight=0.2 cov=1,0.3;0.3,0.8
+component field  mean=-2,4 weight=0.5
+"""
+
 TWO_ATTR_TARGET = {"gender": {"male": 0.5, "female": 0.5}, "age": {"young": 0.3, "old": 0.7}}
 THREE_VALUED_TARGET = {"shade": {"a": 0.2, "b": 0.3, "c": 0.5},
                        "age": {"young": 0.5, "old": 0.5}}
@@ -128,6 +138,12 @@ CONFIGS: dict[str, dict] = {
                     {"concept": "nurse", "count": 1, "jitter_seed": 7}],
         "static_pairs": {"gender": ["male", "female"], "age": ["old", "young"]},
         "diagnostics": True, "seed": 6, **SMALL,
+    },
+    "plain": {
+        "world_path": "plain.world", "target": {},
+        "prompts": [{"concept": "origin", "count": 3},
+                    {"concept": "field", "count": 2, "jitter_seed": 4}],
+        "diagnostics": True, "seed": 3, "windows": [[0.0, 0.3], [0.2, 0.6]], **SMALL,
     },
 }
 for _name in ("two", "three"):
@@ -184,6 +200,14 @@ def commands() -> list[tuple[str, list[str]]]:
         args += ["--world", world] if world else []  # else the packaged world
         args += ["--attribute", attr] if attr else []
         steps.append((f"render-{run}", args))
+    steps += [
+        ("plain-deficit", ["generate", "--config", "plain.json", "--policy", "deficit",
+                           "--out", "plain-deficit"]),
+        ("plain-deficit-ablation", ["ablate-window", "--config", "plain.json", "--policy",
+                                    "deficit", "--out", "plain-deficit-ablation"]),
+        ("render-plain-deficit", ["render", "--samples", "plain-deficit/samples.csv",
+                                  "--world", "plain.world", "--out", "plain-deficit.svg"]),
+    ]
     return steps
 
 
@@ -197,7 +221,7 @@ def prepare(work: str, src: str) -> None:
     # A copy, so that no config names a path inside the checkout.
     shutil.copy(os.path.join(src, "steerlab", "worlds", "default.world"), work)
     for name, text in (("two.world", TWO_ATTR_WORLD), ("three.world", THREE_VALUED_WORLD),
-                       ("unequal.world", UNEQUAL_K_WORLD)):
+                       ("unequal.world", UNEQUAL_K_WORLD), ("plain.world", PLAIN_WORLD)):
         with open(os.path.join(work, name), "w", encoding="utf-8") as fh:
             fh.write(text)
     for name, config in CONFIGS.items():

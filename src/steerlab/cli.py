@@ -121,6 +121,9 @@ def _cmd_inspect_memory(args) -> int:
 def _cmd_render(args) -> int:
     world = load_world(args.world if args.world else default_world_path())
     points, labels, _ = load_samples_csv(args.samples)
+    if points.shape[1] != world.dimension:
+        raise ValueError(f"{args.samples}: {points.shape[1]} coordinate columns but the world "
+                         f"has dimension {world.dimension}")
     render_scatter(points, labels, world, args.out, attribute=args.attribute)
     print(f"wrote {args.out}")
     return 0

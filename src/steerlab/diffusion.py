@@ -11,7 +11,7 @@ network.  Cheap per-step evaluation matters here (millions of calls per
 experiment), so mixtures are prepared once per condition, responsibilities
 are computed in log space, and `run_trajectories` advances many independent
 streams as one batch.  Its rows may follow any conditions, and it edits each
-row's condition by a plan's pins (`Steering`) itself: a step makes one kernel
+row's condition by a guidance plan's entries (`Steering`) itself: a step makes one kernel
 call per shape (component count and covariance kind) among the rows' base
 mixtures and, when steered, their edited ones, and the kernel gives each row
 the bits it would get alone.  `sample` with `analytic_epsilon` and
@@ -248,13 +248,13 @@ def sample(
 class Steering:
     """A guidance plan as the trajectory engine applies it, to rows of any conditions.
 
-    active[t] marks the steps whose noise estimate is blended.  pins holds
-    each plan entry's (attribute, target) and (attribute, reference) pairs, in
-    plan order; `run_trajectories` edits each row's condition by every pin.
+    active[t] marks the steps whose noise estimate is blended.  plan is the
+    controller's `guidance.GuidancePlan`; `run_trajectories` edits each row's
+    condition to each entry's target and then to its reference, in plan order.
     """
 
     active: np.ndarray
-    pins: tuple[tuple[str, str], ...]
+    plan: "GuidancePlan"  # of guidance, which imports this module
     gamma: float
     scale: float
 
@@ -281,7 +281,7 @@ def _operands(columns) -> list[tuple]:
 
 def _steer(steering: Steering, eps: np.ndarray, t: int, failures: dict[int, str], probe
            ) -> np.ndarray:
-    """The blended noise of a steered step from its (slots, B, d) noise stack."""
+    """A steered step's blended noise from its (slots, B, d) noise stack, in `_edited`'s order."""
     base = eps[0]
     acc = np.zeros_like(base)
     for target, reference in zip(eps[1::2], eps[2::2]):
@@ -294,11 +294,13 @@ def _steer(steering: Steering, eps: np.ndarray, t: int, failures: dict[int, str]
     return out
 
 
-def _edited(world: MixtureWorld, cond: Condition, pins) -> tuple[ConditionalMixture, ...] | str:
-    """The condition's edited mixtures, one per pin, or the message of the error an edit raises."""
+def _edited(world: MixtureWorld, cond: Condition, plan) -> tuple[ConditionalMixture, ...] | str:
+    """The condition's edited mixtures, each plan entry's target then reference, after the base
+    slot, or the message of the error an edit raises."""
     try:
         return tuple(conditional_components(world, edit_condition(world, cond, attribute, value))
-                     for attribute, value in pins)
+                     for attribute, entry in plan.entries
+                     for value in (entry.target, entry.reference))
     except SteerlabError as exc:
         return str(exc)
 
@@ -356,14 +358,14 @@ def run_trajectories(
     columns = [[conditional_components(world, c) for c in conds]]
     plain = steered = _operands(columns)
     if steering is not None:
-        edits = {key: _edited(world, c, steering.pins)
+        edits = {key: _edited(world, c, steering.plan)
                  for key, c in {c.key(): c for c in conds}.items()}
         slots = []
         for b, c in enumerate(conds):
             mixes = edits[c.key()]
             if isinstance(mixes, str):  # the row fails unrun; its base mixture fills its edit slots
                 failures[b] = mixes
-                mixes = (columns[0][b],) * len(steering.pins)
+                mixes = (columns[0][b],) * (2 * len(steering.plan.entries))
             slots.append(mixes)
         columns += zip(*slots)
         steered = _operands(columns)

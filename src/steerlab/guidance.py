@@ -8,9 +8,9 @@ points along the latent separation between those attribute values at the
 current noise level.  Outside the window the base estimate passes through
 untouched and no edited condition is ever evaluated.
 
-`resolve_steering` turns a plan into the attribute-value pins the trajectory
-engine edits each row's condition by (`world.edit_condition`) before it applies
-the blend; `combined_noise` is the one-point reference of the same blend.
+The trajectory engine applies a plan as it is, in a `diffusion.Steering`,
+editing each row's condition itself (`world.edit_condition`); `combined_noise`
+is the one-point reference of the same blend.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion import LatentState, NoiseSchedule, Steering, analytic_epsilon
+from .diffusion import LatentState, NoiseSchedule, analytic_epsilon
 from .errors import NumericsError
 from .world import Condition, MixtureWorld, edit_condition
 
@@ -149,18 +149,3 @@ def combined_noise(
     if not math.isfinite(float(out.sum())):
         raise NumericsError(f"non-finite steered noise at step {state.t_index}")
     return out
-
-
-def resolve_steering(plan: GuidancePlan, config: GuidanceConfig, active: np.ndarray
-                     ) -> Steering | None:
-    """The plan as `run_trajectories` applies it: the blend of `combined_noise`.
-
-    `active` is the config's `window_mask`.  None when no step would be
-    blended (gamma = 1, an empty plan, or a window holding no step); then, as
-    in combined_noise, no edited condition is evaluated.
-    """
-    if config.gamma == 1.0 or not plan.entries or not active.any():
-        return None
-    pins = tuple((attribute, value) for attribute, entry in plan.entries
-                 for value in (entry.target, entry.reference))
-    return Steering(active, pins, config.gamma, config.attribute_scale)

@@ -64,7 +64,7 @@ from .controller import (
 from .diffusion import Steering, linear_schedule, mixture_log_density, noise_tapes, run_trajectories
 from .errors import SteerlabError, WorldValidationError
 from .evaluate import BiasReport, QualityScores, build_report, discriminate, write_csv, write_report_csv
-from .guidance import EMPTY_PLAN, GuidanceConfig, GuidanceProbe, resolve_steering, window_mask
+from .guidance import EMPTY_PLAN, GuidanceConfig, GuidanceProbe, window_mask
 from .world import Condition, MixtureWorld, TargetDistribution, conditional_components, make_condition
 from .worldfile import load_world
 
@@ -285,7 +285,7 @@ class _Arm:
     config: GuidanceConfig
     target: TargetDistribution
     policy: IndicatorPolicy | None
-    active: np.ndarray
+    active: np.ndarray  # the steps the arm blends: its window, or none unsteered
     prefix: int
     memory: MemoryModule | None
     ordinal: int
@@ -317,11 +317,12 @@ def _open_arm(spec: ExperimentSpec, world: MixtureWorld, schedule, out_dir: str 
             if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
                 raise ValueError(f"config key 'memory_path': no directory to write {path!r} in")
             memory = MemoryModule(budget=spec.memory_budget, tau=tau)
-    active = window_mask(schedule, config)
-    # Steps before the first steered one are the same under every plan, so
+    # The steps the arm blends: its window, or none when it has no policy or
+    # gamma is 1.  Those before the first are the same under every plan, so
     # they need running once per row; unsteered, that is every step.
+    active = window_mask(schedule, config) & (policy is not None and config.gamma != 1.0)
     prefix = schedule.steps
-    if policy is not None and config.gamma != 1.0 and active.any():
+    if active.any():
         prefix = schedule.steps - 1 - int(np.flatnonzero(active).max())
     return _Arm(spec, out_dir, config, target, policy, active, prefix, memory, prompts_seen,
                 spec.digest(), sum(prompt.count for prompt in spec.prompts))
@@ -483,7 +484,8 @@ def _run_batch(specs: list[ExperimentSpec], world: MixtureWorld,
                         probe = GuidanceProbe() if base.diagnostics else None
                         finished, failed = _advance(
                             world, schedule, conds, tapes, going, x, arm.prefix, schedule.steps,
-                            resolve_steering(plan, arm.config, arm.active), probe)
+                            Steering(arm.active, plan, arm.config.gamma, arm.config.attribute_scale)
+                            if plan.entries and arm.active.any() else None, probe)
                         runs[key] = (finished, {**failed, **prefix_failed}, probe,
                                      {q: j for j, q in enumerate(going)} if probe else None)
                     finished, failed, probe, place = runs[key]
@@ -604,6 +606,11 @@ def sweep_targets(spec: ExperimentSpec, world: MixtureWorld) -> list[dict]:
     if not (spec.sweep if isinstance(spec.sweep, list) else spec.sweep["proportions"]):
         raise ValueError("config key 'sweep' holds no arm: give at least one target or proportion")
     if isinstance(spec.sweep, list):
+        for i, t in enumerate(spec.sweep):  # refused before any arm runs
+            try:
+                TargetDistribution(t).validate_for(world.schema)
+            except WorldValidationError as exc:
+                raise WorldValidationError(f"config key 'sweep': target {i}: {exc}") from None
         return [dict(t) for t in spec.sweep]
     attr = spec.sweep["attribute"]
     value = spec.sweep["value"]

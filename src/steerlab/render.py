@@ -36,9 +36,10 @@ def render_scatter(
         raise RenderError(
             f"scatter rendering supports dimension 2 only, world has {world.dimension}"
         )
-    points = np.asarray(points, dtype=float).reshape(-1, 2)
-    if len(labels) != len(points):
-        raise ValueError(f"{len(points)} points but {len(labels)} label rows")
+    points = np.asarray(points, dtype=float)
+    if points.shape != (len(labels), 2):
+        raise RenderError(f"points of shape {points.shape} for {len(labels)} label rows, "
+                          f"expected ({len(labels)}, 2)")
     if attribute is None and len(world.schema) > 0:
         attribute = world.schema.attributes[0].name
     if attribute is not None:

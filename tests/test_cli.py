@@ -189,10 +189,19 @@ class TestGenerateCommand:
                                       "proportions": [0.5]}}, []),
         # Used to run the default windows, which only null asks for.
         ("ablate-window", "windows", {"windows": []}, []),
+        # Listed targets that do not fit the world used to name 'target', the
+        # third only after its first arm had run.
+        ("sweep", "sweep", {"sweep": [{}]}, []),
+        ("sweep", "sweep", {"sweep": [{"gender": {"male": 1.0}}]}, []),
+        ("sweep", "sweep", {"sweep": [{"gender": {"male": 0.5, "female": 0.5}},
+                                      {"colour": {"red": 1.0}}]}, []),
+        ("sweep", "sweep", {"sweep": [{"gender": {"male": 0.5, "female": 0.4}}]}, []),
     ], ids=["seed", "memory_budget", "memory_tau", "windows", "sweep", "world_path", "prompts",
             "--seed", "--target-proportion", "--target-fragment", "--window-number",
             "--window-pair", "static_pairs-equal", "sweep-no-proportions", "sweep-no-targets",
-            "sweep-unknown-attribute", "windows-empty"])
+            "sweep-unknown-attribute", "windows-empty", "sweep-target-empty",
+            "sweep-target-missing-value", "sweep-target-unknown-attribute",
+            "sweep-target-sum"])
     @pytest.mark.filterwarnings("error")
     def test_out_of_range_config_value_exits_2_naming_the_key(self, workspace, capsys, command,
                                                               key, patch, flags):
@@ -209,7 +218,7 @@ class TestGenerateCommand:
         assert f"config key {key!r}" in err
         if key in ("target", "window"):
             assert f"from {flags[0]}" in err
-        assert not out.exists()
+        assert not out.exists()  # so no arm_00/ either
 
     @pytest.mark.parametrize("text", ["[]", '[{"world_path": "demo.world"}]', '"run"'])
     def test_config_that_is_not_an_object_exits_2(self, workspace, capsys, text):
@@ -404,6 +413,21 @@ class TestOtherCommands:
                      "--world", str(workspace / "demo.world"), "--out", str(workspace / "p.svg")])
         assert code == 2
         assert f"bad.csv:5: {named}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("coords, rows", [(3, 3), (3, 2), (1, 2)])
+    def test_render_samples_of_another_dimension_exits_2_naming_the_file(
+            self, workspace, capsys, coords, rows):
+        """Against the packaged 2-D world these used to exit 2 with numpy's
+        reshape message or `N points but M label rows`, naming no file."""
+        header = ",".join(["prompt_id", *(f"x{i}" for i in range(coords)), "gender"])
+        row = ",".join(["p", *["0.5"] * coords, "male"])
+        samples = workspace / "samples.csv"
+        samples.write_text("\n".join([header] + [row] * rows) + "\n")
+        svg = workspace / "plot.svg"
+        assert main(["render", "--samples", str(samples), "--out", str(svg)]) == 2
+        assert (f"samples.csv: {coords} coordinate columns but the world has dimension 2"
+                in capsys.readouterr().err)
+        assert not svg.exists()
 
     def test_render_non_finite_coordinate_exits_2(self, workspace, capsys):
         """An `inf` coordinate used to be drawn as `nan` into the SVG with exit 0."""

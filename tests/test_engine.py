@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from steerlab import InfeasibleConditionError, NumericsError, diffusion, harness, run_generate
 from steerlab.diffusion import (
+    Steering,
     analytic_epsilon,
     linear_schedule,
     noise_tapes,
@@ -20,13 +21,11 @@ from steerlab.diffusion import (
     sample,
 )
 from steerlab.guidance import (
-    EMPTY_PLAN,
     GuidanceConfig,
     GuidancePlan,
     GuidanceProbe,
     PlanEntry,
     combined_noise,
-    resolve_steering,
     window_mask,
 )
 from steerlab.world import make_condition
@@ -75,7 +74,11 @@ def _reference(world, schedule, cond, rng, plan=None, probe=None):
 
 
 def _steering(schedule, plan):
-    return plan and resolve_steering(plan, CONFIG, window_mask(schedule, CONFIG))
+    """The plan as a finish applies it: None when there is none or no step is blended."""
+    active = window_mask(schedule, CONFIG)
+    if plan is None or not active.any():
+        return None
+    return Steering(active, plan, CONFIG.gamma, CONFIG.attribute_scale)
 
 
 def _engine(world, schedule, cond, rngs, plan=None, probe=None):
@@ -189,22 +192,10 @@ def test_starting_past_step_zero_needs_a_state():
         run_trajectories(world, schedule, [make_condition(world, "engineer")] * 2, tapes, start=3)
 
 
-def test_steering_resolves_to_none_when_no_step_is_blended():
-    plan = GuidancePlan((("gender", PlanEntry("male", "female")),))
-    narrow = GuidanceConfig(window=(0.3, 0.6))
-    schedule = linear_schedule(2)          # reverse progress hits only 0 and 1
-    assert resolve_steering(plan, narrow, window_mask(schedule, narrow)) is None
-    schedule = linear_schedule(20)
-    active = window_mask(schedule, CONFIG)
-    assert resolve_steering(plan, GuidanceConfig(gamma=1.0), active) is None
-    assert resolve_steering(EMPTY_PLAN, CONFIG, active) is None
-    assert resolve_steering(plan, CONFIG, active).pins == (("gender", "male"), ("gender", "female"))
-
-
 @pytest.mark.parametrize("n", [2, 5, 16])
 def test_edits_are_resolved_once_per_condition_key(monkeypatch, n):
     """Rows of two condition keys under the two-attribute plan: each key is
-    edited by each of the plan's four pins once, whatever the batch size."""
+    edited to each of the plan's four values once, whatever the batch size."""
     world = parse_world(GRID_WORLD)
     schedule = linear_schedule(10)
     conds = [make_condition(world, ("worker", "nurse")[b % 2], jitter_seed=b, jitter_scale=0.2)

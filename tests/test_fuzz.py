@@ -201,4 +201,10 @@ def test_render_on_mutated_samples_exits_0_or_2(data):
         Path("samples.csv").write_text("\n".join(lines) + "\n")
         args = ["render", "--samples", "samples.csv", "--world", "fuzz.world",
                 "--out", "plot.svg"]
-        assert main(args + (["--attribute", attribute] if attribute else [])) in (0, 2)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(args + (["--attribute", attribute] if attribute else []))
+    assert code in (0, 2)
+    if code == 2:  # names the file or the attribute
+        named = ["samples.csv"] + ([attribute] if attribute else [])
+        assert any(name in err.getvalue() for name in named), err.getvalue()

@@ -3,8 +3,8 @@ import pytest
 
 import steerlab.guidance as guidance
 from steerlab import InfeasibleConditionError, WorldValidationError
-from steerlab.diffusion import (LatentState, analytic_epsilon, linear_schedule, noise_tapes,
-                                run_trajectories)
+from steerlab.diffusion import (LatentState, Steering, analytic_epsilon, linear_schedule,
+                                noise_tapes, run_trajectories)
 from steerlab.evaluate import discriminate
 from steerlab.guidance import (
     EMPTY_PLAN,
@@ -15,7 +15,6 @@ from steerlab.guidance import (
     adaptive_latent_direction,
     combined_noise,
     edit_condition,
-    resolve_steering,
     window_mask,
 )
 from steerlab.world import make_condition
@@ -282,8 +281,8 @@ class TestSteeringEfficacy:
             return sum(discriminate(world, p)[0]["gender"] == "female" for p in x), n
 
         base_f, n1 = run(None, seed=1)
-        guided_f, n2 = run(resolve_steering(plan, cfg, window_mask(sched, cfg)),
-                           seed=2)
+        guided_f, n2 = run(Steering(window_mask(sched, cfg), plan, cfg.gamma,
+                                    cfg.attribute_scale), seed=2)
 
         p1, p2 = base_f / n1, guided_f / n2
         pooled = (base_f + guided_f) / (n1 + n2)

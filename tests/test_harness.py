@@ -4,7 +4,6 @@ import math
 import os
 import warnings
 import xml.etree.ElementTree as ET
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,9 +25,9 @@ from steerlab.controller import (
     record,
     restore_memory,
 )
-from steerlab.diffusion import linear_schedule, noise_tapes, run_trajectories
+from steerlab.diffusion import Steering, linear_schedule, noise_tapes, run_trajectories
 from steerlab.evaluate import discriminate
-from steerlab.guidance import EMPTY_PLAN, GuidanceConfig, GuidanceProbe, resolve_steering, window_mask
+from steerlab.guidance import EMPTY_PLAN, GuidanceConfig, GuidanceProbe, window_mask
 from steerlab.render import render_scatter
 from steerlab.world import TargetDistribution, make_condition
 from steerlab.worldfile import default_world_path, load_world
@@ -247,6 +246,20 @@ class TestRunGenerate:
         freqs = [s.labels["gender"] == "female" for s in result.samples]
         assert np.mean(freqs) > 0.6  # strongly steered toward the static target
 
+    def test_static_pairs_are_read_by_the_static_policy_only(self, world_path, tmp_path):
+        """Other policies ignore the key, so that one config serves every
+        policy: a deficit run gives the same samples and report with and
+        without it, and only the config digest line differs."""
+        run_generate(base_spec(world_path), out_dir=str(tmp_path / "without"))
+        run_generate(base_spec(world_path, static_pairs={"gender": ["female", "male"]}),
+                     out_dir=str(tmp_path / "with"))
+        for name in ("samples.csv", "report.csv"):
+            without, with_ = ((tmp_path / run / name).read_text().splitlines()
+                              for run in ("without", "with"))
+            differ = [(a, b) for a, b in zip(without, with_) if a != b]
+            assert len(without) == len(with_) and len(differ) == 1
+            assert all(line.startswith("# config_digest=") for line in differ[0])
+
     def test_failed_prompt_continues_run(self, tmp_path):
         world = tmp_path / "two.world"
         world.write_text(TWO_ATTR_WORLD_TEXT)
@@ -364,7 +377,9 @@ def _one_at_a_time(spec, world):
                         plan = decide(staged, cond, world.schema, target, policy, rng)
                     plans[-1].append(plan)
                     probe = GuidanceProbe()
-                    steering = resolve_steering(plan, config, active)
+                    steering = None
+                    if plan.entries and config.gamma != 1.0 and active.any():
+                        steering = Steering(active, plan, config.gamma, config.attribute_scale)
                     stream = np.random.default_rng(
                         np.random.SeedSequence([spec.seed, ordinal, s_i]))
                     tapes = noise_tapes([stream], spec.steps, world.dimension)
@@ -527,14 +542,13 @@ def test_rows_failing_under_one_plan_fail_only_prompts_that_choose_it(tmp_path, 
     fails only when one of its samples chooses that plan, with the message it
     gets alone; rows of other prompts finished under the plan are discarded
     and fail nothing."""
-    def poisoned(resolve):
-        def wrapper(plan, config, active):
-            steering = resolve(plan, config, active)
+    def poisoned(steering):
+        def wrapper(active, plan, gamma, scale):
             bad = {a: e.target for a, e in plan.entries} == {"gender": "female", "age": "old"}
-            return replace(steering, scale=math.inf) if bad else steering
+            return steering(active, plan, gamma, math.inf if bad else scale)
         return wrapper
-    monkeypatch.setattr(harness, "resolve_steering", poisoned(harness.resolve_steering))
-    monkeypatch.setitem(globals(), "resolve_steering", poisoned(resolve_steering))
+    monkeypatch.setattr(harness, "Steering", poisoned(harness.Steering))
+    monkeypatch.setitem(globals(), "Steering", poisoned(Steering))
     (tmp_path / "mixed.world").write_text(TWO_CONCEPT_WORLD_TEXT)
     spec = ExperimentSpec(
         world_path=str(tmp_path / "mixed.world"), prompts=MIXED_PROMPTS * 2,
@@ -598,6 +612,84 @@ def test_non_finite_row_fails_its_prompt_without_numpy_warnings():
         result = run_generate(spec)
     assert result.failures == [["engineer-00000", "non-finite steered noise at step 49"]]
     assert result.samples == []
+
+
+# Arms whose plans blend no step, as overrides of base_spec.
+_UNBLENDED_ARMS = {
+    "gamma-1": dict(gamma=1.0),
+    "empty-window": dict(steps=2, window=(0.3, 0.6)),  # reverse progress hits only 0 and 1
+    "vanilla": dict(policy="vanilla"),
+    "no-attributes": dict(target={}, prompts=[PromptSpec("origin", count=3)]),
+}
+
+
+class TestBlendRule:
+    """The arm's mask (`_open_arm`) says which steps it blends; a finish
+    hands the engine a Steering only when its plan blends one."""
+
+    @staticmethod
+    def _steerings(monkeypatch) -> list:
+        """The steering of each engine call the harness makes, from now on."""
+        steerings = []
+        engine = harness.run_trajectories
+
+        def spy(*args):
+            steerings.append(args[4])
+            return engine(*args)
+        monkeypatch.setattr(harness, "run_trajectories", spy)
+        return steerings
+
+    @pytest.mark.parametrize("arm", sorted(_UNBLENDED_ARMS))
+    def test_arm_that_blends_no_step_gives_the_engine_no_steering(self, world_path, tmp_path,
+                                                                   monkeypatch, arm):
+        world = single_gaussian_world() if arm == "no-attributes" else load_world(world_path)
+        steerings = self._steerings(monkeypatch)
+        result = run_generate(base_spec(world_path, diagnostics=True, **_UNBLENDED_ARMS[arm]),
+                              out_dir=str(tmp_path / "out"), world=world)
+        assert result.samples and not result.failures
+        assert steerings and all(s is None for s in steerings)
+        assert not (tmp_path / "out" / "diagnostics.csv").exists()
+
+    @pytest.mark.parametrize("arm", ["gamma-1", "vanilla"])
+    def test_chunks_of_an_arm_that_blends_no_step_ignore_diagnostics(self, world_path,
+                                                                      monkeypatch, arm):
+        """The chunk estimate counts probe rows for the steps an arm blends
+        only; it used to count the window's steps for these arms."""
+        world = load_world(world_path)
+        chunks = []
+
+        def tapes(rngs, steps, d):
+            chunks.append(len(rngs))
+            return noise_tapes(rngs, steps, d)
+        monkeypatch.setattr(harness, "noise_tapes", tapes)
+        for chunk_bytes in range(5_000, 50_000, 1_500):
+            monkeypatch.setattr(harness, "_CHUNK_BYTES", chunk_bytes)
+            split = []
+            for diagnostics in (False, True):
+                chunks.clear()
+                run_generate(base_spec(world_path, diagnostics=diagnostics,
+                                       **_UNBLENDED_ARMS[arm]), world=world)
+                split.append(list(chunks))
+            assert split[0] == split[1], chunk_bytes
+
+    def test_steered_finish_carries_the_decided_plan_itself(self, world_path, monkeypatch):
+        decided = []
+
+        def spy(*args):
+            decided.append(decide(*args))
+            return decided[-1]
+        monkeypatch.setattr(harness, "decide", spy)
+        steerings = self._steerings(monkeypatch)
+        spec = base_spec(world_path, gamma=0.6, attribute_scale=4.0)
+        run_generate(spec)
+        active = window_mask(linear_schedule(spec.steps, spec.beta_start, spec.beta_end),
+                             GuidanceConfig(spec.gamma, spec.window, spec.attribute_scale))
+        steered = [s for s in steerings if s is not None]
+        assert steered
+        for s in steered:
+            assert any(s.plan is plan for plan in decided)
+            assert (s.gamma, s.scale) == (0.6, 4.0)
+            np.testing.assert_array_equal(s.active, active)
 
 
 class TestSamplesCsv:
@@ -913,13 +1005,12 @@ class TestArmBatching:
         """Every row steered toward female goes non-finite, so the arm whose
         target is all female loses every prompt: the same error at the same
         arm, the same files and warnings as the per-arm loop."""
-        def poisoned(resolve):
-            def wrapper(plan, config, active):
-                steering = resolve(plan, config, active)
+        def poisoned(steering):
+            def wrapper(active, plan, gamma, scale):
                 bad = dict(plan.entries)["gender"].target == "female"
-                return replace(steering, scale=math.inf) if bad else steering
+                return steering(active, plan, gamma, math.inf if bad else scale)
             return wrapper
-        monkeypatch.setattr(harness, "resolve_steering", poisoned(harness.resolve_steering))
+        monkeypatch.setattr(harness, "Steering", poisoned(harness.Steering))
         spec = _arms_spec(tmp_path, "deficit", diagnostics=True, sweep={
             "attribute": "gender", "value": "male", "proportions": [1.0, 0.0, 1.0]})
         batched, per_arm = _batched_and_per_arm(tmp_path, monkeypatch, caplog, run_sweep, spec)
@@ -1008,8 +1099,11 @@ class TestRender:
         with pytest.raises(RenderError, match="dimension 2"):
             render_scatter(np.empty((0, 3)), [], world, str(tmp_path / "x.svg"))
 
-    def test_label_count_mismatch(self, tmp_path):
+    @pytest.mark.parametrize("shape, rows", [((2, 2), 1), ((3, 3), 3), ((2, 1), 2), ((4,), 2)])
+    def test_label_count_mismatch(self, tmp_path, shape, rows):
+        """Points must be one (x, y) pair per label row; they used to be
+        reshaped to pairs first, so four flat values passed as two points."""
         world = build_gender_world()
-        with pytest.raises(ValueError, match="label"):
-            render_scatter(np.zeros((2, 2)), [{"gender": "male"}], world,
+        with pytest.raises(RenderError, match=rf"{rows} label rows, expected \({rows}, 2\)"):
+            render_scatter(np.zeros(shape), [{"gender": "male"}] * rows, world,
                            str(tmp_path / "x.svg"))
