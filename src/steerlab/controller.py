@@ -131,16 +131,6 @@ def lookup(memory: MemoryModule, embedding: np.ndarray) -> int | None:
     return best
 
 
-def _argmax_schema_order(values: tuple[str, ...], score) -> str:
-    best = values[0]
-    best_score = score(values[0])
-    for v in values[1:]:
-        s = score(v)
-        if s > best_score:
-            best, best_score = v, s
-    return best
-
-
 def decide(
     memory: MemoryModule,
     cond: Condition,
@@ -164,9 +154,10 @@ def decide(
             total = sum(attr_counts.values())
             def observed(v):
                 return attr_counts.get(v, 0) / total if total else 0.0
-            tgt = _argmax_schema_order(values, lambda v: target.of(attr.name, v) - observed(v))
+            # `max` keeps the first of equal scores: ties break by schema order.
+            tgt = max(values, key=lambda v: target.of(attr.name, v) - observed(v))
             rest = tuple(v for v in values if v != tgt)
-            ref = _argmax_schema_order(rest, lambda v: observed(v) - target.of(attr.name, v))
+            ref = max(rest, key=lambda v: observed(v) - target.of(attr.name, v))
         elif policy.kind == "probabilistic":
             if rng is None:
                 raise ValueError("probabilistic policy needs an rng stream")

@@ -95,13 +95,14 @@ def _is_sweep(v) -> bool:
     return v is None or isinstance(v, list) and all(map(_is_target, v))
 
 
-# Config key -> (check, what the key must be); keys not listed take any value.
+# Config key -> (check, what the key must be); `policy` is checked on its own.
 _KEY_CHECKS = {
     "world_path": (lambda v: isinstance(v, str), "a string"),
     "memory_path": (lambda v: v is None or isinstance(v, str), "a string"),
     "prompts": (lambda v: isinstance(v, list), "a list"),
     **dict.fromkeys(("record_intent", "diagnostics"), (lambda v: isinstance(v, bool), "a boolean")),
-    **dict.fromkeys(("samples_per_prompt", "steps"), (_is_int, "an integer")),
+    "samples_per_prompt": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
+    "steps": (_is_int, "an integer"),
     "seed": (lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
     "memory_budget": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
     **dict.fromkeys(("beta_start", "beta_end", "gamma", "attribute_scale"),
@@ -165,6 +166,20 @@ class ExperimentSpec:
     sweep: list | dict | None = None
     windows: list | None = None
 
+    def __post_init__(self):
+        """Check every field, whether made from a config, in Python or by `replace`."""
+        for key, (check, what) in _KEY_CHECKS.items():
+            value = getattr(self, key)
+            if not check(value):
+                raise ValueError(f"config key {key!r} must be {what}, got {value!r}")
+        for p in self.prompts:
+            if not isinstance(p, PromptSpec):
+                raise ValueError(f"config key 'prompts' holds a bad prompt entry {p!r}: "
+                                 "not a PromptSpec")
+        if self.policy not in ("vanilla", *POLICY_KINDS):
+            raise ValueError(f"unknown policy {self.policy!r}")
+        self.window = tuple(self.window)
+
     @classmethod
     def from_dict(cls, data: dict, base_dir: str = ".") -> "ExperimentSpec":
         known = {f.name for f in fields(cls)}
@@ -173,29 +188,19 @@ class ExperimentSpec:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         if "world_path" not in data or "prompts" not in data:
             raise ValueError("config needs at least 'world_path' and 'prompts'")
-        for key, value in data.items():
-            check, what = _KEY_CHECKS.get(key, (None, ""))
-            if check is not None and not check(value):
-                raise ValueError(f"config key {key!r} must be {what}, got {value!r}")
         data = dict(data)
-        prompts = []
-        for p in data["prompts"]:
-            try:
-                prompts.append(PromptSpec(**p))
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"config key 'prompts' holds a bad prompt entry {p!r}: "
-                                 f"{exc}") from None
-        data["prompts"] = prompts
-        if not os.path.isabs(data["world_path"]):
+        if isinstance(data["prompts"], list):
+            prompts = []
+            for p in data["prompts"]:
+                try:
+                    prompts.append(PromptSpec(**p))
+                except (TypeError, ValueError) as exc:
+                    raise ValueError(f"config key 'prompts' holds a bad prompt entry {p!r}: "
+                                     f"{exc}") from None
+            data["prompts"] = prompts
+        if isinstance(data["world_path"], str) and not os.path.isabs(data["world_path"]):
             data["world_path"] = os.path.join(base_dir, data["world_path"])
-        if "window" in data:
-            data["window"] = tuple(data["window"])
-        spec = cls(**data)
-        if spec.policy not in ("vanilla", *POLICY_KINDS):
-            raise ValueError(f"unknown policy {spec.policy!r}")
-        if spec.samples_per_prompt < 1:
-            raise ValueError("samples_per_prompt must be >= 1")
-        return spec
+        return cls(**data)
 
     @classmethod
     def from_file(cls, path: str, overrides: dict | None = None) -> "ExperimentSpec":
@@ -299,7 +304,7 @@ class _Arm:
 
 def _open_arm(spec: ExperimentSpec, world: MixtureWorld, schedule, out_dir: str | None) -> _Arm:
     """Check the arm's settings against the world and set up its memory."""
-    config = GuidanceConfig(spec.gamma, tuple(spec.window), spec.attribute_scale)
+    config = GuidanceConfig(spec.gamma, spec.window, spec.attribute_scale)
     target = TargetDistribution(spec.target)
     target.validate_for(world.schema)
     policy = _build_policy(spec)
@@ -317,10 +322,11 @@ def _open_arm(spec: ExperimentSpec, world: MixtureWorld, schedule, out_dir: str 
             if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
                 raise ValueError(f"config key 'memory_path': no directory to write {path!r} in")
             memory = MemoryModule(budget=spec.memory_budget, tau=tau)
-    # The steps the arm blends: its window, or none when it has no policy or
-    # gamma is 1.  Those before the first are the same under every plan, so
-    # they need running once per row; unsteered, that is every step.
-    active = window_mask(schedule, config) & (policy is not None and config.gamma != 1.0)
+    # The steps the arm blends: its window, or none when it has no policy, gamma is
+    # 1 or the world has no attribute.  Those before the first are the same under
+    # every plan, so they need running once per row; unsteered, that is every step.
+    active = window_mask(schedule, config) & (
+        policy is not None and config.gamma != 1.0 and bool(world.schema.attributes))
     prefix = schedule.steps
     if active.any():
         prefix = schedule.steps - 1 - int(np.flatnonzero(active).max())
@@ -371,22 +377,15 @@ def _run_batch(specs: list[ExperimentSpec], world: MixtureWorld,
     """Run arms as row groups of one batch, yielding each arm's result, in
     order, as soon as its last prompt is decided and its artifacts written.
 
-    The arms differ only in seed, target and window.  Arms are set up in
-    order; one that cannot be set up ends the list, and its error is raised
-    once the arms before it have been yielded, as a loop of single runs would.
+    The arms differ only in seed, target and window, each checked when its
+    spec was made, so every arm is set up before any row runs: an arm that
+    cannot be set up raises before any arm has run.
     """
     t_start = time.perf_counter()
     base = specs[0]
     schema = world.schema
     schedule = linear_schedule(base.steps, base.beta_start, base.beta_end)
-    arms: list[_Arm] = []
-    error = None
-    for spec, out_dir in zip(specs, out_dirs):
-        try:
-            arms.append(_open_arm(spec, world, schedule, out_dir))
-        except (SteerlabError, ValueError) as exc:  # raised after the arms before it
-            error = exc
-            break
+    arms = [_open_arm(spec, world, schedule, out_dir) for spec, out_dir in zip(specs, out_dirs)]
     n = base.samples_per_prompt
     instances = [(arm, prompt, i) for arm in arms for prompt in arm.spec.prompts
                  for i in range(prompt.count)]
@@ -401,7 +400,7 @@ def _run_batch(specs: list[ExperimentSpec], world: MixtureWorld,
         len(a.values) * (len(a.values) - 1) for a in schema.attributes)
     per_chunk = max(1, _CHUNK_BYTES // max(
         (n * (row_bytes + plans * 8 * (d + 3 * int(arm.active.sum()) * base.diagnostics))
-         for arm in arms), default=1))
+         for arm in arms)))
     # Each prompt instance's condition, or the error making it raised, keyed
     # by what it is made from, so that the arms share it.
     made: dict[tuple, Condition | SteerlabError] = {}
@@ -475,8 +474,10 @@ def _run_batch(specs: list[ExperimentSpec], world: MixtureWorld,
                     r = row0 + s_i
                     plan = EMPTY_PLAN
                     if arm.policy is not None:  # decided on the records of the samples before it
-                        rng = np.random.default_rng(
-                            np.random.SeedSequence([arm.spec.seed, _POLICY_NS, p_ordinal, s_i]))
+                        rng = None  # only the probabilistic policy draws
+                        if arm.policy.kind == "probabilistic":
+                            rng = np.random.default_rng(np.random.SeedSequence(
+                                [arm.spec.seed, _POLICY_NS, p_ordinal, s_i]))
                         plan = decide(staged_memory, cond, schema, arm.target, arm.policy, rng)
                     key = arm.config, plan
                     if key not in runs:
@@ -485,7 +486,7 @@ def _run_batch(specs: list[ExperimentSpec], world: MixtureWorld,
                         finished, failed = _advance(
                             world, schedule, conds, tapes, going, x, arm.prefix, schedule.steps,
                             Steering(arm.active, plan, arm.config.gamma, arm.config.attribute_scale)
-                            if plan.entries and arm.active.any() else None, probe)
+                            if arm.active.any() else None, probe)
                         runs[key] = (finished, {**failed, **prefix_failed}, probe,
                                      {q: j for j, q in enumerate(going)} if probe else None)
                     finished, failed, probe, place = runs[key]
@@ -521,8 +522,6 @@ def _run_batch(specs: list[ExperimentSpec], world: MixtureWorld,
                 t_start = time.perf_counter()
     for arm in arms if not instances else ():  # no prompts at all
         yield _close_arm(arm, world, t_start)
-    if error is not None:
-        raise error
 
 
 def _load_world(spec: ExperimentSpec) -> MixtureWorld:

@@ -1,3 +1,5 @@
+import importlib
+import importlib.util
 import json
 import os
 import re
@@ -501,3 +503,20 @@ def test_package_root_exports_the_names_the_readme_lists():
     exported = {name for name, value in vars(steerlab).items()
                 if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert exported | {"__version__"} == listed
+
+
+def test_every_name_perfbench_traces_is_bound_in_its_module():
+    """perfbench, which is outside the test paths, times `<layer>.<function>`
+    names; a name gone from its module is reported absent and its metrics go
+    missing, so a change to `src/` must keep every one bound."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.FUNCTIONS
+    unbound = []
+    for name in tracer.FUNCTIONS:
+        layer, function = name.split(".")
+        if not callable(getattr(importlib.import_module(f"steerlab.{layer}"), function, None)):
+            unbound.append(name)
+    assert not unbound

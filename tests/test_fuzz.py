@@ -15,11 +15,14 @@ import json
 import os
 import re
 import tempfile
+from dataclasses import fields, replace
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from steerlab import WorldFileError
+from steerlab import (ExperimentSpec, PromptSpec, SteerlabError, WorldFileError, run_generate,
+                      run_sweep, run_window_ablation)
 from steerlab.cli import main
 from steerlab.worldfile import parse_world
 
@@ -208,3 +211,47 @@ def test_render_on_mutated_samples_exits_0_or_2(data):
     if code == 2:  # names the file or the attribute
         named = ["samples.csv"] + ([attribute] if attribute else [])
         assert any(name in err.getvalue() for name in named), err.getvalue()
+
+
+_SPEC_RUNS = {"generate": run_generate, "sweep": run_sweep, "ablation": run_window_ablation}
+
+
+def _run_spec(command: str, **fields_) -> None:
+    """Run CONFIG as a spec built in Python, with `fields_` replaced, in a
+    fresh directory holding its world; `run_generate` is handed the world."""
+    with fresh_cwd():
+        Path("fuzz.world").write_text(WORLD)
+        spec = replace(ExperimentSpec.from_dict(CONFIG), **fields_)
+        world = {"world": parse_world(WORLD, path="fuzz.world")} if command == "generate" else {}
+        _SPEC_RUNS[command](spec, out_dir="out", **world)
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_spec_with_replaced_fields_runs_or_names_a_field(data):
+    """A spec made in Python or by `replace` is checked as a config is: it
+    runs, or fails as a named input error (an unreadable world file is an
+    OSError naming `world_path`), never as a bare TypeError or
+    ZeroDivisionError from deep inside the library."""
+    names = data.draw(st.lists(st.sampled_from([f.name for f in fields(ExperimentSpec)]),
+                               min_size=1, max_size=3, unique=True), label="fields")
+    values = {name: copy.deepcopy(data.draw(JSON_VALUES, label=name)) for name in names}
+    command = data.draw(st.sampled_from(sorted(_SPEC_RUNS)), label="command")
+    try:
+        _run_spec(command, **values)
+    except (ValueError, SteerlabError, OSError) as exc:
+        assert any(name in str(exc) for name in names), (values, exc)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("samples_per_prompt", 0),
+    ("samples_per_prompt", 2.0),
+    ("prompts", [{"concept": "worker"}]),
+    ("seed", -1),
+])
+def test_spec_field_the_run_cannot_use_raises_value_error_naming_it(name, value):
+    with pytest.raises(ValueError, match=f"config key '{name}'"):
+        _run_spec("generate", **{name: value})
+    with pytest.raises(ValueError, match=f"config key '{name}'"):
+        ExperimentSpec(**{"world_path": "fuzz.world", "prompts": [PromptSpec("worker")],
+                          name: value})

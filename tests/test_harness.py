@@ -4,6 +4,7 @@ import math
 import os
 import warnings
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -194,6 +195,23 @@ class TestRunGenerate:
         assert result.memory is not None
         assert sum(c.total for c in result.memory.clusters) == 8 * 5
         assert result.prompts_seen == 8
+
+    @pytest.mark.parametrize("policy", ["deficit", "probabilistic", "static"])
+    def test_only_the_probabilistic_policy_gets_a_decision_stream(self, world_path, monkeypatch,
+                                                                   policy):
+        streams = []
+
+        def spy(memory, cond, schema, target, indicator, rng):
+            streams.append(rng)
+            return decide(memory, cond, schema, target, indicator, rng)
+        monkeypatch.setattr(harness, "decide", spy)
+        pairs = {"gender": ["female", "male"]} if policy == "static" else None
+        run_generate(base_spec(world_path, policy=policy, static_pairs=pairs))
+        assert len(streams) == 8 * 5
+        if policy == "probabilistic":
+            assert all(isinstance(rng, np.random.Generator) for rng in streams)
+        else:
+            assert all(rng is None for rng in streams)
 
     def test_vanilla_runs_without_memory(self, world_path):
         result = run_generate(base_spec(world_path, policy="vanilla"))
@@ -628,34 +646,36 @@ class TestBlendRule:
     hands the engine a Steering only when its plan blends one."""
 
     @staticmethod
-    def _steerings(monkeypatch) -> list:
-        """The steering of each engine call the harness makes, from now on."""
-        steerings = []
+    def _engine_calls(monkeypatch) -> list:
+        """(steering, start, stop) of each engine call the harness makes, from now on."""
+        calls = []
         engine = harness.run_trajectories
 
         def spy(*args):
-            steerings.append(args[4])
+            calls.append(args[4:7])
             return engine(*args)
         monkeypatch.setattr(harness, "run_trajectories", spy)
-        return steerings
+        return calls
 
     @pytest.mark.parametrize("arm", sorted(_UNBLENDED_ARMS))
     def test_arm_that_blends_no_step_gives_the_engine_no_steering(self, world_path, tmp_path,
                                                                    monkeypatch, arm):
+        """Its rows also take the whole trajectory in the prefix call."""
         world = single_gaussian_world() if arm == "no-attributes" else load_world(world_path)
-        steerings = self._steerings(monkeypatch)
-        result = run_generate(base_spec(world_path, diagnostics=True, **_UNBLENDED_ARMS[arm]),
-                              out_dir=str(tmp_path / "out"), world=world)
+        calls = self._engine_calls(monkeypatch)
+        spec = base_spec(world_path, diagnostics=True, **_UNBLENDED_ARMS[arm])
+        result = run_generate(spec, out_dir=str(tmp_path / "out"), world=world)
         assert result.samples and not result.failures
-        assert steerings and all(s is None for s in steerings)
+        assert calls and all(s is None for s, _, _ in calls)
+        assert calls[0][1:] == (0, spec.steps)
         assert not (tmp_path / "out" / "diagnostics.csv").exists()
 
-    @pytest.mark.parametrize("arm", ["gamma-1", "vanilla"])
+    @pytest.mark.parametrize("arm", ["gamma-1", "vanilla", "no-attributes"])
     def test_chunks_of_an_arm_that_blends_no_step_ignore_diagnostics(self, world_path,
                                                                       monkeypatch, arm):
         """The chunk estimate counts probe rows for the steps an arm blends
         only; it used to count the window's steps for these arms."""
-        world = load_world(world_path)
+        world = single_gaussian_world() if arm == "no-attributes" else load_world(world_path)
         chunks = []
 
         def tapes(rngs, steps, d):
@@ -679,12 +699,12 @@ class TestBlendRule:
             decided.append(decide(*args))
             return decided[-1]
         monkeypatch.setattr(harness, "decide", spy)
-        steerings = self._steerings(monkeypatch)
+        calls = self._engine_calls(monkeypatch)
         spec = base_spec(world_path, gamma=0.6, attribute_scale=4.0)
         run_generate(spec)
         active = window_mask(linear_schedule(spec.steps, spec.beta_start, spec.beta_end),
                              GuidanceConfig(spec.gamma, spec.window, spec.attribute_scale))
-        steered = [s for s in steerings if s is not None]
+        steered = [s for s, _, _ in calls if s is not None]
         assert steered
         for s in steered:
             assert any(s.plan is plan for plan in decided)
@@ -1041,20 +1061,28 @@ class TestArmBatching:
                                  "arm_01/samples.csv"]
         assert len(warned) == 2 and all("shade='c'" in w for w in warned)
 
-    @pytest.mark.parametrize("kind, overrides, message", [
-        ("sweep", {"sweep": {"attribute": "gender", "value": "male",
-                             "proportions": [0.5, 1.5]}}, "negative proportion"),
-        ("ablation", {"windows": [[0.0, 0.5], [0.6, 0.2]]}, "window must satisfy"),
+    @pytest.mark.parametrize("key, overrides", [
+        ("sweep", {"sweep": {"attribute": "gender", "value": "male", "proportions": [0.5, 1.5]}}),
+        ("windows", {"windows": [[0.0, 0.5], [0.6, 0.2]]}),
     ])
-    def test_arm_that_cannot_be_set_up_raises_after_the_arms_before_it(
-            self, tmp_path, monkeypatch, caplog, kind, overrides, message):
-        spec = _arms_spec(tmp_path, "deficit", **overrides)
-        batched, per_arm = _batched_and_per_arm(tmp_path, monkeypatch, caplog, _ARM_RUNS[kind],
-                                                spec)
-        assert batched == per_arm
-        files, outcome, _ = batched
-        assert message in outcome[1]
-        assert {f.split("/")[0] for f in files} == {"arm_00"}
+    def test_spec_whose_later_arm_could_not_be_set_up_cannot_be_made(self, tmp_path, key,
+                                                                      overrides):
+        """A second arm's target or window is checked when the spec is made,
+        built directly or replaced into a valid spec, before any arm runs."""
+        with pytest.raises(ValueError, match=f"config key '{key}'"):
+            _arms_spec(tmp_path, "deficit", **overrides)
+        with pytest.raises(ValueError, match=f"config key '{key}'"):
+            replace(_arms_spec(tmp_path, "deficit"), **overrides)
+
+    def test_arm_that_cannot_be_set_up_stops_the_batch_before_any_row_runs(self, tmp_path,
+                                                                           monkeypatch):
+        spec = _arms_spec(tmp_path, "deficit")
+        bad = replace(spec, target={"colour": {"red": 1.0}})  # checked against the world
+        calls = TestBlendRule._engine_calls(monkeypatch)
+        out_dirs = [str(tmp_path / "arm_00"), str(tmp_path / "arm_01")]
+        with pytest.raises(SteerlabError, match="colour"):
+            list(harness._run_batch([spec, bad], load_world(spec.world_path), out_dirs))
+        assert not calls and not (tmp_path / "arm_00").exists()
 
 
 class TestRender:
