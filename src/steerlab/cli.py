@@ -120,7 +120,7 @@ def _cmd_inspect_memory(args) -> int:
 
 def _cmd_render(args) -> int:
     world = load_world(args.world if args.world else default_world_path())
-    points, labels, _ = load_samples_csv(args.samples)
+    points, labels, _ = load_samples_csv(args.samples, world.schema.names())
     if points.shape[1] != world.dimension:
         raise ValueError(f"{args.samples}: {points.shape[1]} coordinate columns but the world "
                          f"has dimension {world.dimension}")
@@ -137,7 +137,9 @@ def _cmd_validate_world(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="steerlab",
         description="Attribute-steered diffusion sampling over analytic mixture worlds.",
@@ -145,10 +147,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"steerlab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_out=True):
+    def common(p):
         p.add_argument("--config", required=True, help="experiment config (JSON)")
-        if with_out:
-            p.add_argument("--out", default=None, help="output directory")
+        p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override master seed")
         p.add_argument("--memory", default=None, help="override memory file path")
         p.add_argument("--policy", default=None,
@@ -189,14 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built once per process: parsing leaves it unchanged."""
-    return build_parser()
-
-
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (SteerlabError, ValueError, OSError, json.JSONDecodeError) as exc:

@@ -22,6 +22,7 @@ harness runs generations sequentially so cluster state is never read torn.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import numbers
@@ -116,19 +117,15 @@ def default_match_threshold(world: MixtureWorld) -> float:
 
 def lookup(memory: MemoryModule, embedding: np.ndarray) -> int | None:
     """Index of the nearest cluster strictly within tau; ties take the lowest index."""
-    best = None
-    best_dist = memory.tau
+    for cluster in memory.clusters:
+        if embedding.shape != cluster.centroid.shape:
+            raise ValueError(
+                f"embedding dimension {embedding.shape} != centroid {cluster.centroid.shape}"
+            )
     with np.errstate(over="ignore"):  # a huge restored centroid is at distance inf
-        for i, cluster in enumerate(memory.clusters):
-            if embedding.shape != cluster.centroid.shape:
-                raise ValueError(
-                    f"embedding dimension {embedding.shape} != centroid {cluster.centroid.shape}"
-                )
-            dist = float(np.linalg.norm(embedding - cluster.centroid))
-            if dist < best_dist:
-                best = i
-                best_dist = dist
-    return best
+        dists = [float(np.linalg.norm(embedding - c.centroid)) for c in memory.clusters]
+    best = min(range(len(dists)), key=dists.__getitem__, default=None)
+    return best if best is not None and dists[best] < memory.tau else None
 
 
 def decide(
@@ -223,22 +220,16 @@ def record(memory: MemoryModule, cond: Condition, outcome: dict[str, str]) -> No
 
 
 def consolidate(memory: MemoryModule) -> None:
-    """Merge the two nearest clusters into the first of them."""
-    n = len(memory.clusters)
-    if n < 2:
-        raise ValueError(f"consolidation needs at least 2 clusters, have {n}")
-    best = (0, 1)
-    best_dist = np.inf
+    """Merge the two nearest clusters into the first of them; ties take the first
+    pair in (i, j) order, so clusters 0 and 1 when every distance is inf."""
+    clusters = memory.clusters
+    if len(clusters) < 2:
+        raise ValueError(f"consolidation needs at least 2 clusters, have {len(clusters)}")
     with np.errstate(over="ignore"):  # as in lookup: a huge centroid is at distance inf
-        for i in range(n):
-            for j in range(i + 1, n):
-                dist = float(np.linalg.norm(memory.clusters[i].centroid
-                                            - memory.clusters[j].centroid))
-                if dist < best_dist:
-                    best, best_dist = (i, j), dist
-    i, j = best
-    memory.clusters[i] = _merge(memory.clusters[i], memory.clusters[j])
-    del memory.clusters[j]
+        i, j = min(itertools.combinations(range(len(clusters)), 2), key=lambda p: float(
+            np.linalg.norm(clusters[p[0]].centroid - clusters[p[1]].centroid)))
+    clusters[i] = _merge(clusters[i], clusters[j])
+    del clusters[j]
 
 
 def _container_checksum(payload: dict) -> str:

@@ -101,16 +101,13 @@ class LatentState:
 class RowMixtures:
     """One mixture per row of a batch: row b follows mixes[b], all of one
     component count and covariance kind.  The arrays the kernel reads are the
-    distinct sources' gathered along a leading row axis."""
+    rows' mixture arrays, stacked along a leading row axis."""
 
     def __init__(self, mixes):
-        sources = tuple({id(m): m for m in mixes}.values())
-        index = {id(m): i for i, m in enumerate(sources)}
-        rows = np.array([index[id(m)] for m in mixes])
-        self.identity_cov = sources[0].identity_cov
+        self.identity_cov = mixes[0].identity_cov
         for name in ("means", "log_weights", "eig_vals", "eig_vecs"):
-            arrays = [getattr(m, name) for m in sources]
-            setattr(self, name, None if arrays[0] is None else np.stack(arrays)[rows])
+            arrays = [getattr(m, name) for m in mixes]
+            setattr(self, name, None if arrays[0] is None else np.stack(arrays))
 
 
 def _marginal(mix, a_bar: float) -> tuple[np.ndarray, np.ndarray]:

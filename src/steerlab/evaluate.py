@@ -10,39 +10,31 @@ per-attribute scores and then into one combined number.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .world import AttributeSchema, ConditionalMixture, MixtureWorld, TargetDistribution
+from .world import AttributeSchema, MixtureWorld, TargetDistribution
 from .diffusion import _logits, _logsumexp
-
-
-def _log_posteriors(mix: ConditionalMixture, x: np.ndarray) -> np.ndarray:
-    """Per-component log posterior responsibilities at the data level."""
-    logits = _logits(mix, x[None, :], 1.0)[0][0]
-    return logits - _logsumexp(logits)
 
 
 def discriminate(world: MixtureWorld, x0: np.ndarray) -> tuple[dict[str, str], dict[str, float]]:
     """Attribute labels (marginal argmax, ties by schema order) and concept posterior."""
     x0 = np.asarray(x0, dtype=float)
     mix = world.all_components()
-    post = np.exp(_log_posteriors(mix, x0))
-    labels: dict[str, str] = {}
-    for attr in world.schema.attributes:
-        best_value = attr.values[0]
-        best_mass = -1.0
-        for value in attr.values:
-            mass = float(sum(p for p, c in zip(post, mix.components) if c.tags[attr.name] == value))
-            if mass > best_mass:
-                best_value, best_mass = value, mass
-        labels[attr.name] = best_value
-    concept_post = {
-        concept: float(sum(p for p, c in zip(post, mix.components) if c.concept == concept))
-        for concept in world.concepts
-    }
-    return labels, concept_post
+    logits = _logits(mix, x0[None, :], 1.0)[0][0]
+    post = np.exp(logits - _logsumexp(logits))
+    # Each mass adds its components' posteriors from 0 in component order.
+    concept_mass = dict.fromkeys(world.concepts, 0)
+    value_mass = {(attr.name, v): 0 for attr in world.schema.attributes for v in attr.values}
+    for p, c in zip(post, mix.components):
+        concept_mass[c.concept] += p
+        for tag in c.tags.items():
+            value_mass[tag] += p
+    labels = {attr.name: max(attr.values, key=lambda v: value_mass[attr.name, v])
+              for attr in world.schema.attributes}
+    return labels, {concept: float(m) for concept, m in concept_mass.items()}
 
 
 def value_frequencies(
@@ -52,9 +44,8 @@ def value_frequencies(
     n = len(assignments)
     freqs: dict[str, dict[str, float]] = {}
     for attr in schema.attributes:
-        freqs[attr.name] = {
-            v: sum(1 for a in assignments if a[attr.name] == v) / n for v in attr.values
-        }
+        counts = Counter(a[attr.name] for a in assignments)
+        freqs[attr.name] = {v: counts[v] / n for v in attr.values}
     return freqs
 
 

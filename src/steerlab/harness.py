@@ -44,7 +44,7 @@ import math
 import os
 import time
 from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -562,16 +562,24 @@ def write_samples_csv(samples: list[GeneratedSample], world: MixtureWorld, path:
     write_csv(path, "samples", meta, header, rows)
 
 
-def load_samples_csv(path: str) -> tuple[np.ndarray, list[dict[str, str]], list[str]]:
-    """Points, per-sample labels, and column names from a samples.csv file."""
+def load_samples_csv(path: str, attributes: Sequence[str]
+                     ) -> tuple[np.ndarray, list[dict[str, str]], list[str]]:
+    """Points, per-sample labels, and column names from a samples.csv file.
+
+    The labels are the last columns, one per attribute given (the world's, in
+    schema order), and the points are the `x<i>` columns before them."""
     with open(path, "r", encoding="utf-8") as fh:
         rows = [(lineno, line.rstrip("\n")) for lineno, line in enumerate(fh, 1)
                 if not line.startswith("#")]
     if not rows:
         raise ValueError(f"{path}: no header row")
-    header = rows[0][1].split(",")
-    coord_idx = [i for i, h in enumerate(header) if h.startswith("x") and h[1:].isdigit()]
-    attr_cols = header[max(coord_idx) + 1:] if coord_idx else []
+    header, attributes = rows[0][1].split(","), list(attributes)
+    first_attr = len(header) - len(attributes)
+    if header[first_attr:] != attributes:
+        raise ValueError(f"{path}: the header does not end with the world's attribute "
+                         f"columns {attributes}")
+    coord_idx = [i for i, h in enumerate(header[:first_attr])
+                 if h.startswith("x") and h[1:].isdigit()]
     points = []
     labels = []
     for lineno, row in rows[1:]:
@@ -587,7 +595,7 @@ def load_samples_csv(path: str) -> tuple[np.ndarray, list[dict[str, str]], list[
             raise ValueError(f"{path}:{lineno}: {exc}") from None
         if not all(map(math.isfinite, points[-1])):
             raise ValueError(f"{path}:{lineno}: non-finite coordinate in {points[-1]}")
-        labels.append({a: cells[header.index(a)] for a in attr_cols})
+        labels.append(dict(zip(attributes, cells[first_attr:])))
     return np.array(points).reshape(len(labels), len(coord_idx)), labels, header
 
 

@@ -9,6 +9,7 @@ that prompt-similarity lookups stay geometric.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import numbers
@@ -199,13 +200,8 @@ class MixtureWorld:
     def min_concept_separation(self) -> float | None:
         """Smallest pairwise distance between concept centroids, None if < 2 concepts."""
         cents = [self.concept_centroid(c) for c in self.concepts]
-        if len(cents) < 2:
-            return None
-        best = math.inf
-        for i in range(len(cents)):
-            for j in range(i + 1, len(cents)):
-                best = min(best, float(np.linalg.norm(cents[i] - cents[j])))
-        return best
+        return min((float(np.linalg.norm(a - b)) for a, b in itertools.combinations(cents, 2)),
+                   default=None)
 
     def digest(self) -> str:
         payload = {

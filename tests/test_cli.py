@@ -389,7 +389,7 @@ class TestOtherCommands:
             seen = []
             for argv in calls(tag):
                 if fresh:
-                    cli._parser.cache_clear()
+                    cli.build_parser.cache_clear()
                 code = main(argv)
                 captured = capsys.readouterr()
                 seen.append((code, captured.out.replace(tag, ""), captured.err.replace(tag, "")))
@@ -429,6 +429,49 @@ class TestOtherCommands:
         assert main(["render", "--samples", str(samples), "--out", str(svg)]) == 2
         assert (f"samples.csv: {coords} coordinate columns but the world has dimension 2"
                 in capsys.readouterr().err)
+        assert not svg.exists()
+
+    @pytest.mark.parametrize("attribute", ["concept", "x2"])
+    def test_render_reads_an_attribute_named_like_a_column(self, workspace, capsys, attribute):
+        """Labels are read by position: `concept` used to colour every point by the
+        concept column (all grey, no legend), and `x2` was read as a coordinate
+        and exited 2 on the file the run had just written."""
+        (workspace / "named.world").write_text(
+            f"dimension 2\nattribute {attribute} a b\n"
+            f"component worker {attribute}=a mean=0,0 weight=0.5\n"
+            f"component worker {attribute}=b mean=4,0 weight=0.5\n")
+        config = json.loads((workspace / "run.json").read_text())
+        config.update(world_path="named.world", prompts=[{"concept": "worker", "count": 2}],
+                      target={attribute: {"a": 0.5, "b": 0.5}})
+        (workspace / "named.json").write_text(json.dumps(config))
+        out, svg = workspace / "out", workspace / "plot.svg"
+        assert main(["generate", "--config", str(workspace / "named.json"),
+                     "--out", str(out)]) == 0
+        assert main(["render", "--samples", str(out / "samples.csv"),
+                     "--world", str(workspace / "named.world"), "--out", str(svg)]) == 0
+        capsys.readouterr()
+        labels = [line.rsplit(",", 1)[1] for line in (out / "samples.csv").read_text().splitlines()
+                  if not line.startswith("#")][1:]
+        assert len(labels) == 6
+        colour = {"a": "#1f77b4", "b": "#d62728"}
+        text = svg.read_text()
+        assert re.findall(r'<circle [^>]*fill="([^"]+)"', text) == [colour[v] for v in labels]
+        assert re.findall(r">(\S+=\S+)</text>", text) == [
+            f"{attribute}={v}" for v in ("a", "b") if v in labels]
+
+    def test_render_samples_of_other_attributes_exits_2_naming_the_file(self, workspace, capsys):
+        """Rendered against a world of other attributes, every point used to be grey."""
+        out = workspace / "out"
+        assert main(["generate", "--config", str(workspace / "run.json"), "--out", str(out)]) == 0
+        (workspace / "age.world").write_text(
+            "dimension 2\nattribute age young old\n"
+            "component worker age=young mean=0,0 weight=0.5\n"
+            "component worker age=old   mean=4,0 weight=0.5\n")
+        svg = workspace / "plot.svg"
+        assert main(["render", "--samples", str(out / "samples.csv"),
+                     "--world", str(workspace / "age.world"), "--out", str(svg)]) == 2
+        assert ("samples.csv: the header does not end with the world's attribute columns "
+                "['age']" in capsys.readouterr().err)
         assert not svg.exists()
 
     def test_render_non_finite_coordinate_exits_2(self, workspace, capsys):

@@ -77,6 +77,21 @@ class TestLookup:
         assert lookup(mem, np.array([-1e308, 0.0])) is None
         assert lookup(mem, np.array([0.5, 0.0])) == 1
 
+    @given(dim=st.integers(1, 3), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_lowest_index_of_the_nearest_strictly_within_tau(self, dim, data):
+        """On a small integer grid exact ties are common.  Squared distances are
+        integers, so the oracle is exact: the norm is below tau = k / 2 exactly
+        when 4 * d2 < k * k."""
+        point = st.lists(st.integers(-2, 2), min_size=dim, max_size=dim)
+        centroids = data.draw(st.lists(point, max_size=8))
+        embedding = data.draw(point)
+        k = data.draw(st.integers(1, 12))
+        mem = memory_with([Cluster(np.array(c, dtype=float)) for c in centroids], tau=k / 2)
+        d2 = [sum((e - x) ** 2 for e, x in zip(embedding, c)) for c in centroids]
+        expected = d2.index(min(d2)) if d2 and 4 * min(d2) < k * k else None
+        assert lookup(mem, np.array(embedding, dtype=float)) == expected
+
     def test_dimension_mismatch(self):
         mem = memory_with([Cluster(np.array([0.0, 0.0]))])
         with pytest.raises(ValueError, match="dimension"):
@@ -321,6 +336,24 @@ class TestConsolidate:
                            Cluster(np.array([1.0, 0.0]), total=1)])
         consolidate(mem)
         assert [c.centroid.tolist() for c in mem.clusters] == [[1e308, 0.0], [0.5, 0.0]]
+
+    def test_exact_tie_merges_the_first_pair_in_order(self):
+        """(0, 3) and (1, 2) are both at distance 1; (0, 3) comes first."""
+        mem = memory_with([Cluster(np.array([0.0, 0.0]), total=1),
+                           Cluster(np.array([10.0, 0.0]), total=1),
+                           Cluster(np.array([11.0, 0.0]), total=1),
+                           Cluster(np.array([0.0, 1.0]), total=1)])
+        consolidate(mem)
+        assert [c.centroid.tolist() for c in mem.clusters] == [[0.0, 0.5], [10.0, 0.0],
+                                                               [11.0, 0.0]]
+
+    def test_every_distance_inf_merges_clusters_0_and_1(self):
+        mem = memory_with([Cluster(np.array([1e308, 0.0]), total=1),
+                           Cluster(np.array([-1e308, 0.0]), total=1),
+                           Cluster(np.array([0.0, 1e308]), total=1)])
+        consolidate(mem)
+        assert [c.centroid.tolist() for c in mem.clusters] == [[0.0, 0.0], [0.0, 1e308]]
+        assert mem.clusters[0].total == 2
 
     def test_needs_two_clusters(self):
         with pytest.raises(ValueError, match="at least 2"):

@@ -716,7 +716,7 @@ class TestSamplesCsv:
     def test_round_trip(self, world_path, tmp_path):
         out = tmp_path / "run"
         result = run_generate(base_spec(world_path), out_dir=str(out))
-        points, labels, header = load_samples_csv(str(out / "samples.csv"))
+        points, labels, header = load_samples_csv(str(out / "samples.csv"), ("gender",))
         assert points.shape == (len(result.samples), 2)
         assert header[:5] == ["prompt_id", "prompt_ordinal", "sample_index",
                               "stream_seed", "concept"]
@@ -754,7 +754,7 @@ class TestSamplesCsv:
         over each prompt's samples read back from samples.csv, averaged per prompt."""
         out = tmp_path / "run"
         result = run_generate(base_spec(world_path), out_dir=str(out))
-        points, _, _ = load_samples_csv(str(out / "samples.csv"))
+        points, _, _ = load_samples_csv(str(out / "samples.csv"), ("gender",))
         world = load_world(world_path)
         by_prompt: dict[str, list[int]] = {}
         for i, s in enumerate(result.samples):
@@ -1091,7 +1091,8 @@ class TestRender:
         result = run_generate(base_spec(world_path), out_dir=str(out))
         svg_path = str(tmp_path / "plot.svg")
         world = build_gender_world(male_weight=0.65)
-        render_scatter(*load_samples_csv(str(out / "samples.csv"))[:2], world, svg_path)
+        render_scatter(*load_samples_csv(str(out / "samples.csv"), world.schema.names())[:2],
+                       world, svg_path)
 
         root = ET.parse(svg_path).getroot()
         ns = "{http://www.w3.org/2000/svg}"
@@ -1108,7 +1109,7 @@ class TestRender:
         run_generate(base_spec(world_path), out_dir=str(out))
         world = build_gender_world()
         a, b = str(tmp_path / "a.svg"), str(tmp_path / "b.svg")
-        points, labels, _ = load_samples_csv(str(out / "samples.csv"))
+        points, labels, _ = load_samples_csv(str(out / "samples.csv"), world.schema.names())
         render_scatter(points, labels, world, a)
         render_scatter(points, labels, world, b)
         assert open(a, "rb").read() == open(b, "rb").read()
