@@ -10,7 +10,8 @@ fixed list of commands, all from the same work directory, so that paths in
 messages match between checkouts.  The list covers all four policies; the
 config window, `--gamma 1.0` and an empty window; diagnostics, recorded
 intent and a memory budget of 2; failing prompts; a `--memory` chain with
-`inspect-memory`; sweeps and window ablations; render; a world with a
+`inspect-memory`; a `--memory` chain whose second link changes the budget, and
+is refused; sweeps and window ablations; render; a world with a
 3-valued attribute, with a run of 30 prompts on it; criterion-05's shape (50
 prompts of one sample); a world whose concepts have unequal component
 counts, with diagnostics; and a world with no attributes, whose plans are all
@@ -148,6 +149,8 @@ CONFIGS: dict[str, dict] = {
 }
 for _name in ("two", "three"):
     CONFIGS[f"{_name}-intent"] = {**CONFIGS[_name], "record_intent": True}
+# Resuming two.json's memory under another budget is refused, and leaves the file as it was.
+CONFIGS["two-budget3"] = {**CONFIGS["two"], "memory_budget": 3}
 # Many prompts on the 2 x 3-valued world: up to 12 plans, so many rows are
 # finished under plans their samples do not choose.
 CONFIGS["three-many"] = {**CONFIGS["three"], "samples_per_prompt": 10, "diagnostics": False,
@@ -187,6 +190,10 @@ def commands() -> list[tuple[str, list[str]]]:
                                         "--out", f"chain-{link}"]))
     steps.append(("chain-inspect", ["inspect-memory", "--memory", "chain-memory.json",
                                     "--out", "chain-memory.csv"]))
+    for link, cfg in enumerate(("two", "two-budget3")):
+        steps.append((f"budget-chain-{link}", ["generate", "--config", f"{cfg}.json", "--memory",
+                                               "budget-chain-memory.json",
+                                               "--out", f"budget-chain-{link}"]))
     for cfg, policy in (("default", "deficit"), ("two", "probabilistic"), ("two", "vanilla")):
         steps.append((f"{cfg}-{policy}-sweep", ["sweep", "--config", f"{cfg}.json", "--policy",
                                                 policy, "--out", f"{cfg}-{policy}-sweep"]))

@@ -8,7 +8,7 @@ alpha_bar*Sigma_k + (1-alpha_bar)*I.  The noise predictor is exact:
 
 which lets the sampler and every steering experiment run without any trained
 network.  Cheap per-step evaluation matters here (millions of calls per
-experiment), so mixtures are prepared once per condition, responsibilities
+experiment), so read-only mixtures are prepared once per condition, responsibilities
 are computed in log space, and `run_trajectories` advances many independent
 streams as one batch.  Its rows may follow any conditions, and it edits each
 row's condition by a guidance plan's entries (`Steering`) itself: a step makes one kernel
@@ -110,27 +110,13 @@ class RowMixtures:
             setattr(self, name, None if arrays[0] is None else np.stack(arrays))
 
 
-def _marginal(mix, a_bar: float) -> tuple[np.ndarray, np.ndarray]:
-    """Marginal eigenvalues at level a_bar and their log-determinants: cached per
-    mixture and level (they depend on nothing else), or computed on the
-    gathered rows of RowMixtures."""
-    if isinstance(mix, RowMixtures):
-        s = a_bar * mix.eig_vals + (1.0 - a_bar)            # (B, K, d)
-        return s, np.log(s).sum(axis=-1)
-    marginal = mix.marginals.get(a_bar)
-    if marginal is None:
-        s = a_bar * mix.eig_vals + (1.0 - a_bar)            # (K, d)
-        marginal = mix.marginals[a_bar] = (s, np.log(s).sum(axis=-1))
-    return marginal
-
-
 def _logits(mix, x: np.ndarray, a_bar: float) -> tuple[np.ndarray, np.ndarray]:
     """(B, K) logits log w_k + log N(x; sqrt(a_bar) mu_k, a_bar Sigma_k + (1 - a_bar) I),
     less d/2 log(2 pi), at a (B, d) batch, plus the per-component offsets the
     score needs (in the eigenbasis, over the marginal eigenvalues, for full
     covariances).  The mixture's arrays may carry a leading row axis
-    (`RowMixtures`).  No operation mixes rows, so bits depend neither on B
-    nor on which mixture the other rows follow.
+    (`RowMixtures`); the kernel only reads them.  No operation mixes rows, so
+    bits depend neither on B nor on which mixture the other rows follow.
     """
     sab = math.sqrt(a_bar)
     diff = x[:, None, :] - sab * mix.means                  # (B, K, d)
@@ -141,7 +127,8 @@ def _logits(mix, x: np.ndarray, a_bar: float) -> tuple[np.ndarray, np.ndarray]:
         else:
             sq = np.einsum("bkd,bkd->bk", diff, diff)
         return mix.log_weights - 0.5 * sq, diff
-    s, log_det = _marginal(mix, a_bar)
+    s = a_bar * mix.eig_vals + (1.0 - a_bar)                # marginal eigenvalues
+    log_det = np.log(s).sum(axis=-1)
     y = np.einsum("...kji,...kj->...ki", mix.eig_vecs, diff)  # rotate into eigenbasis
     ys = y / s
     logits = mix.log_weights - 0.5 * (np.einsum("bki,bki->bk", y, ys) + log_det)

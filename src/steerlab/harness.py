@@ -303,7 +303,7 @@ class _Arm:
 
 
 def _open_arm(spec: ExperimentSpec, world: MixtureWorld, schedule, out_dir: str | None) -> _Arm:
-    """Check the arm's settings against the world and set up its memory."""
+    """Check the arm's settings against the world and any memory it resumes; set up its memory."""
     config = GuidanceConfig(spec.gamma, spec.window, spec.attribute_scale)
     target = TargetDistribution(spec.target)
     target.validate_for(world.schema)
@@ -317,6 +317,12 @@ def _open_arm(spec: ExperimentSpec, world: MixtureWorld, schedule, out_dir: str 
         path = spec.memory_path
         if path and os.path.exists(path):
             memory, prompts_seen = restore_memory(path, world.schema, world.dimension)
+            derived = "" if spec.memory_tau is not None else " (derived from the world)"
+            for key, want, got, how in (("memory_budget", spec.memory_budget, memory.budget, ""),
+                                        ("memory_tau", tau, memory.tau, derived)):
+                if got != want:  # a resumed memory runs under the config's settings, or not at all
+                    raise ValueError(f"config key {key!r} is {want!r}{how}, but memory file "
+                                     f"{path!r} was written with {got!r}")
         else:
             # Refused before any row runs, not when the run's end writes it.
             if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):

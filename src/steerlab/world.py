@@ -13,7 +13,7 @@ import itertools
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,9 +89,9 @@ class Component:
     tags: dict[str, str]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConditionalMixture:
-    """A renormalized component subset prepared for fast density/score work."""
+    """A renormalized component subset, read-only; the kernel derives per-level values itself."""
 
     components: list[Component]
     weights: np.ndarray          # renormalized, sums to 1
@@ -100,8 +100,6 @@ class ConditionalMixture:
     identity_cov: bool           # True when every covariance is the identity
     eig_vals: np.ndarray | None  # (K, d) eigenvalues of each covariance
     eig_vecs: np.ndarray | None  # (K, d, d) matching eigenvectors (columns)
-    # noise level -> (marginal eigenvalues, their log-determinants), filled by the kernel
-    marginals: dict = field(default_factory=dict, repr=False)
 
 
 def _prepare(components: list[Component], weights: np.ndarray) -> ConditionalMixture:
@@ -121,8 +119,9 @@ def _prepare(components: list[Component], weights: np.ndarray) -> ConditionalMix
         eig_vals=eig_vals,
         eig_vecs=eig_vecs,
     )
-    for arr in (mix.weights, mix.means, mix.log_weights):
-        arr.setflags(write=False)
+    for arr in (mix.weights, mix.means, mix.log_weights, eig_vals, eig_vecs):
+        if arr is not None:
+            arr.setflags(write=False)
     return mix
 
 

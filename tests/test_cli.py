@@ -1,3 +1,4 @@
+import csv
 import importlib
 import importlib.util
 import json
@@ -10,8 +11,9 @@ import pytest
 import steerlab
 from steerlab import cli, harness
 from steerlab.cli import _parse_target, _parse_window, main
-from steerlab.controller import _container_checksum, restore_memory
+from steerlab.controller import _container_checksum, default_match_threshold, restore_memory
 from steerlab.diffusion import run_trajectories
+from steerlab.worldfile import load_world
 
 WORLD = """\
 dimension 2
@@ -257,6 +259,38 @@ class TestGenerateCommand:
         err = capsys.readouterr().err
         assert "memory.json" in err and "dimension" in err
 
+    @pytest.mark.parametrize("first, then, message", [
+        ({"memory_budget": 4}, {"memory_budget": 1},
+         "config key 'memory_budget' is 1, but memory file {mem!r} was written with 4"),
+        ({}, {"memory_tau": 0.001},
+         "config key 'memory_tau' is 0.001, but memory file {mem!r} was written with {tau!r}"),
+        ({"memory_tau": 0.5}, {}, "config key 'memory_tau' is {tau!r} (derived from the world), "
+                                  "but memory file {mem!r} was written with 0.5"),
+    ], ids=["budget", "tau", "derived-tau"])
+    def test_memory_resumed_under_other_budget_or_tau_exits_2_before_any_row(
+            self, workspace, capsys, monkeypatch, first, then, message):
+        """A resumed memory used to keep the budget and tau it was written with,
+        whatever the config asked for."""
+        data = json.loads((workspace / "run.json").read_text())
+        for name, patch in (("first", first), ("then", then)):
+            (workspace / f"{name}.json").write_text(json.dumps({**data, **patch}))
+        mem = workspace / "memory.json"
+        first_run = ["generate", "--config", str(workspace / "first.json"), "--memory", str(mem)]
+        assert main(first_run) == 0
+        written = mem.read_bytes()
+        capsys.readouterr()
+        ran = []
+        monkeypatch.setattr(harness, "run_trajectories",
+                            lambda *args: ran.append(1) or run_trajectories(*args))
+        out = workspace / "out"
+        assert main(["generate", "--config", str(workspace / "then.json"), "--memory", str(mem),
+                     "--out", str(out)]) == 2
+        tau = default_match_threshold(load_world(str(workspace / "demo.world")))
+        assert message.format(mem=str(mem), tau=tau) in capsys.readouterr().err
+        assert not ran and not out.exists() and mem.read_bytes() == written
+        # The config it was written under resumes it: a derived tau round-trips exactly.
+        assert main(first_run) == 0 and ran
+
     def test_failed_prompts_exit_1(self, workspace, capsys):
         cfg = workspace / "partial.json"
         data = json.loads((workspace / "run.json").read_text())
@@ -295,6 +329,25 @@ class TestOtherCommands:
         assert code == 0
         assert "window=0,0.5" in capsys.readouterr().out
         assert (workspace / "ablate_out" / "ablation.csv").exists()
+
+    def test_every_csv_written_parses_into_rows_of_its_header_width(self, workspace, capsys):
+        """An ablation label holds a comma, and its cell used to be written bare,
+        so that every data row of ablation.csv read one cell too wide."""
+        data = json.loads((workspace / "run.json").read_text())
+        data.update(diagnostics=True, windows=[[0.0, 0.5], [0.5, 1.0]], sweep={
+            "attribute": "gender", "value": "male", "proportions": [0.3, 0.7]})
+        (workspace / "all.json").write_text(json.dumps(data))
+        for command in ("generate", "sweep", "ablate-window"):
+            assert main([command, "--config", str(workspace / "all.json"),
+                         "--out", str(workspace / command)]) == 0
+        written = sorted(p.relative_to(workspace).as_posix() for p in workspace.rglob("*.csv"))
+        assert "ablate-window/ablation.csv" in written and "sweep/sweep.csv" in written
+        assert "generate/diagnostics.csv" in written and "generate/report.csv" in written
+        for name in written:
+            with open(workspace / name, newline="", encoding="utf-8") as fh:
+                rows = list(csv.reader(line for line in fh if not line.startswith("#")))
+            assert len(rows) > 1, name
+            assert {len(row) for row in rows[1:]} == {len(rows[0])}, name
 
     def test_inspect_memory_command(self, workspace, capsys):
         mem = workspace / "memory.json"
@@ -496,7 +549,9 @@ class TestOtherCommands:
         """A huge but finite centroid loads; the prompts whose record would
         overflow it fail, and the memory written after them loads again."""
         mem = workspace / "memory.json"
-        run = ["generate", "--config", str(workspace / "run.json"), "--memory", str(mem)]
+        config = json.loads((workspace / "run.json").read_text())
+        (workspace / "budget1.json").write_text(json.dumps({**config, "memory_budget": 1}))
+        run = ["generate", "--config", str(workspace / "budget1.json"), "--memory", str(mem)]
         assert main(run) == 0
         payload = json.loads(mem.read_text())
         del payload["checksum"]

@@ -883,7 +883,8 @@ class TestSweeps:
         assert lines[0] == "# steerlab-ablation v1"
         assert lines[1] == f"# config_digest={spec.digest()}"
         assert lines[2] == "arm,label,bias,quality"
-        assert lines[3:] == [f"{r.arm},{r.label},{r.bias!r},{r.quality!r}" for r in result.rows]
+        # The label holds a comma, so its cell is quoted.
+        assert lines[3:] == [f'{r.arm},"{r.label}",{r.bias!r},{r.quality!r}' for r in result.rows]
         assert (out / "arm_02" / "samples.csv").exists()
 
     def test_window_ablation_custom_windows(self, world_path):

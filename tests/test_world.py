@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from steerlab.world import (
     MixtureWorld,
     TargetDistribution,
     conditional_components,
+    edit_condition,
     embed_condition,
     make_condition,
 )
@@ -187,6 +190,29 @@ class TestConditioning:
         world = build_gender_world()
         cond = Condition("engineer", {}, np.zeros(2))
         assert conditional_components(world, cond) is conditional_components(world, cond)
+
+    def test_prepared_mixtures_are_read_only(self):
+        """Every later kernel call shares a prepared mixture, so neither its
+        fields nor any of its arrays, the eigen-decomposition included, change."""
+        world = build_gender_world(covariances={
+            ("engineer", "male"): [[1.0, 0.3], [0.3, 0.8]],
+            ("engineer", "female"): [[0.7, 0.0], [0.0, 1.2]],
+            ("teacher", "male"): [[0.5, -0.2], [-0.2, 0.9]],
+            ("teacher", "female"): [[1.5, 0.1], [0.1, 0.6]]})
+        base = Condition("engineer", {}, np.zeros(2))
+        edited = edit_condition(world, base, "gender", "female")
+        for mix in (world.all_components(), conditional_components(world, base),
+                    conditional_components(world, edited)):
+            assert not mix.identity_cov
+            arrays = {f.name: getattr(mix, f.name) for f in dataclasses.fields(mix)
+                      if isinstance(getattr(mix, f.name), np.ndarray)}
+            assert sorted(arrays) == ["eig_vals", "eig_vecs", "log_weights", "means", "weights"]
+            for name, arr in arrays.items():
+                with pytest.raises(ValueError, match="read-only"):
+                    arr.flat[0] = 0.0
+            for f in dataclasses.fields(mix):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(mix, f.name, getattr(mix, f.name))
 
     def test_make_condition_validates_eagerly(self):
         world = two_attribute_world()
