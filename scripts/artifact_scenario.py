@@ -10,16 +10,18 @@ fixed list of commands, all from the same work directory, so that paths in
 messages match between checkouts.  The list covers all four policies; the
 config window, `--gamma 1.0` and an empty window; diagnostics, recorded
 intent and a memory budget of 2; failing prompts; a `--memory` chain with
-`inspect-memory`; a `--memory` chain whose second link changes the budget, and
-is refused; sweeps and window ablations; render; a world with a
-3-valued attribute, with a run of 30 prompts on it; criterion-05's shape (50
-prompts of one sample); a world whose concepts have unequal component
-counts, with diagnostics; and a world with no attributes, whose plans are all
-empty, with diagnostics, a window ablation and render.  The output lists, one line each, the sha256 of every
-file left in the work directory except `manifest.json` (it holds wall-clock
-time), then each command's exit code.  Each command's stdout and stderr are
-kept as files in the work directory, so they are in the list too.  The script
-prints the list's own sha256 beside its file and command counts.
+`inspect-memory`, to a file and to stdout; a `--memory` chain whose second
+link changes the budget, and is refused; sweeps and window ablations;
+render; a world with a 3-valued attribute, with a run of 30 prompts on it;
+criterion-05's shape (50 prompts of one sample); a world whose concepts have
+unequal component counts, with diagnostics; a world with no attributes, whose
+plans are all empty, with diagnostics, a window ablation and render; and two
+refused inputs, a world file holding a byte that is not UTF-8 and a config
+cut short.  The output lists, one line each, the sha256 of every file left
+in the work directory except `manifest.json` (it holds wall-clock time),
+then each command's exit code.  Each command's stdout and stderr are kept as
+files in the work directory, so they are in the list too.  The script prints
+the list's own sha256 beside its file and command counts.
 
 A refactor that must not move a bit of output should give the same list on
 its parent and on itself.  The work directory is emptied first; it must be
@@ -89,6 +91,10 @@ component origin mean=0,0  weight=0.3
 component origin mean=3,1  weight=0.2 cov=1,0.3;0.3,0.8
 component field  mean=-2,4 weight=0.5
 """
+
+# Refused inputs: a Latin-1 byte on line 2 of a world file, and a config cut short.
+LATIN1_WORLD = "dimension 2\nattribute g\xe9nder male female\n".encode("latin-1")
+TRUNCATED_CONFIG = b'{"world_path": '
 
 TWO_ATTR_TARGET = {"gender": {"male": 0.5, "female": 0.5}, "age": {"young": 0.3, "old": 0.7}}
 THREE_VALUED_TARGET = {"shade": {"a": 0.2, "b": 0.3, "c": 0.5},
@@ -190,6 +196,7 @@ def commands() -> list[tuple[str, list[str]]]:
                                         "--out", f"chain-{link}"]))
     steps.append(("chain-inspect", ["inspect-memory", "--memory", "chain-memory.json",
                                     "--out", "chain-memory.csv"]))
+    steps.append(("chain-inspect-stdout", ["inspect-memory", "--memory", "chain-memory.json"]))
     for link, cfg in enumerate(("two", "two-budget3")):
         steps.append((f"budget-chain-{link}", ["generate", "--config", f"{cfg}.json", "--memory",
                                                "budget-chain-memory.json",
@@ -214,6 +221,8 @@ def commands() -> list[tuple[str, list[str]]]:
                                     "deficit", "--out", "plain-deficit-ablation"]),
         ("render-plain-deficit", ["render", "--samples", "plain-deficit/samples.csv",
                                   "--world", "plain.world", "--out", "plain-deficit.svg"]),
+        ("latin1-validate", ["validate-world", "--world", "latin1.world"]),
+        ("truncated-generate", ["generate", "--config", "truncated.json", "--out", "truncated"]),
     ]
     return steps
 
@@ -231,6 +240,9 @@ def prepare(work: str, src: str) -> None:
                        ("unequal.world", UNEQUAL_K_WORLD), ("plain.world", PLAIN_WORLD)):
         with open(os.path.join(work, name), "w", encoding="utf-8") as fh:
             fh.write(text)
+    for name, data in (("latin1.world", LATIN1_WORLD), ("truncated.json", TRUNCATED_CONFIG)):
+        with open(os.path.join(work, name), "wb") as fh:
+            fh.write(data)
     for name, config in CONFIGS.items():
         with open(os.path.join(work, f"{name}.json"), "w", encoding="utf-8") as fh:
             json.dump(config, fh, indent=1, sort_keys=True)

@@ -8,12 +8,12 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 from . import __version__
-from .controller import POLICY_KINDS, cluster_rows, restore_memory
+from .controller import POLICY_KINDS, restore_memory
 from .errors import SteerlabError
+from .evaluate import write_csv
 from .harness import (
     ArmsResult,
     ExperimentSpec,
@@ -100,21 +100,15 @@ def _cmd_ablate_window(args) -> int:
 
 def _cmd_inspect_memory(args) -> int:
     memory, prompts_seen = restore_memory(args.memory)
-    rows = cluster_rows(memory)
-    columns = ["cluster", "total"]
-    extra = sorted({k for row in rows for k in row} - set(columns))
-    columns += [c for c in extra if c.startswith("centroid")]
-    columns += [c for c in extra if not c.startswith("centroid")]
-    lines = [f"# budget={memory.budget} tau={memory.tau!r} prompts_seen={prompts_seen}",
-             ",".join(columns)]
-    for row in rows:
-        lines.append(",".join(str(row.get(c, 0)) for c in columns))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    counts = [{f"{attr}={v}": n for attr, vals in c.counts.items() for v, n in vals.items()}
+              for c in memory.clusters]
+    names = sorted(set().union(*counts))
+    dim = len(memory.clusters[0].centroid) if memory.clusters else 0
+    rows = [[i, c.total, *c.centroid.tolist(), *(n.get(name, 0) for name in names)]
+            for i, (c, n) in enumerate(zip(memory.clusters, counts))]
+    write_csv(args.out or sys.stdout, "memory",
+              {"budget": memory.budget, "tau": memory.tau, "prompts_seen": prompts_seen},
+              ["cluster", "total", *(f"centroid{k}" for k in range(dim)), *names], rows)
     return 0
 
 
@@ -194,7 +188,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (SteerlabError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (SteerlabError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -273,7 +273,7 @@ def restore_memory(
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bytes that are not UTF-8
         raise MemorySnapshotError(f"unreadable memory file {path!r}: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("magic") != _MAGIC:
         raise MemorySnapshotError(f"{path!r} is not a memory container")
@@ -306,8 +306,9 @@ def restore_memory(
         c = require(key, c, isinstance(c, dict), "an object")
         centroid, total, counts = c.get("centroid"), c.get("total"), c.get("counts")
         require(f"{key}.centroid", centroid,
-                isinstance(centroid, list) and all(map(_is_finite, centroid)),
-                "a list of finite numbers")
+                isinstance(centroid, list) and all(map(_is_finite, centroid))
+                and (i == 0 or len(centroid) == len(clusters[0]["centroid"])),
+                "a list of finite numbers" + (" as long as clusters[0].centroid" if i else ""))
         require(f"{key}.total", total, _is_int(total) and total >= 0, "an integer >= 0")
         require(f"{key}.counts", counts, isinstance(counts, dict) and all(
             isinstance(vals, dict) and all(_is_int(n) and n >= 0 for n in vals.values())
@@ -326,17 +327,3 @@ def restore_memory(
             f"memory file {path!r} was written for a world of another dimension than {dimension}"
         )
     return memory, prompts_seen
-
-
-def cluster_rows(memory: MemoryModule) -> list[dict]:
-    """Flat dict rows for inspection dumps (one per cluster)."""
-    rows = []
-    for i, c in enumerate(memory.clusters):
-        row: dict = {"cluster": i, "total": c.total}
-        for k, x in enumerate(c.centroid):
-            row[f"centroid{k}"] = float(x)
-        for attr in sorted(c.counts):
-            for value in sorted(c.counts[attr]):
-                row[f"{attr}={value}"] = c.counts[attr][value]
-        rows.append(row)
-    return rows

@@ -10,6 +10,7 @@ per-attribute scores and then into one combined number.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 from collections import Counter
 from dataclasses import dataclass
@@ -171,11 +172,13 @@ def build_report(
     )
 
 
-def write_csv(path: str, kind: str, meta: dict, header: list[str], rows, summary=()) -> None:
+def write_csv(out, kind: str, meta: dict, header: list[str], rows, summary=()) -> None:
     """A `# steerlab-<kind> v1` tag, `# key=value` meta lines, header, rows, `# summary` lines;
-    a header or row cell that holds a comma (an ablation's window label) is quoted."""
+    a header or row cell that holds a comma (an ablation's window label) is quoted.
+    `out` is a path, or an open text stream that is written to and left open."""
     comments = [f"# steerlab-{kind} v1", *(f"# {k}={v}" for k, v in meta.items())]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with (open(out, "w", encoding="utf-8", newline="\n") if isinstance(out, str)
+          else contextlib.nullcontext(out)) as fh:
         fh.writelines(f"{line}\n" for line in comments)
         csv.writer(fh, lineterminator="\n").writerows([header, *rows])
         fh.writelines(f"# summary {s}\n" for s in summary)

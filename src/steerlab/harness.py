@@ -205,8 +205,11 @@ class ExperimentSpec:
     @classmethod
     def from_file(cls, path: str, overrides: dict | None = None) -> "ExperimentSpec":
         """The config in the JSON file, with `overrides` replacing its keys."""
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+        except ValueError as exc:  # bad JSON or bytes that are not UTF-8
+            raise ValueError(f"{path}: {exc}") from None
         if not isinstance(data, dict):
             raise ValueError(f"{path}: a config must be a JSON object")
         return cls.from_dict({**data, **(overrides or {})},
@@ -574,9 +577,12 @@ def load_samples_csv(path: str, attributes: Sequence[str]
 
     The labels are the last columns, one per attribute given (the world's, in
     schema order), and the points are the `x<i>` columns before them."""
-    with open(path, "r", encoding="utf-8") as fh:
-        rows = [(lineno, line.rstrip("\n")) for lineno, line in enumerate(fh, 1)
-                if not line.startswith("#")]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            rows = [(lineno, line.rstrip("\n")) for lineno, line in enumerate(fh, 1)
+                    if not line.startswith("#")]
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc})") from None
     if not rows:
         raise ValueError(f"{path}: no header row")
     header, attributes = rows[0][1].split(","), list(attributes)

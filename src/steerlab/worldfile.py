@@ -40,8 +40,13 @@ def default_world_path() -> str:
 
 
 def load_world(path: str) -> MixtureWorld:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise WorldFileError(f"not UTF-8 text ({exc})", path,
+                             len(data[:exc.start + 1].splitlines())) from None
     return parse_world(text, path=path)
 
 

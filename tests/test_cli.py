@@ -25,6 +25,17 @@ component teacher  gender=female mean=0,6 weight=0.325
 """
 
 
+def _write_memory(path, clusters) -> str:
+    """A checksum-valid memory file of (centroid, counts) clusters, each of total 1."""
+    payload = {"magic": "steerlab-memory", "version": 1, "schema": "", "budget": len(clusters),
+               "tau": 1.0, "prompts_seen": len(clusters),
+               "clusters": [{"centroid": centroid, "total": 1, "counts": counts}
+                            for centroid, counts in clusters]}
+    payload["checksum"] = _container_checksum(payload)
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
 @pytest.fixture()
 def workspace(tmp_path):
     (tmp_path / "demo.world").write_text(WORLD)
@@ -340,14 +351,28 @@ class TestOtherCommands:
         for command in ("generate", "sweep", "ablate-window"):
             assert main([command, "--config", str(workspace / "all.json"),
                          "--out", str(workspace / command)]) == 0
+        # inspect-memory used to write an `a,b` count column bare and sort
+        # centroid10 and centroid11 before centroid2.
+        mem = _write_memory(workspace / "crafted.json", [
+            ([float(k) for k in range(12)], {"a,b": {"x": 1}, "gender": {"male": 1}}),
+            ([0.5] * 12, {"gender": {"female": 1}})])
+        assert main(["inspect-memory", "--memory", mem,
+                     "--out", str(workspace / "memory.csv")]) == 0
         written = sorted(p.relative_to(workspace).as_posix() for p in workspace.rglob("*.csv"))
         assert "ablate-window/ablation.csv" in written and "sweep/sweep.csv" in written
         assert "generate/diagnostics.csv" in written and "generate/report.csv" in written
+        assert "memory.csv" in written
+        tables = {}
         for name in written:
             with open(workspace / name, newline="", encoding="utf-8") as fh:
                 rows = list(csv.reader(line for line in fh if not line.startswith("#")))
+            tables[name] = rows
             assert len(rows) > 1, name
             assert {len(row) for row in rows[1:]} == {len(rows[0])}, name
+        rows = tables["memory.csv"]
+        assert rows[0] == ["cluster", "total", *(f"centroid{k}" for k in range(12)),
+                           "a,b=x", "gender=female", "gender=male"]
+        assert rows[2][-3:] == ["0", "1", "0"]
 
     def test_inspect_memory_command(self, workspace, capsys):
         mem = workspace / "memory.json"
@@ -355,11 +380,50 @@ class TestOtherCommands:
                      "--memory", str(mem)])
         assert code == 0
         capsys.readouterr()
-        code = main(["inspect-memory", "--memory", str(mem)])
-        assert code == 0
+        assert main(["inspect-memory", "--memory", str(mem)]) == 0
         stdout = capsys.readouterr().out
-        assert stdout.startswith("# budget=")
-        assert "cluster,total,centroid0,centroid1" in stdout
+        memory, seen = restore_memory(str(mem))
+        lines = stdout.splitlines()
+        assert lines[:4] == ["# steerlab-memory v1", f"# budget={memory.budget}",
+                             f"# tau={memory.tau!r}", f"# prompts_seen={seen}"]
+        assert lines[4].startswith("cluster,total,centroid0,centroid1,gender=")
+        assert [line.split(",")[0] for line in lines[5:]] == \
+            [str(i) for i in range(len(memory.clusters))]
+        out = workspace / "memory.csv"
+        assert main(["inspect-memory", "--memory", str(mem), "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == stdout.encode()
+
+    def test_inspect_memory_of_centroids_of_two_lengths_exits_2_naming_the_key(
+            self, workspace, capsys):
+        """Such a memory used to load and print a `0` as cluster 0's centroid2."""
+        mem = _write_memory(workspace / "ragged.json", [([0.0, 1.0], {}), ([0.0, 1.0, 2.0], {})])
+        assert main(["inspect-memory", "--memory", mem]) == 2
+        err = capsys.readouterr().err
+        assert mem in err and "clusters[1].centroid must be" in err
+
+    @pytest.mark.parametrize("command, name, content, named", [
+        ("inspect-memory", "memory.json", b'{"magic": "\xff"}', "unreadable memory file"),
+        ("validate-world", "latin.world", b"dimension 2\nattribute g\xe9nder male female\n",
+         "latin.world:2: not UTF-8 text"),
+        ("generate", "cut.json", b'{"world_path": ', "cut.json: Expecting value"),
+        ("generate", "latin.json", b'{"world_path": "\xe9"}', "latin.json: 'utf-8' codec"),
+        ("render", "samples.csv", b"prompt_id,x0,x1,gender\np,0.5,0.5,m\xffle\n",
+         "samples.csv: not UTF-8 text"),
+    ], ids=["memory-not-utf8", "world-not-utf8", "config-cut-short", "config-not-utf8",
+            "samples-not-utf8"])
+    def test_unreadable_input_exits_2_naming_the_file(self, workspace, capsys, command, name,
+                                                       content, named):
+        """Each used to print a bare JSON or codec message that named no file."""
+        path = workspace / name
+        path.write_bytes(content)
+        flag = {"inspect-memory": "--memory", "validate-world": "--world", "generate": "--config",
+                "render": "--samples"}[command]
+        extra = ["--world", str(workspace / "demo.world"), "--out", str(workspace / "p.svg")]
+        assert main([command, flag, str(path), *(extra if command == "render" else [])]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err and named in err
+        assert not (workspace / "p.svg").exists()
 
     def test_inspect_memory_bad_file_exits_2(self, workspace, capsys):
         bad = workspace / "not_memory.json"

@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from steerlab import MemorySnapshotError
+from steerlab.cli import main
 from steerlab.controller import (
     Cluster,
     IndicatorPolicy,
     MemoryModule,
     _container_checksum,
-    cluster_rows,
     consolidate,
     decide,
     default_match_threshold,
@@ -452,17 +452,25 @@ class TestSnapshot:
         with pytest.raises(MemorySnapshotError, match="unreadable"):
             restore_memory(str(tmp_path / "absent.json"))
 
-    def test_cluster_rows_shape(self):
-        mem = self.populated()
-        rows = cluster_rows(mem)
-        assert len(rows) == len(mem.clusters)
-        assert {"cluster", "total", "centroid0", "centroid1"} <= set(rows[0])
+    def test_file_that_is_not_utf8_names_the_file(self, tmp_path):
+        """A 0xff byte used to escape as a bare UnicodeDecodeError."""
+        path = str(tmp_path / "memory.json")
+        snapshot_memory(self.populated(), path, GENDER)
+        with open(path, "rb") as fh:
+            blob = fh.read()
+        with open(path, "wb") as fh:
+            fh.write(blob[:20] + b"\xff" + blob[20:])
+        with pytest.raises(MemorySnapshotError,
+                           match=rf"unreadable memory file {re.escape(repr(path))}"):
+            restore_memory(path)
 
     @pytest.mark.parametrize("key, value", [
         ("budget", 2.5), ("budget", 0), ("tau", 0), ("tau", "1"), ("prompts_seen", -5),
         ("prompts_seen", True), ("clusters", {}), ("clusters.0", 3),
         ("clusters.0.centroid", [[0, 0]]), ("clusters.0.centroid", [0, None]),
         ("clusters.0.centroid", [10**400, 0]),
+        # Centroids of 2 and 3 coordinates used to load when no dimension was given.
+        ("clusters.1.centroid", [0, 0, 0]),
         ("clusters.0.total", -1), ("clusters.0.counts", [1, 2]),
         ("clusters.0.counts", {"gender": 5}), ("clusters.0.counts", {"gender": {"male": 1.5}}),
     ])
@@ -476,9 +484,11 @@ class TestSnapshot:
             node = node[int(part) if part.isdigit() else part]
         node[int(last) if last.isdigit() else last] = value
         rewrite_with_checksum(path, payload)
-        named = key.replace(".0", "[0]")
-        with pytest.raises(MemorySnapshotError, match=rf"{re.escape(path)}.*{re.escape(named)} must be"):
-            restore_memory(path, GENDER, 2)
+        named = re.sub(r"\.(\d+)", r"[\1]", key)
+        for args in ((GENDER, 2), ()):
+            with pytest.raises(MemorySnapshotError,
+                               match=rf"{re.escape(path)}.*{re.escape(named)} must be"):
+                restore_memory(path, *args)
 
     @pytest.mark.parametrize("total, counts, schemas, named", [
         # A count of 7 under a total of 0 used to load and drive decide.
@@ -559,8 +569,9 @@ class TestRestoreFuzz:
             except MemorySnapshotError:
                 continue
             assert seen >= 0 and 1 <= restored.budget and len(restored.clusters) <= restored.budget
-            cluster_rows(restored)
-            if args:
+            if not args:
+                assert main(["inspect-memory", "--memory", path, "--out", path + ".csv"]) == 0
+            else:
                 decide(restored, cond_at(0, 0), GENDER, UNIFORM, IndicatorPolicy("deficit"))
                 record(restored, cond_at(0, 0), {"gender": "male"})
 

@@ -180,6 +180,14 @@ class TestFileLevelErrors:
         assert err.value.line == 0
         assert "attribute control infeasible" in str(err.value)
 
+    def test_load_world_not_utf8_names_file_and_line(self, tmp_path):
+        """A Latin-1 byte used to escape as a bare UnicodeDecodeError."""
+        path = tmp_path / "latin.world"
+        path.write_bytes(GOOD.replace("gender male", "g\xe9nder male").encode("latin-1"))
+        with pytest.raises(WorldFileError, match=r"latin\.world:3: not UTF-8 text") as err:
+            load_world(str(path))
+        assert err.value.line == 3
+
     def test_load_world_missing_file(self):
         with pytest.raises(OSError):
             load_world("/nonexistent/void.world")
