@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import MemorySnapshotError, NumericsError, WorldValidationError
 from .guidance import GuidancePlan, PlanEntry
-from .world import AttributeSchema, Condition, MixtureWorld, TargetDistribution
+from .world import NAME, AttributeSchema, Condition, MixtureWorld, TargetDistribution
 
 _MAGIC = "steerlab-memory"
 _VERSION = 1
@@ -267,8 +267,9 @@ def restore_memory(
 
     Any structural problem (bad magic, version, schema or dimension mismatch,
     checksum, truncation, a field of the wrong type or range, counts that miss
-    their cluster's total or the schema) raises MemorySnapshotError naming the
-    file, and the key where one is at fault, before any state is exposed.
+    their cluster's total or the schema, or without one name what no world file
+    could) raises MemorySnapshotError naming the file, and the key where one is
+    at fault, before any state is exposed.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -318,6 +319,8 @@ def restore_memory(
                     f"counts summing to the cluster's total {total}")
             require(f"{key}.counts.{attr}", vals, schema is None or attr in schema.names()
                     and set(vals) <= set(schema.values_of(attr)), "counts of schema values")
+            require(f"{key}.counts", {attr: vals}, schema is not None or all(
+                map(NAME.fullmatch, (attr, *vals))), f"counts of names matching {NAME.pattern}")
         memory.clusters.append(Cluster(np.asarray(centroid, dtype=float), total,
                                        {a: dict(vals) for a, vals in counts.items()}))
     if len(memory.clusters) > memory.budget:

@@ -9,25 +9,15 @@ discriminates the outcome, and feeds it back into the memory — in that order.
 The trajectories of a whole run are batched, and so are those of all the arms
 of a sweep or window ablation: each arm (its own seed, target, window, memory,
 ordinals and artifacts) is a group of rows of one batch, and a single run is
-the one-arm case.  Steps before an arm's guidance window are the same under
-every plan, so its rows take them once, in one batch with the other arms'
-(unsteered, that is the whole trajectory); the rows of arms whose windows
-start later go on from where the others stopped.  Samples are then decided
-in order, arm by arm.  The first time a sample chooses a plan, every row from
-it to the end of the batch whose arm has the same window finishes under that
-plan as one batch, each under its own condition's edited mixtures; later
-samples, of that arm or a later one, that choose the plan take their rows
-from that batch, and the other rows are discarded.  Rows of any conditions
-share a batch, and a long run is cut into chunks of whole prompts, across
-arms, that each hold under `_CHUNK_BYTES`.  Every row is
-computed as if alone, so none of this changes a bit of output, and a row that
-fails (goes non-finite, or cannot take a plan) fails only a prompt that
-chooses it.  A prompt works on a copy of its arm's memory and stages its
-rows; both are committed only when all its samples succeed, so a failed
-prompt leaves memory and artifacts as if it had not run, apart from the
-ordinal slot it used.  An arm writes its artifacts as soon as its last prompt
-is decided, so a sweep that stops at a failed arm leaves what one run per arm
-would have left.
+the one-arm case.  A long batch is cut into chunks of whole prompts, across
+arms, that each hold under `_CHUNK_BYTES`.  Every row is computed as if
+alone, so none of this changes a bit of output, and a row that fails (goes
+non-finite, or cannot take a plan) fails only a prompt that chooses it.  A
+prompt works on a copy of its arm's memory and stages its rows; both are
+committed only when all its samples succeed, so a failed prompt leaves memory
+and artifacts as if it had not run, apart from the ordinal slot it used.  An
+arm writes its artifacts as soon as its last prompt is decided, so a sweep
+that stops at a failed arm leaves what one run per arm would have left.
 
 A persisted memory file carries the count of prompts already processed, so a
 run that resumes from it continues the ordinal sequence exactly where the
@@ -37,7 +27,9 @@ run.
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import itertools
 import json
 import logging
 import math
@@ -77,8 +69,9 @@ _CHUNK_BYTES = 64 * 2**20  # bound on what one chunk of prompts holds
 DEFAULT_ABLATION_WINDOWS = ((0.0, 0.25), (0.375, 0.625), (0.75, 1.0))
 
 
-def _is_pair(v) -> bool:
-    return isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_is_number, v))
+def _is_window(v) -> bool:
+    return (isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_is_number, v))
+            and 0 <= v[0] < v[1] <= 1)
 
 
 def _is_target(v) -> bool:
@@ -102,17 +95,19 @@ _KEY_CHECKS = {
     "prompts": (lambda v: isinstance(v, list), "a list"),
     **dict.fromkeys(("record_intent", "diagnostics"), (lambda v: isinstance(v, bool), "a boolean")),
     "samples_per_prompt": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
-    "steps": (_is_int, "an integer"),
+    "steps": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
     "seed": (lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
     "memory_budget": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
-    **dict.fromkeys(("beta_start", "beta_end", "gamma", "attribute_scale"),
-                    (_is_number, "a number")),
+    **dict.fromkeys(("beta_start", "beta_end"),
+                    (lambda v: _is_number(v) and 0 < v < 1, "a number in (0, 1)")),
+    "gamma": (lambda v: _is_number(v) and 0 <= v <= 1, "a number in [0, 1]"),
+    "attribute_scale": (lambda v: _is_number(v) and 0 < v < math.inf,
+                        "a positive finite number"),
     "jitter_scale": (lambda v: _is_number(v) and 0 <= v < math.inf, "a finite number >= 0"),
     "memory_tau": (lambda v: v is None or _is_number(v) and v > 0, "a positive number"),
-    "window": (_is_pair, "a [lo, hi] pair of numbers"),
-    "windows": (lambda v: v is None or isinstance(v, list) and v != [] and all(
-        _is_pair(w) and 0 <= w[0] < w[1] <= 1 for w in v),
-        "null or a non-empty list of [lo, hi] pairs with 0 <= lo < hi <= 1"),
+    "window": (_is_window, "a [lo, hi] pair of numbers with 0 <= lo < hi <= 1"),
+    "windows": (lambda v: v is None or isinstance(v, list) and v != [] and all(map(_is_window, v)),
+                "null or a non-empty list of [lo, hi] pairs with 0 <= lo < hi <= 1"),
     "target": (_is_target, "an object of {attribute: {value: proportion}}"),
     "static_pairs": (lambda v: v is None or isinstance(v, dict) and all(
         isinstance(p, (list, tuple)) and len(p) == 2 for p in v.values()),
@@ -176,6 +171,9 @@ class ExperimentSpec:
             if not isinstance(p, PromptSpec):
                 raise ValueError(f"config key 'prompts' holds a bad prompt entry {p!r}: "
                                  "not a PromptSpec")
+        if self.beta_start > self.beta_end:
+            raise ValueError(f"config key 'beta_end' must be >= beta_start {self.beta_start!r}, "
+                             f"got {self.beta_end!r}")
         if self.policy not in ("vanilla", *POLICY_KINDS):
             raise ValueError(f"unknown policy {self.policy!r}")
         self.window = tuple(self.window)
@@ -381,6 +379,102 @@ def _close_arm(arm: _Arm, world: MixtureWorld, t_start: float) -> RunResult:
     return RunResult(arm.samples, report, manifest, arm.failures, arm.memory, arm.ordinal)
 
 
+class _Chunk:
+    """The rows of a chunk of whole prompt instances, across arms, in run order:
+    per sample of each instance whose condition could be made, its arm,
+    condition, stream seed, noise tape and latent after its arm's prefix."""
+
+    @classmethod
+    def split(cls, world: MixtureWorld, schedule, arms: list[_Arm]) -> Iterator[_Chunk]:
+        """The arms' prompt instances in chunks that each hold under `_CHUNK_BYTES`:
+        per row its tapes and prefix latents, and in a batch the mixtures gathered
+        for it (base and two per attribute, K components each); per row and plan
+        the policy can choose, finished latents and probe rows."""
+        base, attributes = arms[0].spec, world.schema.attributes
+        d, k = world.dimension, max(Counter(c.concept for c in world.components).values())
+        row_bytes = 8 * d * (schedule.steps + 1) + 8 * (1 + 2 * len(attributes)) * k * (
+            d * d + 3 * d + 2)
+        plans = 1 if base.policy in ("vanilla", "static") else math.prod(
+            len(a.values) * (len(a.values) - 1) for a in attributes)
+        per_chunk = max(1, _CHUNK_BYTES // max(
+            (base.samples_per_prompt * (row_bytes + plans * 8 * (
+                d + 3 * int(arm.active.sum()) * base.diagnostics)) for arm in arms)))
+        instances = [(arm, prompt, i) for arm in arms for prompt in arm.spec.prompts
+                     for i in range(prompt.count)]
+        made: dict[tuple, Condition | SteerlabError] = {}
+        for lo in range(0, len(instances), per_chunk):
+            yield cls(world, schedule, instances[lo:lo + per_chunk], made)
+
+    def __init__(self, world: MixtureWorld, schedule, instances: list[tuple],
+                 made: dict[tuple, Condition | SteerlabError]):
+        """Rows for `instances`, each (arm, prompt, instance index), which take
+        their arms' next ordinals; `made` holds each instance's condition, or the
+        error making it raised, keyed by what it is made from, so arms share it."""
+        self.world, self.schedule = world, schedule
+        self.prompts: list[tuple] = []  # (arm, prompt, prompt id, ordinal, condition, first row)
+        self.conds: list[Condition] = []
+        self.arms: list[_Arm] = []
+        streams = []
+        for arm, prompt, instance in instances:
+            key = (prompt.concept, tuple(sorted(prompt.constraints.items())), prompt.jitter_seed,
+                   instance)
+            if key not in made:
+                try:
+                    seed = _child_seed(prompt.jitter_seed, instance)
+                    made[key] = make_condition(world, prompt.concept, prompt.constraints,
+                                               jitter_seed=seed, jitter_scale=arm.spec.jitter_scale)
+                except SteerlabError as exc:
+                    made[key] = exc
+            cond, n = made[key], arm.spec.samples_per_prompt
+            if isinstance(cond, Condition):
+                self.conds += [cond] * n
+                self.arms += [arm] * n
+                streams += [np.random.SeedSequence([arm.spec.seed, arm.ordinal, s_i])
+                            for s_i in range(n)]
+            self.prompts.append((arm, prompt, f"{prompt.concept}-{arm.ordinal:05d}", arm.ordinal,
+                                 cond, len(self.conds) - n))
+            arm.ordinal += 1
+        self.seeds = [int(s.generate_state(1)[0]) for s in streams]  # each row's stream seed
+        self.tapes = noise_tapes([np.random.default_rng(s) for s in streams], schedule.steps,
+                                 world.dimension)
+        # Steps before an arm's window are the same under every plan; rows whose
+        # prefix is longer go on from where the shorter ones stopped.
+        self.x = self.tapes[0].copy()
+        self.prefix_failed: dict[int, str] = {}
+        for at, stop in itertools.pairwise([0, *sorted({arm.prefix for arm in self.arms} - {0})]):
+            going = [r for r, arm in enumerate(self.arms)
+                     if arm.prefix >= stop and r not in self.prefix_failed]
+            latents, failed = _advance(world, schedule, self.conds, self.tapes, going, self.x,
+                                       at, stop)
+            self.x[going] = latents[going]
+            self.prefix_failed.update(failed)
+        self.runs: dict[tuple, tuple] = {}  # (config, plan) -> latents, failures, probe, places
+
+    def finish(self, arm: _Arm, plan, r: int) -> tuple[np.ndarray, list[tuple]]:
+        """Row `r`'s clean latent under `plan` and `arm`'s config (window), and
+        its probe rows; a row that failed raises its message as a SteerlabError.
+
+        The first row to need a (config, plan) finishes, as one batch, every
+        row from it to the end of the chunk whose arm has that config, each
+        under its own condition's edited mixtures; later rows that need it, of
+        that arm or a later one, take theirs from it; the others are discarded."""
+        key = arm.config, plan
+        if key not in self.runs:
+            going = [q for q in range(r, len(self.arms))
+                     if self.arms[q].config == arm.config and q not in self.prefix_failed]
+            probe = GuidanceProbe() if arm.spec.diagnostics else None
+            steering = (Steering(arm.active, plan, arm.config.gamma, arm.config.attribute_scale)
+                        if arm.active.any() else None)
+            finished, failed = _advance(self.world, self.schedule, self.conds, self.tapes, going,
+                                        self.x, arm.prefix, self.schedule.steps, steering, probe)
+            self.runs[key] = (finished, {**failed, **self.prefix_failed}, probe,
+                              {q: j for j, q in enumerate(going)} if probe else None)
+        finished, failed, probe, place = self.runs[key]
+        if r in failed:
+            raise SteerlabError(failed[r])
+        return finished[r], probe.stream(place[r]) if probe else []
+
+
 def _run_batch(specs: list[ExperimentSpec], world: MixtureWorld,
                out_dirs: list[str | None]) -> Iterator[RunResult]:
     """Run arms as row groups of one batch, yielding each arm's result, in
@@ -392,136 +486,49 @@ def _run_batch(specs: list[ExperimentSpec], world: MixtureWorld,
     """
     t_start = time.perf_counter()
     base = specs[0]
-    schema = world.schema
     schedule = linear_schedule(base.steps, base.beta_start, base.beta_end)
     arms = [_open_arm(spec, world, schedule, out_dir) for spec, out_dir in zip(specs, out_dirs)]
     n = base.samples_per_prompt
-    instances = [(arm, prompt, i) for arm in arms for prompt in arm.spec.prompts
-                 for i in range(prompt.count)]
-
-    # Per row a chunk holds its tapes and prefix latents, and in a batch the
-    # mixtures gathered for it (base and two per attribute, K components each);
-    # per row and plan the policy can choose, finished latents and probe rows.
-    d, k = world.dimension, max(Counter(c.concept for c in world.components).values())
-    row_bytes = 8 * d * (schedule.steps + 1) + 8 * (1 + 2 * len(schema.attributes)) * k * (
-        d * d + 3 * d + 2)
-    plans = 1 if base.policy in ("vanilla", "static") else math.prod(
-        len(a.values) * (len(a.values) - 1) for a in schema.attributes)
-    per_chunk = max(1, _CHUNK_BYTES // max(
-        (n * (row_bytes + plans * 8 * (d + 3 * int(arm.active.sum()) * base.diagnostics))
-         for arm in arms)))
-    # Each prompt instance's condition, or the error making it raised, keyed
-    # by what it is made from, so that the arms share it.
-    made: dict[tuple, Condition | SteerlabError] = {}
-    for lo in range(0, len(instances), per_chunk):
-        # Each prompt's condition and streams up front; rows are the streams of
-        # the prompts whose condition was made, in run order.
-        chunk = []
-        conds: list[Condition] = []
-        row_arms: list[_Arm] = []
-        streams = []
-        for arm, prompt, instance in instances[lo:lo + per_chunk]:
-            key = (prompt.concept, tuple(sorted(prompt.constraints.items())), prompt.jitter_seed,
-                   instance)
-            if key not in made:
-                try:
-                    made[key] = make_condition(
-                        world, prompt.concept, prompt.constraints,
-                        jitter_seed=_child_seed(prompt.jitter_seed, instance),
-                        jitter_scale=base.jitter_scale,
-                    )
-                except SteerlabError as exc:
-                    made[key] = exc
-            cond = made[key]
-            if isinstance(cond, Condition):
-                conds += [cond] * n
-                row_arms += [arm] * n
-                streams += [np.random.SeedSequence([arm.spec.seed, arm.ordinal, s_i])
-                            for s_i in range(n)]
-            chunk.append((arm, prompt, f"{prompt.concept}-{arm.ordinal:05d}", arm.ordinal, cond,
-                          len(conds) - n))
-            arm.ordinal += 1
-        tapes = noise_tapes([np.random.default_rng(s) for s in streams], schedule.steps, d)
-        # Every row runs its arm's prefix, and the arms share the steps their
-        # prefixes have in common: rows whose prefix is longer go on from
-        # where the shorter ones stopped.
-        x = tapes[0].copy()
-        prefix_failed: dict[int, str] = {}
-        at = 0
-        for stop in sorted({arm.prefix for arm in row_arms} - {0}):
-            going = [r for r, arm in enumerate(row_arms)
-                     if arm.prefix >= stop and r not in prefix_failed]
-            latents, failed = _advance(world, schedule, conds, tapes, going, x, at, stop)
-            x[going] = latents[going]
-            prefix_failed.update(failed)
-            at = stop
-        # Arms with one config (window) share their finishes: the rows of each.
-        members: dict[GuidanceConfig, list[int]] = {}
-        for r, arm in enumerate(row_arms):
-            if r not in prefix_failed:
-                members.setdefault(arm.config, []).append(r)
-        # (config, plan) -> every row's latents and failures, finished under it from
-        # the first row to choose it to the end of the chunk, over the rows of the
-        # arms with that config, and (with diagnostics) its probe and each row's place.
-        runs: dict[tuple, tuple] = {}
-        for arm, prompt, prompt_id, p_ordinal, cond, row0 in chunk:
+    for chunk in _Chunk.split(world, schedule, arms):
+        for arm, prompt, prompt_id, p_ordinal, cond, row0 in chunk.prompts:
             try:
                 if not isinstance(cond, Condition):
                     raise cond
-                marg_mix = conditional_components(
-                    world, Condition(prompt.concept, {}, cond.embedding)
-                )
+                marg_mix = conditional_components(world,
+                                                  Condition(prompt.concept, {}, cond.embedding))
                 # Staged until the whole prompt succeeds, so a failure leaves no
                 # trace; `record` replaces clusters, so a new list is a copy.
-                staged_memory = arm.memory and replace(arm.memory,
-                                                       clusters=list(arm.memory.clusters))
+                memory = arm.memory and replace(arm.memory, clusters=list(arm.memory.clusters))
                 rows: list[GeneratedSample] = []
                 probes: list[tuple] = []
-                hits = 0
-                logdens = 0.0
+                hits, logdens = 0, 0.0
                 for s_i in range(n):
-                    r = row0 + s_i
                     plan = EMPTY_PLAN
                     if arm.policy is not None:  # decided on the records of the samples before it
                         rng = None  # only the probabilistic policy draws
                         if arm.policy.kind == "probabilistic":
                             rng = np.random.default_rng(np.random.SeedSequence(
                                 [arm.spec.seed, _POLICY_NS, p_ordinal, s_i]))
-                        plan = decide(staged_memory, cond, schema, arm.target, arm.policy, rng)
-                    key = arm.config, plan
-                    if key not in runs:
-                        going = [q for q in members.get(arm.config, ()) if q >= r]
-                        probe = GuidanceProbe() if base.diagnostics else None
-                        finished, failed = _advance(
-                            world, schedule, conds, tapes, going, x, arm.prefix, schedule.steps,
-                            Steering(arm.active, plan, arm.config.gamma, arm.config.attribute_scale)
-                            if arm.active.any() else None, probe)
-                        runs[key] = (finished, {**failed, **prefix_failed}, probe,
-                                     {q: j for j, q in enumerate(going)} if probe else None)
-                    finished, failed, probe, place = runs[key]
-                    if r in failed:
-                        raise SteerlabError(failed[r])
-                    x0 = finished[r]
+                        plan = decide(memory, cond, world.schema, arm.target, arm.policy, rng)
+                    x0, probe_rows = chunk.finish(arm, plan, row0 + s_i)
                     labels, concept_post = discriminate(world, x0)
                     if arm.policy is not None:
                         outcome = ({a: e.target for a, e in plan.entries}
                                    if base.record_intent else labels)
-                        record(staged_memory, cond, outcome)
-                    if probe is not None:
-                        probes.extend((prompt_id, s_i) + row for row in probe.stream(place[r]))
+                        record(memory, cond, outcome)
+                    probes.extend((prompt_id, s_i) + row for row in probe_rows)
                     if max(concept_post, key=lambda c: concept_post[c]) == prompt.concept:
                         hits += 1
                     logdens += mixture_log_density(marg_mix, x0, 1.0)
                     rows.append(GeneratedSample(
                         prompt_id=prompt_id, prompt_ordinal=p_ordinal, sample_index=s_i,
-                        stream_seed=int(streams[r].generate_state(1)[0]),
-                        concept=prompt.concept, x=x0, labels=labels,
-                    ))
+                        stream_seed=chunk.seeds[row0 + s_i],
+                        concept=prompt.concept, x=x0, labels=labels))
             except SteerlabError as exc:
                 log.warning("prompt %s failed: %s", prompt_id, exc)
                 arm.failures.append([prompt_id, str(exc)])
             else:
-                arm.memory = staged_memory
+                arm.memory = memory
                 arm.samples.extend(rows)
                 arm.probe_rows.extend(probes)
                 arm.qualities.append(QualityScores(hits / n, logdens / n))
@@ -529,7 +536,7 @@ def _run_batch(specs: list[ExperimentSpec], world: MixtureWorld,
             if not arm.todo:
                 yield _close_arm(arm, world, t_start)
                 t_start = time.perf_counter()
-    for arm in arms if not instances else ():  # no prompts at all
+    for arm in arms if not base.prompts else ():  # no prompts at all
         yield _close_arm(arm, world, t_start)
 
 
@@ -579,13 +586,14 @@ def load_samples_csv(path: str, attributes: Sequence[str]
     schema order), and the points are the `x<i>` columns before them."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            rows = [(lineno, line.rstrip("\n")) for lineno, line in enumerate(fh, 1)
-                    if not line.startswith("#")]
+            lines = [(n, line) for n, line in enumerate(fh, 1) if not line.startswith("#")]
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text ({exc})") from None
-    if not rows:
+    if not lines:
         raise ValueError(f"{path}: no header row")
-    header, attributes = rows[0][1].split(","), list(attributes)
+    # Parsed as `write_csv` quotes, one line a row: none of its cells holds a line break.
+    rows = list(zip((n for n, _ in lines), csv.reader(line for _, line in lines)))
+    header, attributes = rows[0][1], list(attributes)
     first_attr = len(header) - len(attributes)
     if header[first_attr:] != attributes:
         raise ValueError(f"{path}: the header does not end with the world's attribute "
@@ -594,10 +602,9 @@ def load_samples_csv(path: str, attributes: Sequence[str]
                  if h.startswith("x") and h[1:].isdigit()]
     points = []
     labels = []
-    for lineno, row in rows[1:]:
-        if not row:
+    for lineno, cells in rows[1:]:
+        if not cells:
             continue
-        cells = row.split(",")
         if len(cells) != len(header):
             raise ValueError(f"{path}:{lineno}: {len(cells)} cells under a "
                              f"{len(header)}-column header")

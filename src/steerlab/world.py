@@ -13,11 +13,16 @@ import itertools
 import json
 import math
 import numbers
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InfeasibleConditionError, WorldValidationError
+
+# What world files allow as concept, attribute and value names: none holds an
+# artifact's separator (`,`, `=`, `|`, `:`, `;`), so none can pass for another.
+NAME = re.compile(r"[A-Za-z0-9_.-]+")
 
 
 def _invalid(message: str, index: int) -> WorldValidationError:

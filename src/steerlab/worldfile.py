@@ -24,14 +24,11 @@ the attribute or component at fault, or 0 for a whole-world problem.
 from __future__ import annotations
 
 import importlib.resources
-import re
 
 import numpy as np
 
 from .errors import WorldFileError, WorldValidationError
-from .world import Attribute, AttributeSchema, Component, MixtureWorld
-
-_NAME = re.compile(r"[A-Za-z0-9_.-]+")   # keeps names free of the artifacts' separators
+from .world import NAME, Attribute, AttributeSchema, Component, MixtureWorld
 
 
 def default_world_path() -> str:
@@ -116,8 +113,8 @@ def _located(build, lines: list[int], path: str):
 
 
 def _check_name(name, path, lineno) -> None:
-    if not _NAME.fullmatch(name):
-        raise WorldFileError(f"name {name!r} must match {_NAME.pattern}", path, lineno)
+    if not NAME.fullmatch(name):
+        raise WorldFileError(f"name {name!r} must match {NAME.pattern}", path, lineno)
 
 
 def _parse_component(concept, pairs, dimension, attributes, path, lineno) -> Component:

@@ -211,12 +211,23 @@ class TestGenerateCommand:
         ("sweep", "sweep", {"sweep": [{"gender": {"male": 0.5, "female": 0.5}},
                                       {"colour": {"red": 1.0}}]}, []),
         ("sweep", "sweep", {"sweep": [{"gender": {"male": 0.5, "female": 0.4}}]}, []),
+        # Each used to pass the spec and fail only once the world was loaded,
+        # with no config key named.
+        ("generate", "steps", {"steps": 0}, []),
+        ("generate", "gamma", {"gamma": 5}, []),
+        ("generate", "gamma", {}, ["--gamma", "5"]),
+        ("generate", "attribute_scale", {"attribute_scale": 0}, []),
+        ("generate", "window", {"window": [0.7, 0.2]}, []),
+        ("generate", "beta_start", {"beta_start": 0}, []),
+        ("generate", "beta_end", {"beta_end": 1.5}, []),
+        ("generate", "beta_end", {"beta_start": 0.5, "beta_end": 0.2}, []),
     ], ids=["seed", "memory_budget", "memory_tau", "windows", "sweep", "world_path", "prompts",
             "--seed", "--target-proportion", "--target-fragment", "--window-number",
             "--window-pair", "static_pairs-equal", "sweep-no-proportions", "sweep-no-targets",
             "sweep-unknown-attribute", "windows-empty", "sweep-target-empty",
             "sweep-target-missing-value", "sweep-target-unknown-attribute",
-            "sweep-target-sum"])
+            "sweep-target-sum", "steps-zero", "gamma-5", "--gamma-5", "attribute_scale-zero",
+            "window-reversed", "beta_start-zero", "beta_end-1.5", "beta-reversed"])
     @pytest.mark.filterwarnings("error")
     def test_out_of_range_config_value_exits_2_naming_the_key(self, workspace, capsys, command,
                                                               key, patch, flags):
@@ -231,7 +242,7 @@ class TestGenerateCommand:
                      *flags]) == 2
         err = capsys.readouterr().err
         assert f"config key {key!r}" in err
-        if key in ("target", "window"):
+        if flags and key in ("target", "window"):
             assert f"from {flags[0]}" in err
         assert not out.exists()  # so no arm_00/ either
 
@@ -351,10 +362,9 @@ class TestOtherCommands:
         for command in ("generate", "sweep", "ablate-window"):
             assert main([command, "--config", str(workspace / "all.json"),
                          "--out", str(workspace / command)]) == 0
-        # inspect-memory used to write an `a,b` count column bare and sort
-        # centroid10 and centroid11 before centroid2.
+        # inspect-memory used to sort centroid10 and centroid11 before centroid2.
         mem = _write_memory(workspace / "crafted.json", [
-            ([float(k) for k in range(12)], {"a,b": {"x": 1}, "gender": {"male": 1}}),
+            ([float(k) for k in range(12)], {"a.b": {"x": 1}, "gender": {"male": 1}}),
             ([0.5] * 12, {"gender": {"female": 1}})])
         assert main(["inspect-memory", "--memory", mem,
                      "--out", str(workspace / "memory.csv")]) == 0
@@ -371,7 +381,7 @@ class TestOtherCommands:
             assert {len(row) for row in rows[1:]} == {len(rows[0])}, name
         rows = tables["memory.csv"]
         assert rows[0] == ["cluster", "total", *(f"centroid{k}" for k in range(12)),
-                           "a,b=x", "gender=female", "gender=male"]
+                           "a.b=x", "gender=female", "gender=male"]
         assert rows[2][-3:] == ["0", "1", "0"]
 
     def test_inspect_memory_command(self, workspace, capsys):
@@ -401,6 +411,20 @@ class TestOtherCommands:
         assert main(["inspect-memory", "--memory", mem]) == 2
         err = capsys.readouterr().err
         assert mem in err and "clusters[1].centroid must be" in err
+
+    @pytest.mark.parametrize("counts", [
+        {"a=b": {"c": 1}, "a": {"b=c": 1}},
+        {"a,b": {"x": 1}},
+    ], ids=["two-names-one-column", "comma"])
+    def test_inspect_memory_of_a_name_no_world_file_holds_exits_2_naming_the_key(
+            self, workspace, capsys, counts):
+        """The first used to print one `a=b=c` column with a count of 1, the
+        second an `a,b=x` column; world files allow neither name."""
+        mem = _write_memory(workspace / "names.json", [([0.0, 1.0], counts)])
+        assert main(["inspect-memory", "--memory", mem]) == 2
+        err = capsys.readouterr().err
+        assert mem in err and "clusters[0].counts must be counts of names matching" in err
+        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("command, name, content, named", [
         ("inspect-memory", "memory.json", b'{"magic": "\xff"}', "unreadable memory file"),

@@ -724,6 +724,19 @@ class TestSamplesCsv:
             np.testing.assert_array_equal(points[i], s.x)  # repr round-trips exactly
             assert labels[i] == s.labels
 
+    def test_reads_back_a_cell_that_write_csv_quotes(self, tmp_path):
+        """A cell holding a comma is written quoted; it used to be split on
+        reading, `10 cells under a 8-column header`."""
+        path = tmp_path / "samples.csv"
+        harness.write_samples_csv(
+            [harness.GeneratedSample("a,b-00000", 0, 0, 1, "a,b", np.array([0.5, -1.0]),
+                                     {"gender": "male"})],
+            build_gender_world(), str(path), "digest", 0)
+        assert '\n"a,b-00000",0,0,1,"a,b",0.5,-1.0,male\n' in path.read_text(encoding="utf-8")
+        points, labels, header = load_samples_csv(str(path), ("gender",))
+        np.testing.assert_array_equal(points, [[0.5, -1.0]])
+        assert labels == [{"gender": "male"}] and len(header) == 8
+
     def test_report_matches_recomputation_from_samples(self, world_path, tmp_path):
         """Reporting integrity: the summary in report.csv must equal a direct
         recomputation from the raw samples.csv rows."""
@@ -1021,6 +1034,33 @@ class TestArmBatching:
         made.clear()
         _ARM_RUNS[kind](spec)
         assert sorted(made) == ["nurse"] * 4 + ["worker"] * 3
+
+    @pytest.mark.parametrize("kind, chunk_bytes, total, steered", [
+        ("sweep", None, 5, 4), ("sweep", 40_000, 22, 17),
+        ("ablation", None, 16, 10), ("ablation", 40_000, 31, 17),
+    ])
+    def test_chunk_finishes_each_window_and_plan_once(self, tmp_path, monkeypatch, kind,
+                                                       chunk_bytes, total, steered):
+        """Sweep arms share every engine call, ablation arms their common
+        prefix steps: within a chunk, no (window, plan) is finished twice.
+        Byte-identical artifacts cannot show a lost share; the call counts can."""
+        if chunk_bytes is not None:
+            monkeypatch.setattr(harness, "_CHUNK_BYTES", chunk_bytes)
+        calls = TestBlendRule._engine_calls(monkeypatch)
+
+        def tapes(*args):
+            calls.append("chunk")
+            return noise_tapes(*args)
+        monkeypatch.setattr(harness, "noise_tapes", tapes)
+        _ARM_RUNS[kind](_arms_spec(tmp_path, "deficit", diagnostics=True))
+        chunk, finishes = 0, []
+        for call in calls:
+            if call == "chunk":
+                chunk += 1
+            elif call[0] is not None:
+                finishes.append((chunk, call[0].active.tobytes(), call[0].plan))
+        assert len(calls) - chunk == total and len(finishes) == steered
+        assert len(set(finishes)) == len(finishes)
 
     def test_sweep_arm_whose_prompts_all_fail(self, tmp_path, monkeypatch, caplog):
         """Every row steered toward female goes non-finite, so the arm whose
