@@ -128,6 +128,22 @@ def lookup(memory: MemoryModule, embedding: np.ndarray) -> int | None:
     return best if best is not None and dists[best] < memory.tau else None
 
 
+def plan_space(schema: AttributeSchema, policy: IndicatorPolicy) -> tuple[GuidancePlan, ...]:
+    """Every plan `decide` can return under the policy, in a fixed order: the
+    static pairs' one plan, or else one per choice of an ordered (target,
+    reference) pair of distinct values for each attribute, prod(V(V-1)) plans."""
+    if policy.kind == "static":
+        return (GuidancePlan(tuple((a.name, PlanEntry(*policy.static_pairs[a.name]))
+                                   for a in schema.attributes)),)
+    choices = [[(a.name, PlanEntry(tgt, ref)) for tgt in a.values for ref in a.values
+                if tgt != ref] for a in schema.attributes]
+    return tuple(GuidancePlan(entries) for entries in itertools.product(*choices))
+
+
+# `match`'s default in `decide` and `record`: look the condition up in the memory.
+_LOOKUP = object()
+
+
 def decide(
     memory: MemoryModule,
     cond: Condition,
@@ -135,13 +151,15 @@ def decide(
     target: TargetDistribution,
     policy: IndicatorPolicy,
     rng: np.random.Generator | None = None,
+    match=_LOOKUP,
 ) -> GuidancePlan:
     """Choose a steering plan for one generation; never mutates the memory.
 
     `rng` is the generation's stream; only the probabilistic policy draws from it.
+    `match` is the condition's `lookup` in this memory, when the caller has it.
     """
     target.validate_for(schema)
-    idx = lookup(memory, cond.embedding)
+    idx = lookup(memory, cond.embedding) if match is _LOOKUP else match
     counts = memory.clusters[idx].counts if idx is not None else {}
     entries = []
     for attr in schema.attributes:
@@ -195,10 +213,12 @@ def _merge(a: Cluster, b: Cluster) -> Cluster:
     return Cluster(centroid, total, counts)
 
 
-def record(memory: MemoryModule, cond: Condition, outcome: dict[str, str]) -> None:
+def record(memory: MemoryModule, cond: Condition, outcome: dict[str, str],
+           match=_LOOKUP) -> None:
     """Fold one generation's outcome into the matching (or a new) cluster.
 
-    The outcome is a one-sample cluster, merged into the match or appended.
+    The outcome is a one-sample cluster, merged into the match or appended;
+    `match` is the condition's `lookup` in this memory, when the caller has it.
     When no cluster matches and the budget is exhausted, the two nearest
     clusters are consolidated first, so the budget bound never breaks.
     Clusters are replaced, never changed in place, so a copy of the cluster
@@ -207,7 +227,7 @@ def record(memory: MemoryModule, cond: Condition, outcome: dict[str, str]) -> No
     """
     embedding = np.asarray(cond.embedding, dtype=float)
     counts = {attr: {value: 1} for attr, value in outcome.items()}
-    idx = lookup(memory, embedding)
+    idx = lookup(memory, embedding) if match is _LOOKUP else match
     if idx is None and len(memory.clusters) >= memory.budget:
         if len(memory.clusters) >= 2:
             consolidate(memory)

@@ -10,11 +10,13 @@ which lets the sampler and every steering experiment run without any trained
 network.  Cheap per-step evaluation matters here (millions of calls per
 experiment), so read-only mixtures are prepared once per condition, responsibilities
 are computed in log space, and `run_trajectories` advances many independent
-streams as one batch.  Its rows may follow any conditions, and it edits each
-row's condition by a guidance plan's entries (`Steering`) itself: a step makes one kernel
+streams as one batch.  Its rows may follow any conditions under any guidance
+plans, one per row (`Steering`), and it edits each row's condition by its plan's
+entries itself, once per distinct (condition, plan): a step makes one kernel
 call per shape (component count and covariance kind) among the rows' base
-mixtures and, when steered, their edited ones, and the kernel gives each row
-the bits it would get alone.  `sample` with `analytic_epsilon` and
+mixtures and, when steered, their edited ones, each over that shape's distinct
+mixtures stacked once and gathered per row, and the kernel gives each row the
+bits it would get alone.  `sample` with `analytic_epsilon` and
 `ancestral_step` is the one-point reference path the engine is tested against.
 """
 
@@ -99,15 +101,15 @@ class LatentState:
 
 
 class RowMixtures:
-    """One mixture per row of a batch: row b follows mixes[b], all of one
+    """One mixture per row of a batch: row b follows mixes[pick[b]], all of one
     component count and covariance kind.  The arrays the kernel reads are the
-    rows' mixture arrays, stacked along a leading row axis."""
+    mixtures' arrays, stacked once and gathered along a leading row axis."""
 
-    def __init__(self, mixes):
+    def __init__(self, mixes, pick: np.ndarray):
         self.identity_cov = mixes[0].identity_cov
         for name in ("means", "log_weights", "eig_vals", "eig_vecs"):
             arrays = [getattr(m, name) for m in mixes]
-            setattr(self, name, None if arrays[0] is None else np.stack(arrays))
+            setattr(self, name, None if arrays[0] is None else np.stack(arrays)[pick])
 
 
 def _logits(mix, x: np.ndarray, a_bar: float) -> tuple[np.ndarray, np.ndarray]:
@@ -230,36 +232,43 @@ def sample(
 
 @dataclass(frozen=True)
 class Steering:
-    """A guidance plan as the trajectory engine applies it, to rows of any conditions.
+    """Guidance plans as the trajectory engine applies them: one per row, of any condition.
 
-    active[t] marks the steps whose noise estimate is blended.  plan is the
-    controller's `guidance.GuidancePlan`; `run_trajectories` edits each row's
-    condition to each entry's target and then to its reference, in plan order.
+    active[t] marks the steps whose noise estimate is blended.  plans[b] is row
+    b's `guidance.GuidancePlan`, as the controller decides it; all hold the same
+    number of entries.  `run_trajectories` edits each row's condition to each of
+    its plan's entries' target and then to its reference, in plan order.
     """
 
     active: np.ndarray
-    plan: "GuidancePlan"  # of guidance, which imports this module
+    plans: tuple  # of guidance.GuidancePlan (guidance imports this module)
     gamma: float
     scale: float
 
 
-def _operands(columns) -> list[tuple]:
-    """A step's kernel calls, one per shape among its (slot, row) cells, where
-    row b follows columns[j][b] in slot j (0 the base, then the plan's edits):
+def _operands(mixes: list, pick: np.ndarray) -> list[tuple]:
+    """A step's kernel calls, one per shape among the mixtures `pick` names, where
+    row b follows mixes[pick[j, b]] in slot j (0 the base, then the plan's edits):
     (operand, its rows of the (slots * B, d) noise stack, its rows of x or None for all)."""
-    n = len(columns[0])
-    groups: dict[tuple, list[tuple[int, int]]] = {}
-    for j, column in enumerate(columns):
-        for b, m in enumerate(column):
-            groups.setdefault((m.means.shape, m.identity_cov), []).append((j, b))
+    n = pick.shape[1]
+    flat = pick.ravel()
+    shapes: dict[tuple, int] = {}
+    shape = np.array([shapes.setdefault((m.means.shape, m.identity_cov), len(shapes))
+                      for m in mixes])[flat]
     operands = []
-    for cells in groups.values():
-        mixes = [columns[j][b] for j, b in cells]
-        mix = mixes[0] if all(m is mixes[0] for m in mixes) else RowMixtures(mixes)
-        at = [j * n + b for j, b in cells]  # increasing: cells come slot by slot, row by row
-        at = slice(at[0], at[-1] + 1) if at[-1] - at[0] == len(at) - 1 else np.array(at)
-        whole = len(cells) == n and all(j == cells[0][0] for j, _ in cells)  # rows 0..B-1
-        operands.append((mix, at, None if whole else np.array([b for _, b in cells])))
+    for s in range(len(shapes)):
+        at = np.flatnonzero(shape == s)  # increasing: cells come slot by slot, row by row
+        if not len(at):
+            continue
+        used = np.bincount(flat[at], minlength=len(mixes)) > 0
+        members = np.flatnonzero(used)
+        mix = (mixes[members[0]] if len(members) == 1 else
+               RowMixtures([mixes[i] for i in members], (np.cumsum(used) - 1)[flat[at]]))
+        whole = len(at) == n and at[0] % n == 0 and at[-1] - at[0] == n - 1  # one slot's rows
+        rows = None if whole else at % n
+        if at[-1] - at[0] == len(at) - 1:
+            at = slice(int(at[0]), int(at[-1]) + 1)
+        operands.append((mix, at, rows))
     return operands
 
 
@@ -287,6 +296,39 @@ def _edited(world: MixtureWorld, cond: Condition, plan) -> tuple[ConditionalMixt
                      for value in (entry.target, entry.reference))
     except SteerlabError as exc:
         return str(exc)
+
+
+def _mixtures(world: MixtureWorld, conds: list[Condition], steering: Steering | None,
+              failures: dict[int, str]) -> tuple[list[ConditionalMixture], np.ndarray]:
+    """The distinct mixtures the rows follow, and the (slots, B) index of the one
+    row b follows in slot j: its base, then, when steered, its plan's edits.
+    Edits are resolved once per (condition key, plan).  A row whose condition
+    cannot take its plan's edits fails unrun, its base filling its edit slots."""
+    mixes: list[ConditionalMixture] = []
+    ids: dict[int, int] = {}  # id of a mixture -> its index in mixes
+    resolved: dict[tuple, tuple[tuple[int, ...], str | None]] = {}  # -> its picks, failure
+    slots = 1 if steering is None else 1 + 2 * len(steering.plans[0].entries)
+    picks = []
+    for b, c in enumerate(conds):
+        plan = None if steering is None else steering.plans[b]
+        key = c.key(), plan
+        if key not in resolved:
+            base = conditional_components(world, c)
+            edits = () if plan is None else _edited(world, c, plan)
+            message, row = (edits, (base,) * slots) if isinstance(edits, str) else (
+                None, (base, *edits))
+            if len(row) != slots:
+                raise ValueError("a steering's plans must all hold the same number of entries")
+            for m in row:
+                if id(m) not in ids:
+                    ids[id(m)] = len(mixes)
+                    mixes.append(m)
+            resolved[key] = tuple(ids[id(m)] for m in row), message
+        pick, message = resolved[key]
+        if message is not None:
+            failures[b] = message
+        picks.append(pick)
+    return mixes, np.array(picks).T
 
 
 def noise_tapes(rngs: list[np.random.Generator], steps: int, d: int) -> np.ndarray:
@@ -318,12 +360,14 @@ def run_trajectories(
     Runs reverse steps start..stop-1 from x, the batch's latents after
     `start` steps.  x defaults to x_T, row 0 of the tapes, and stop to the
     number of steps, so that the result is the clean samples.  conds[b] is
-    row b's condition, of any shape: a step makes one kernel call per shape
-    among its base and edited mixtures (`_operands`).  The steering's edited
-    mixtures are resolved once per condition key; the probe, if any, receives
-    at each steered step the batch's rows, in batch order.  Every operation is
-    row-wise, so row b equals `sample` with the same steering run on stream
-    b's generator alone, however the trajectory is split and the rows grouped.
+    row b's condition, of any shape, and the steering's plans[b] its plan: a
+    step makes one kernel call per shape among its base and edited mixtures
+    (`_operands`).  Edits are resolved once per (condition key, plan), and each
+    shape's operand gathers its rows from that shape's distinct mixtures,
+    stacked once; the probe, if any, receives at each steered step the batch's
+    rows, in batch order.  Every operation is row-wise, so row b equals
+    `sample` with the same steering run on stream b's generator alone, however
+    the trajectory is split and the rows grouped.
 
     Returns the latents and the failed rows: each row that goes non-finite
     maps to the message it would raise alone, and each row whose condition
@@ -334,25 +378,16 @@ def run_trajectories(
     """
     steps = schedule.steps
     stop = steps if stop is None else stop
-    if x is None:
-        if start:
-            raise ValueError("x is needed to start past step 0")
-        x = tapes[0].copy()
+    if x is None and start:
+        raise ValueError("x is needed to start past step 0")
+    x = (tapes[0] if x is None else x).copy()  # failed rows are marked in a copy, not in x
+    if steering is not None and len(steering.plans) != len(conds):
+        raise ValueError(f"{len(steering.plans)} plans for {len(conds)} rows")
     failures: dict[int, str] = {}
-    columns = [[conditional_components(world, c) for c in conds]]
-    plain = steered = _operands(columns)
+    mixes, pick = _mixtures(world, conds, steering, failures)
+    plain = steered = _operands(mixes, pick[:1])
     if steering is not None:
-        edits = {key: _edited(world, c, steering.plan)
-                 for key, c in {c.key(): c for c in conds}.items()}
-        slots = []
-        for b, c in enumerate(conds):
-            mixes = edits[c.key()]
-            if isinstance(mixes, str):  # the row fails unrun; its base mixture fills its edit slots
-                failures[b] = mixes
-                mixes = (columns[0][b],) * (2 * len(steering.plan.entries))
-            slots.append(mixes)
-        columns += zip(*slots)
-        steered = _operands(columns)
+        steered = _operands(mixes, pick)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for i in range(start, stop):
             t = steps - 1 - i
@@ -361,7 +396,7 @@ def run_trajectories(
             if len(operands) == 1 and operands[0][2] is None:  # one call over the batch itself
                 eps = _noise(operands[0][0], x, schedule, t)
             else:
-                eps = np.empty(((len(columns) if blend else 1) * len(x), x.shape[1]))
+                eps = np.empty(((len(pick) if blend else 1) * len(x), x.shape[1]))
                 for mix, at, rows in operands:
                     eps[at] = _noise(mix, x if rows is None else x[rows], schedule, t)
                 eps = eps.reshape(-1, *x.shape) if blend else eps

@@ -10,14 +10,19 @@ The trajectories of a whole run are batched, and so are those of all the arms
 of a sweep or window ablation: each arm (its own seed, target, window, memory,
 ordinals and artifacts) is a group of rows of one batch, and a single run is
 the one-arm case.  A long batch is cut into chunks of whole prompts, across
-arms, that each hold under `_CHUNK_BYTES`.  Every row is computed as if
-alone, so none of this changes a bit of output, and a row that fails (goes
-non-finite, or cannot take a plan) fails only a prompt that chooses it.  A
-prompt works on a copy of its arm's memory and stages its rows; both are
-committed only when all its samples succeed, so a failed prompt leaves memory
-and artifacts as if it had not run, apart from the ordinal slot it used.  An
-arm writes its artifacts as soon as its last prompt is decided, so a sweep
-that stops at a failed arm leaves what one run per arm would have left.
+arms, that each hold under `_CHUNK_BYTES`.  A chunk runs its rows' steps
+before the window once, then finishes the rest of each window's rows in one
+engine call under every plan the policy can decide (`controller.plan_space`),
+so each sample's decision only picks its row under its plan; a plan space
+larger than the rows left to decide is finished one decided plan at a time.
+Every row is computed as if alone, so none of this changes a bit of output,
+and a row that fails (goes non-finite, or cannot take a plan) fails only a
+prompt that chooses that plan for it.  A prompt works on a copy of its arm's
+memory and stages its rows; both are committed only when all its samples
+succeed, so a failed prompt leaves memory and artifacts as if it had not
+run, apart from the ordinal slot it used.  An arm writes its artifacts as
+soon as its last prompt is decided, so a sweep that stops at a failed arm
+leaves what one run per arm would have left.
 
 A persisted memory file carries the count of prompts already processed, so a
 run that resumes from it continues the ordinal sequence exactly where the
@@ -49,6 +54,8 @@ from .controller import (
     _is_number,
     decide,
     default_match_threshold,
+    lookup,
+    plan_space,
     record,
     restore_memory,
     snapshot_memory,
@@ -56,7 +63,7 @@ from .controller import (
 from .diffusion import Steering, linear_schedule, mixture_log_density, noise_tapes, run_trajectories
 from .errors import SteerlabError, WorldValidationError
 from .evaluate import BiasReport, QualityScores, build_report, discriminate, write_csv, write_report_csv
-from .guidance import EMPTY_PLAN, GuidanceConfig, GuidanceProbe, window_mask
+from .guidance import EMPTY_PLAN, GuidanceConfig, GuidancePlan, GuidanceProbe, window_mask
 from .world import Condition, MixtureWorld, TargetDistribution, conditional_components, make_condition
 from .worldfile import load_world
 
@@ -267,19 +274,17 @@ def _advance(world: MixtureWorld, schedule, conds: list[Condition], tapes: np.nd
              rows: list[int], x: np.ndarray | None, start: int, stop: int,
              steering: Steering | None = None, probe: GuidanceProbe | None = None
              ) -> tuple[np.ndarray, dict[int, str]]:
-    """Advance `rows` (indices into conds) from step `start` to `stop` in one
-    `run_trajectories` call.  Returns every row's latents (NaN where not run
-    or failed) and each failed row's first message; the probe receives the
-    rows in the order given."""
-    out = np.full((len(conds), world.dimension), np.nan)
+    """Advance `rows`, indices into conds, tapes and x that may repeat, from step
+    `start` to `stop` in one `run_trajectories` call; the steering's plans and the
+    probe's rows are theirs, in the order given.  Returns their latents in that
+    order (NaN where failed) and each failed position's first message."""
     if not rows:
-        return out, {}
-    # A run of consecutive rows is a view of the tapes, not a copy.
+        return np.empty((0, world.dimension)), {}
+    # A run of consecutive rows is a view of the tapes and latents, not a copy.
     sel = (slice(rows[0], rows[-1] + 1) if rows == list(range(rows[0], rows[-1] + 1))
            else np.array(rows))
-    out[sel], failed = run_trajectories(world, schedule, [conds[r] for r in rows], tapes[:, sel],
-                                        steering, start, stop, None if x is None else x[sel], probe)
-    return out, {rows[b]: message for b, message in failed.items()}
+    return run_trajectories(world, schedule, [conds[r] for r in rows], tapes[:, sel], steering,
+                            start, stop, None if x is None else x[sel], probe)
 
 
 @dataclass
@@ -293,6 +298,7 @@ class _Arm:
     policy: IndicatorPolicy | None
     active: np.ndarray  # the steps the arm blends: its window, or none unsteered
     prefix: int
+    plans: tuple[GuidancePlan, ...]  # every plan `decide` can give, when the arm blends a step
     memory: MemoryModule | None
     ordinal: int
     digest: str
@@ -334,11 +340,12 @@ def _open_arm(spec: ExperimentSpec, world: MixtureWorld, schedule, out_dir: str 
     # every plan, so they need running once per row; unsteered, that is every step.
     active = window_mask(schedule, config) & (
         policy is not None and config.gamma != 1.0 and bool(world.schema.attributes))
-    prefix = schedule.steps
+    prefix, plans = schedule.steps, ()
     if active.any():
         prefix = schedule.steps - 1 - int(np.flatnonzero(active).max())
-    return _Arm(spec, out_dir, config, target, policy, active, prefix, memory, prompts_seen,
-                spec.digest(), sum(prompt.count for prompt in spec.prompts))
+        plans = plan_space(world.schema, policy)
+    return _Arm(spec, out_dir, config, target, policy, active, prefix, plans, memory,
+                prompts_seen, spec.digest(), sum(prompt.count for prompt in spec.prompts))
 
 
 def _close_arm(arm: _Arm, world: MixtureWorld, t_start: float) -> RunResult:
@@ -386,31 +393,42 @@ class _Chunk:
 
     @classmethod
     def split(cls, world: MixtureWorld, schedule, arms: list[_Arm]) -> Iterator[_Chunk]:
-        """The arms' prompt instances in chunks that each hold under `_CHUNK_BYTES`:
-        per row its tapes and prefix latents, and in a batch the mixtures gathered
-        for it (base and two per attribute, K components each); per row and plan
-        the policy can choose, finished latents and probe rows."""
-        base, attributes = arms[0].spec, world.schema.attributes
-        d, k = world.dimension, max(Counter(c.concept for c in world.components).values())
-        row_bytes = 8 * d * (schedule.steps + 1) + 8 * (1 + 2 * len(attributes)) * k * (
-            d * d + 3 * d + 2)
-        plans = 1 if base.policy in ("vanilla", "static") else math.prod(
-            len(a.values) * (len(a.values) - 1) for a in attributes)
-        per_chunk = max(1, _CHUNK_BYTES // max(
-            (base.samples_per_prompt * (row_bytes + plans * 8 * (
-                d + 3 * int(arm.active.sum()) * base.diagnostics)) for arm in arms)))
+        """The arms' prompt instances in chunks that each hold under `_CHUNK_BYTES`.
+        A row holds its tape, its prefix latent and its base mixture gathered for
+        the prefix (K components each).  For an arm that blends a step, a finish
+        holds per row and plan it runs the row's gathered tape, per slot (the base
+        and two per attribute) its gathered mixture and noise row, and its
+        latents and probe rows, which it keeps.  Chunks that can hold as many
+        rows as the policy has plans finish every plan at once; in the others
+        each finish runs one plan, so a row keeps at most one finish per plan."""
+        d, steps, n = world.dimension, schedule.steps, arms[0].spec.samples_per_prompt
+        k = max(Counter(c.concept for c in world.components).values())
+        mixture = 8 * k * (d * d + 2 * d + 1)  # means, log weights, eigenvalues and eigenvectors
+        slots = 1 + 2 * len(world.schema.attributes)
+
+        def instance_bytes(arm: _Arm, every_plan: bool) -> int:
+            kept = 8 * d + 24 * int(arm.active.sum()) * arm.spec.diagnostics  # latent, probe rows
+            cell = 8 * d * (steps + 1) + slots * (mixture + 8 * d) + 8 * 3 * d + kept
+            finishes = (len(arm.plans) * cell if every_plan else
+                        bool(arm.plans) * cell + len(arm.plans) * kept)
+            return n * (8 * d * (steps + 2) + mixture + finishes)
+        fits = _CHUNK_BYTES // max(instance_bytes(arm, True) for arm in arms)
+        every_plan = fits * n >= max(len(arm.plans) for arm in arms)
+        per_chunk = max(1, fits if every_plan else
+                        _CHUNK_BYTES // max(instance_bytes(arm, False) for arm in arms))
         instances = [(arm, prompt, i) for arm in arms for prompt in arm.spec.prompts
                      for i in range(prompt.count)]
         made: dict[tuple, Condition | SteerlabError] = {}
         for lo in range(0, len(instances), per_chunk):
-            yield cls(world, schedule, instances[lo:lo + per_chunk], made)
+            yield cls(world, schedule, instances[lo:lo + per_chunk], made, every_plan)
 
     def __init__(self, world: MixtureWorld, schedule, instances: list[tuple],
-                 made: dict[tuple, Condition | SteerlabError]):
+                 made: dict[tuple, Condition | SteerlabError], every_plan: bool):
         """Rows for `instances`, each (arm, prompt, instance index), which take
         their arms' next ordinals; `made` holds each instance's condition, or the
-        error making it raised, keyed by what it is made from, so arms share it."""
-        self.world, self.schedule = world, schedule
+        error making it raised, keyed by what it is made from, so arms share it.
+        `every_plan` lets a finish run every plan of its arm's."""
+        self.world, self.schedule, self.every_plan = world, schedule, every_plan
         self.prompts: list[tuple] = []  # (arm, prompt, prompt id, ordinal, condition, first row)
         self.conds: list[Condition] = []
         self.arms: list[_Arm] = []
@@ -446,33 +464,45 @@ class _Chunk:
                      if arm.prefix >= stop and r not in self.prefix_failed]
             latents, failed = _advance(world, schedule, self.conds, self.tapes, going, self.x,
                                        at, stop)
-            self.x[going] = latents[going]
-            self.prefix_failed.update(failed)
-        self.runs: dict[tuple, tuple] = {}  # (config, plan) -> latents, failures, probe, places
+            self.x[going] = latents
+            self.prefix_failed.update((going[j], message) for j, message in failed.items())
+        # (config, plan) -> its finish's latents, failures, probe, rows' ranks, first position
+        self.runs: dict[tuple, tuple] = {}
 
     def finish(self, arm: _Arm, plan, r: int) -> tuple[np.ndarray, list[tuple]]:
         """Row `r`'s clean latent under `plan` and `arm`'s config (window), and
         its probe rows; a row that failed raises its message as a SteerlabError.
 
-        The first row to need a (config, plan) finishes, as one batch, every
+        An arm that blends no step has its latents from the prefix.  Otherwise
+        the first row to need a (config, plan) finishes, as one batch, every
         row from it to the end of the chunk whose arm has that config, each
-        under its own condition's edited mixtures; later rows that need it, of
-        that arm or a later one, take theirs from it; the others are discarded."""
-        key = arm.config, plan
-        if key not in self.runs:
+        under its own condition's edited mixtures: under every plan the arm's
+        policy can decide when the chunk allows it and there are no more of
+        them than rows to decide, else under `plan` alone.  Later rows that
+        need a (config, plan) it ran, of that arm or a later one, take theirs
+        from it."""
+        if r in self.prefix_failed:
+            raise SteerlabError(self.prefix_failed[r])
+        if not arm.plans:
+            return self.x[r], []
+        if (arm.config, plan) not in self.runs:
             going = [q for q in range(r, len(self.arms))
                      if self.arms[q].config == arm.config and q not in self.prefix_failed]
+            plans = arm.plans if self.every_plan and len(arm.plans) <= len(going) else (plan,)
             probe = GuidanceProbe() if arm.spec.diagnostics else None
-            steering = (Steering(arm.active, plan, arm.config.gamma, arm.config.attribute_scale)
-                        if arm.active.any() else None)
-            finished, failed = _advance(self.world, self.schedule, self.conds, self.tapes, going,
-                                        self.x, arm.prefix, self.schedule.steps, steering, probe)
-            self.runs[key] = (finished, {**failed, **self.prefix_failed}, probe,
-                              {q: j for j, q in enumerate(going)} if probe else None)
-        finished, failed, probe, place = self.runs[key]
-        if r in failed:
-            raise SteerlabError(failed[r])
-        return finished[r], probe.stream(place[r]) if probe else []
+            steering = Steering(arm.active, tuple(p for p in plans for _ in going),
+                                arm.config.gamma, arm.config.attribute_scale)
+            finished, failed = _advance(self.world, self.schedule, self.conds, self.tapes,
+                                        going * len(plans), self.x, arm.prefix,
+                                        self.schedule.steps, steering, probe)
+            rank = {q: i for i, q in enumerate(going)}
+            for i, p in enumerate(plans):  # rows come plan by plan, each in `going` order
+                self.runs[arm.config, p] = finished, failed, probe, rank, i * len(going)
+        finished, failed, probe, rank, at = self.runs[arm.config, plan]
+        j = at + rank[r]
+        if j in failed:
+            raise SteerlabError(failed[j])
+        return finished[j], probe.stream(j) if probe else []
 
 
 def _run_batch(specs: list[ExperimentSpec], world: MixtureWorld,
@@ -503,19 +533,21 @@ def _run_batch(specs: list[ExperimentSpec], world: MixtureWorld,
                 probes: list[tuple] = []
                 hits, logdens = 0, 0.0
                 for s_i in range(n):
-                    plan = EMPTY_PLAN
+                    plan, match = EMPTY_PLAN, None
                     if arm.policy is not None:  # decided on the records of the samples before it
                         rng = None  # only the probabilistic policy draws
                         if arm.policy.kind == "probabilistic":
                             rng = np.random.default_rng(np.random.SeedSequence(
                                 [arm.spec.seed, _POLICY_NS, p_ordinal, s_i]))
-                        plan = decide(memory, cond, world.schema, arm.target, arm.policy, rng)
+                        match = lookup(memory, cond.embedding)  # `record` takes it too
+                        plan = decide(memory, cond, world.schema, arm.target, arm.policy, rng,
+                                      match=match)
                     x0, probe_rows = chunk.finish(arm, plan, row0 + s_i)
                     labels, concept_post = discriminate(world, x0)
                     if arm.policy is not None:
                         outcome = ({a: e.target for a, e in plan.entries}
                                    if base.record_intent else labels)
-                        record(memory, cond, outcome)
+                        record(memory, cond, outcome, match=match)
                     probes.extend((prompt_id, s_i) + row for row in probe_rows)
                     if max(concept_post, key=lambda c: concept_post[c]) == prompt.concept:
                         hits += 1

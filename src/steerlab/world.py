@@ -130,6 +130,20 @@ def _prepare(components: list[Component], weights: np.ndarray) -> ConditionalMix
     return mix
 
 
+def _number_problems(means: np.ndarray, covs: np.ndarray) -> list[str | None]:
+    """Each component's first problem among non-finite numbers, a covariance
+    that is not symmetric (`np.allclose`'s rule) and one that is not positive
+    definite, for (n, d) means and (n, d, d) covariances checked as one stack."""
+    finite = np.isfinite(means).all(axis=1) & np.isfinite(covs).all(axis=(1, 2))
+    with np.errstate(invalid="ignore", over="ignore"):
+        symmetric = np.isclose(covs, covs.transpose(0, 2, 1), atol=1e-9).all(axis=(1, 2))
+    low = np.full(len(covs), np.inf)
+    low[finite & symmetric] = np.linalg.eigvalsh(covs[finite & symmetric]).min(axis=1)
+    return ["non-finite parameter" if not ok else "covariance not symmetric" if not sym
+            else f"covariance not positive definite (min eigenvalue {m:g})" if m <= 1e-12
+            else None for ok, sym, m in zip(finite, symmetric, low)]
+
+
 class MixtureWorld:
     """Immutable mixture world; the one place that checks its invariants."""
 
@@ -141,12 +155,23 @@ class MixtureWorld:
         self.dimension = dimension
         self.schema = schema
         self.components = components
-        for i, c in enumerate(components):
+        d = dimension
+        for c in components:
             c.mean = np.asarray(c.mean, dtype=float)
             c.covariance = np.asarray(c.covariance, dtype=float)
-            problem = self._component_problem(c)
+        # Shapes first, so that the numbers of every component before the first
+        # misshapen one are checked as one stack; each component's first problem wins.
+        shapes = [f"mean shape {c.mean.shape} != ({d},)" if c.mean.shape != (d,) else
+                  f"covariance shape {c.covariance.shape} != ({d}, {d})"
+                  if c.covariance.shape != (d, d) else None for c in components]
+        n = next((i for i, problem in enumerate(shapes) if problem), len(components))
+        problems = _number_problems(np.array([c.mean for c in components[:n]]).reshape(n, d),
+                                    np.array([c.covariance for c in components[:n]]
+                                             ).reshape(n, d, d)) + shapes[n:n + 1]
+        for i, problem in enumerate(problems):
+            problem = problem or self._label_problem(components[i])
             if problem:
-                raise _invalid(f"component {i} (concept {c.concept!r}): {problem}", i)
+                raise _invalid(f"component {i} (concept {components[i].concept!r}): {problem}", i)
         # Attribute control is infeasible unless every (concept, attribute,
         # value) triple has at least one component.
         for concept in dict.fromkeys(c.concept for c in components):
@@ -168,19 +193,8 @@ class MixtureWorld:
         self.concepts: tuple[str, ...] = tuple(dict.fromkeys(c.concept for c in components))
         self._cache: dict[tuple, ConditionalMixture] = {}
 
-    def _component_problem(self, c: Component) -> str | None:
-        d = self.dimension
-        if c.mean.shape != (d,):
-            return f"mean shape {c.mean.shape} != ({d},)"
-        if c.covariance.shape != (d, d):
-            return f"covariance shape {c.covariance.shape} != ({d}, {d})"
-        if not np.all(np.isfinite(c.mean)) or not np.all(np.isfinite(c.covariance)):
-            return "non-finite parameter"
-        if not np.allclose(c.covariance, c.covariance.T, atol=1e-9):
-            return "covariance not symmetric"
-        low = np.linalg.eigvalsh(c.covariance).min()
-        if low <= 1e-12:
-            return f"covariance not positive definite (min eigenvalue {low:g})"
+    def _label_problem(self, c: Component) -> str | None:
+        """The first problem of a component's weight or tags."""
         if not 0 < c.weight < math.inf:
             return f"weight must be positive and finite, got {c.weight}"
         missing = sorted(set(self.schema.names()) - set(c.tags))

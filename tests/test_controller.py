@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from steerlab import MemorySnapshotError
 from steerlab.cli import main
 from steerlab.controller import (
+    POLICY_KINDS,
     Cluster,
     IndicatorPolicy,
     MemoryModule,
@@ -18,6 +19,7 @@ from steerlab.controller import (
     decide,
     default_match_threshold,
     lookup,
+    plan_space,
     record,
     restore_memory,
     snapshot_memory,
@@ -254,6 +256,40 @@ class TestDecideStatic:
             IndicatorPolicy("deficit", static_pairs={"gender": ("male", "female")})
         with pytest.raises(ValueError, match="static_pairs"):
             IndicatorPolicy("static")
+
+
+class TestPlanSpace:
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_every_decided_plan_is_listed(self, data):
+        """Whatever the schema, counts, target and draw, the plan `decide`
+        returns is one of `plan_space`'s, which lists prod(V(V-1)) distinct
+        plans for V values per attribute (1 for static)."""
+        sizes = data.draw(st.lists(st.integers(2, 4), max_size=3), label="values per attribute")
+        schema = AttributeSchema([Attribute(f"a{i}", tuple(f"v{j}" for j in range(v)))
+                                  for i, v in enumerate(sizes)])
+        kind = data.draw(st.sampled_from(POLICY_KINDS), label="policy")
+        pairs = None
+        if kind == "static":
+            pairs = {a.name: tuple(data.draw(st.permutations(a.values))[:2])
+                     for a in schema.attributes}
+        proportions, counts = {}, {}
+        for a in schema.attributes:
+            weights = data.draw(st.lists(st.integers(1, 5), min_size=len(a.values),
+                                         max_size=len(a.values)), label=f"target {a.name}")
+            proportions[a.name] = {v: w / sum(weights) for v, w in zip(a.values, weights)}
+            counts[a.name] = dict(zip(a.values, data.draw(st.lists(
+                st.integers(0, 6), min_size=len(a.values), max_size=len(a.values)),
+                label=f"counts {a.name}")))
+        clusters = [Cluster(np.zeros(2), 1, counts)] if data.draw(st.booleans()) else []
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        plans = plan_space(schema, IndicatorPolicy(kind, static_pairs=pairs))
+        plan = decide(memory_with(clusters), cond_at(0, 0), schema,
+                      TargetDistribution(proportions), IndicatorPolicy(kind, static_pairs=pairs),
+                      rng)
+        assert plan in plans
+        expected = 1 if kind == "static" else int(np.prod([v * (v - 1) for v in sizes]))
+        assert len(plans) == len(set(plans)) == expected
 
 
 class TestRecord:

@@ -5,6 +5,7 @@ when steering, by `combined_noise`) bit for bit, stream by stream, whatever
 the batch size and however a trajectory is split into runs.
 """
 
+import itertools
 from collections import Counter
 
 import numpy as np
@@ -73,18 +74,18 @@ def _reference(world, schedule, cond, rng, plan=None, probe=None):
     return sample(world, schedule, cond, hook, rng)
 
 
-def _steering(schedule, plan):
-    """The plan as a finish applies it: None when there is none or no step is blended."""
+def _steering(schedule, plan, n):
+    """The plan as a finish applies it to n rows: None when there is none or no step is blended."""
     active = window_mask(schedule, CONFIG)
     if plan is None or not active.any():
         return None
-    return Steering(active, plan, CONFIG.gamma, CONFIG.attribute_scale)
+    return Steering(active, (plan,) * n, CONFIG.gamma, CONFIG.attribute_scale)
 
 
 def _engine(world, schedule, cond, rngs, plan=None, probe=None):
     tapes = noise_tapes(rngs, schedule.steps, world.dimension)
     x, failures = run_trajectories(world, schedule, [cond] * len(rngs), tapes,
-                                   _steering(schedule, plan), probe=probe)
+                                   _steering(schedule, plan, len(rngs)), probe=probe)
     assert not failures
     return x
 
@@ -171,10 +172,11 @@ def test_split_run_finishes_any_subset_like_each_stream_alone(
     plan = ONE_ATTR if steered else None
     tapes = noise_tapes(_rngs(n, seed), steps, world.dimension)
     probe_all, probe_sub = GuidanceProbe(), GuidanceProbe()
-    x, failed = run_trajectories(world, schedule, [cond] * n, tapes, _steering(schedule, plan),
+    x, failed = run_trajectories(world, schedule, [cond] * n, tapes, _steering(schedule, plan, n),
                                  stop=k, probe=probe_all)
     out, failed_sub = run_trajectories(world, schedule, [cond] * len(subset), tapes[:, subset],
-                                       _steering(schedule, plan), k, x=x[subset], probe=probe_sub)
+                                       _steering(schedule, plan, len(subset)), k, x=x[subset],
+                                       probe=probe_sub)
     assert not failed and not failed_sub
     for j, b in enumerate(subset):
         probe = GuidanceProbe()
@@ -208,7 +210,7 @@ def test_edits_are_resolved_once_per_condition_key(monkeypatch, n):
         return edit(world, cond, attribute, value)
     monkeypatch.setattr(diffusion, "edit_condition", counted)
     _, failures = run_trajectories(world, schedule, conds, noise_tapes(_rngs(n), 10, 2),
-                                   _steering(schedule, TWO_ATTR))
+                                   _steering(schedule, TWO_ATTR, n))
     assert not failures
     assert len(edits) == 2 * 4 and len(set(edits)) == 2 * 4
 
@@ -221,7 +223,8 @@ def test_row_that_cannot_take_the_plan_fails_alone_and_its_neighbours_keep_their
     conds = [make_condition(world, "worker", c)
              for c in ({}, {"age": "old"}, {"gender": "female"})]
     tapes = noise_tapes(_rngs(3, seed=4), schedule.steps, world.dimension)
-    out, failures = run_trajectories(world, schedule, conds, tapes, _steering(schedule, ONE_ATTR))
+    out, failures = run_trajectories(world, schedule, conds, tapes,
+                                     _steering(schedule, ONE_ATTR, len(conds)))
     assert list(failures) == [1] and "gender='male'" in failures[1]
     with pytest.raises(InfeasibleConditionError, match="gender='male'"):
         _reference(world, schedule, conds[1], _rngs(3, seed=4)[1], ONE_ATTR)
@@ -229,6 +232,21 @@ def test_row_that_cannot_take_the_plan_fails_alone_and_its_neighbours_keep_their
     for b in (0, 2):
         alone = _engine(world, schedule, conds[b], [_rngs(3, seed=4)[b]], ONE_ATTR)
         np.testing.assert_array_equal(out[b], alone[0])
+
+
+def test_run_of_no_steps_leaves_the_callers_latents_as_they_were():
+    """A row that cannot take its plan is NaN in the result, even over no
+    steps, but the latents handed in keep their values."""
+    world = two_attribute_world()
+    schedule = linear_schedule(20, beta_end=0.3)
+    conds = [make_condition(world, "worker", c) for c in ({}, {"age": "old"})]
+    tapes = noise_tapes(_rngs(2), schedule.steps, world.dimension)
+    x = tapes[5].copy()
+    out, failures = run_trajectories(world, schedule, conds, tapes,
+                                     _steering(schedule, ONE_ATTR, 2), 5, 5, x)
+    assert list(failures) == [1] and np.isnan(out[1]).all()
+    np.testing.assert_array_equal(x, tapes[5])
+    np.testing.assert_array_equal(out[0], tapes[5][0])
 
 
 class _Tape:
@@ -294,11 +312,21 @@ component nurse  gender=female age=old   mean=13,4 weight=0.3
 GRID_CONDITIONS = [("worker", {}), ("nurse", {}), ("worker", {"gender": "male"}),
                    ("worker", {"gender": "female"}), ("worker", {"age": "old"}),
                    ("nurse", {"gender": "male"}), ("nurse", {"gender": "female"})]
-# world, the conditions its rows follow, the plan that steers them
+
+
+def _reversals(plan):
+    """The plan with each subset of its entries' target and reference swapped."""
+    return [GuidancePlan(tuple((a, PlanEntry(e.reference, e.target) if swap else e)
+                               for (a, e), swap in zip(plan.entries, swaps)))
+            for swaps in itertools.product((False, True), repeat=len(plan.entries))]
+
+
+# world, the conditions its rows follow, the plans that steer them
 ROW_CASES = {
-    **{name: (world, ROW_CONDITIONS, ONE_ATTR) for name, world in ROW_WORLDS.items()},
-    "two-attribute-grid": (lambda: parse_world(GRID_WORLD), GRID_CONDITIONS, TWO_ATTR),
-    "age-only-grid": (lambda: parse_world(GRID_WORLD), GRID_CONDITIONS, AGE_ONLY),
+    **{name: (world, ROW_CONDITIONS, _reversals(ONE_ATTR)) for name, world in ROW_WORLDS.items()},
+    "two-attribute-grid": (lambda: parse_world(GRID_WORLD), GRID_CONDITIONS,
+                           _reversals(TWO_ATTR)),
+    "age-only-grid": (lambda: parse_world(GRID_WORLD), GRID_CONDITIONS, _reversals(AGE_ONLY)),
 }
 
 
@@ -312,12 +340,12 @@ ROW_CASES = {
 )
 def test_rows_of_any_conditions_grouped_and_split_run_as_alone(
         case, seed, steps, steered, data):
-    """Rows of several conditions, in one batch in any order and split at any
-    step, each give the bits and probe rows of that row alone, as they do in
-    one `run_trajectories` call over all the rows.  A step makes one kernel
-    call per shape among the base and edited mixtures, across plan entries
-    and rows."""
-    make_world, conditions, plan = ROW_CASES[case]
+    """Rows of several conditions under several plans, in one batch in any
+    order and split at any step, each give the bits and probe rows of that row
+    alone, as they do in one `run_trajectories` call over all the rows, and a
+    row taken twice gives them twice.  A step makes one kernel call per shape
+    among the base and edited mixtures, across plans, plan entries and rows."""
+    make_world, conditions, variants = ROW_CASES[case]
     world = make_world()
     schedule = linear_schedule(steps, beta_end=0.3)
     picks = data.draw(st.lists(st.integers(0, len(conditions) - 1), min_size=1,
@@ -325,26 +353,34 @@ def test_rows_of_any_conditions_grouped_and_split_run_as_alone(
     conds = [make_condition(world, *conditions[i], jitter_seed=b, jitter_scale=0.2)
              for b, i in enumerate(picks)]
     n = len(conds)
+    plans = data.draw(st.lists(st.sampled_from(variants), min_size=n, max_size=n), label="plans")
     k = data.draw(st.integers(0, steps), label="k")
     first = data.draw(st.permutations(range(n)), label="first order")
-    then = data.draw(st.lists(st.sampled_from(first), min_size=1, unique=True), label="then")
-    plan = plan if steered else None
+    then = data.draw(st.lists(st.sampled_from(first), min_size=1), label="then")
+    active = window_mask(schedule, CONFIG)
 
-    steering = _steering(schedule, plan)
+    def steering(rows):
+        if not steered or not active.any():
+            return None
+        return Steering(active, tuple(plans[b] for b in rows), CONFIG.gamma,
+                        CONFIG.attribute_scale)
     tapes = noise_tapes(_rngs(n, seed), steps, world.dimension)
-    whole, failed = run_trajectories(world, schedule, conds, tapes, steering)
+    whole, failed = run_trajectories(world, schedule, conds, tapes, steering(range(n)))
     assert not failed
     probe_a, probe_b = GuidanceProbe(), GuidanceProbe()
-    x, failed = _advance(world, schedule, conds, tapes, first, None, 0, k, steering, probe_a)
-    out, failed_b = _advance(world, schedule, conds, tapes, then, x, k, steps, steering, probe_b)
+    x = np.full((n, world.dimension), np.nan)
+    x[first], failed = _advance(world, schedule, conds, tapes, first, None, 0, k,
+                                steering(first), probe_a)
+    out, failed_b = _advance(world, schedule, conds, tapes, then, x, k, steps, steering(then),
+                             probe_b)
     assert not failed and not failed_b
-    assert np.isnan(out[[b for b in range(n) if b not in then]]).all()
-    for b in then:
+    for j, b in enumerate(then):
         probe = GuidanceProbe()
-        alone = _engine(world, schedule, conds[b], [_rngs(n, seed)[b]], plan, probe)
-        np.testing.assert_array_equal(out[b], alone[0])
+        alone = _engine(world, schedule, conds[b], [_rngs(n, seed)[b]],
+                        plans[b] if steered else None, probe)
+        np.testing.assert_array_equal(out[j], alone[0])
         np.testing.assert_array_equal(whole[b], alone[0])
-        assert probe_a.stream(first.index(b)) + probe_b.stream(then.index(b)) == probe.stream(0)
+        assert probe_a.stream(first.index(b)) + probe_b.stream(j) == probe.stream(0)
 
 
 @pytest.mark.parametrize("name", WORLDS)
@@ -362,7 +398,8 @@ def test_poisoned_row_fails_alone_and_its_neighbours_keep_their_bits(name, poiso
     rngs = _rngs(4, seed=5)
     rngs[2] = _Tape(values.ravel())
     tapes = noise_tapes(rngs, schedule.steps, world.dimension)
-    out, failures = run_trajectories(world, schedule, conds, tapes, _steering(schedule, ONE_ATTR))
+    out, failures = run_trajectories(world, schedule, conds, tapes,
+                                     _steering(schedule, ONE_ATTR, len(conds)))
     assert failures == {2: message}
     assert np.isnan(out[2]).all()
     for b in (0, 1, 3):
@@ -385,7 +422,7 @@ def test_a_step_makes_one_kernel_call_per_mixture_shape(monkeypatch, conditions,
     world = parse_world(GRID_WORLD)
     schedule = linear_schedule(10)
     conds = [make_condition(world, *c) for c in conditions]
-    steering = _steering(schedule, TWO_ATTR)
+    steering = _steering(schedule, TWO_ATTR, len(conds))
     seen = []
     noise = diffusion._noise
 
@@ -412,7 +449,8 @@ def test_base_and_edited_cells_of_one_shape_keep_their_rows(picks):
     schedule = linear_schedule(20, beta_end=0.3)
     conds = [make_condition(world, *GRID_CONDITIONS[i]) for i in picks]
     tapes = noise_tapes(_rngs(4, seed=3), schedule.steps, world.dimension)
-    out, failures = run_trajectories(world, schedule, conds, tapes, _steering(schedule, AGE_ONLY))
+    out, failures = run_trajectories(world, schedule, conds, tapes,
+                                     _steering(schedule, AGE_ONLY, 4))
     assert not failures
     for b in range(4):
         alone = _engine(world, schedule, conds[b], [_rngs(4, seed=3)[b]], AGE_ONLY)
@@ -433,7 +471,8 @@ def test_rows_of_several_shapes_take_one_engine_call(monkeypatch):
     for plan in (None, TWO_ATTR):
         calls.clear()
         _, failed = _advance(world, schedule, conds, noise_tapes(_rngs(len(conds)), 10, 2),
-                             list(range(len(conds))), None, 0, 10, _steering(schedule, plan))
+                             list(range(len(conds))), None, 0, 10,
+                             _steering(schedule, plan, len(conds)))
         assert not failed and calls == [len(conds)]
 
 
@@ -452,7 +491,8 @@ def test_poisoned_row_under_a_two_attribute_plan_fails_alone(poison, message):
     rngs = _rngs(4, seed=5)
     rngs[1] = _Tape(values.ravel())
     tapes = noise_tapes(rngs, schedule.steps, world.dimension)
-    out, failures = run_trajectories(world, schedule, conds, tapes, _steering(schedule, TWO_ATTR))
+    out, failures = run_trajectories(world, schedule, conds, tapes,
+                                     _steering(schedule, TWO_ATTR, 4))
     assert failures == {1: message}
     assert np.isnan(out[1]).all()
     for b in (0, 2, 3):

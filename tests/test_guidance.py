@@ -281,7 +281,7 @@ class TestSteeringEfficacy:
             return sum(discriminate(world, p)[0]["gender"] == "female" for p in x), n
 
         base_f, n1 = run(None, seed=1)
-        guided_f, n2 = run(Steering(window_mask(sched, cfg), plan, cfg.gamma,
+        guided_f, n2 = run(Steering(window_mask(sched, cfg), (plan,) * 600, cfg.gamma,
                                     cfg.attribute_scale), seed=2)
 
         p1, p2 = base_f / n1, guided_f / n2

@@ -19,12 +19,16 @@ from steerlab import (
     run_sweep,
     run_window_ablation,
 )
+from steerlab import controller, diffusion
 from steerlab.controller import (
     MemoryModule,
     decide,
     default_match_threshold,
+    lookup,
+    plan_space,
     record,
     restore_memory,
+    snapshot_memory,
 )
 from steerlab.diffusion import Steering, linear_schedule, noise_tapes, run_trajectories
 from steerlab.evaluate import discriminate
@@ -201,9 +205,9 @@ class TestRunGenerate:
                                                                    policy):
         streams = []
 
-        def spy(memory, cond, schema, target, indicator, rng):
+        def spy(memory, cond, schema, target, indicator, rng, match):
             streams.append(rng)
-            return decide(memory, cond, schema, target, indicator, rng)
+            return decide(memory, cond, schema, target, indicator, rng, match)
         monkeypatch.setattr(harness, "decide", spy)
         pairs = {"gender": ["female", "male"]} if policy == "static" else None
         run_generate(base_spec(world_path, policy=policy, static_pairs=pairs))
@@ -212,6 +216,33 @@ class TestRunGenerate:
             assert all(isinstance(rng, np.random.Generator) for rng in streams)
         else:
             assert all(rng is None for rng in streams)
+
+    @pytest.mark.parametrize("policy", ["deficit", "probabilistic", "static"])
+    @pytest.mark.parametrize("budget, tau", [(16, None), (2, 0.05), (1, 0.05)])
+    def test_one_lookup_per_steered_sample(self, world_path, tmp_path, monkeypatch, policy,
+                                           budget, tau):
+        """`decide`'s match is handed to `record`, so each sample looks the
+        memory up once; the memory file equals that of a run whose `decide` and
+        `record` look it up themselves, whether the match merges, consolidates
+        (budget 2) or falls to the lone cluster (budget 1)."""
+        lookups = []
+
+        def counted(memory, embedding):
+            lookups.append(len(memory.clusters))
+            return lookup(memory, embedding)
+        monkeypatch.setattr(harness, "lookup", counted)
+        monkeypatch.setattr(controller, "lookup", counted)
+        pairs = {"gender": ["female", "male"]} if policy == "static" else None
+        spec = base_spec(world_path, policy=policy, static_pairs=pairs, memory_budget=budget,
+                         memory_tau=tau, memory_path=str(tmp_path / "run.json"))
+        run_generate(spec)
+        assert len(lookups) == 8 * 5
+        assert max(lookups) == min(budget, 2)  # the memory fills: two concepts' clusters
+        monkeypatch.undo()
+        world = load_world(world_path)
+        _, memory, _, _, _ = _one_at_a_time(spec, world)
+        snapshot_memory(memory, str(tmp_path / "alone.json"), world.schema, prompts_seen=8)
+        assert (tmp_path / "run.json").read_bytes() == (tmp_path / "alone.json").read_bytes()
 
     def test_vanilla_runs_without_memory(self, world_path):
         result = run_generate(base_spec(world_path, policy="vanilla"))
@@ -397,7 +428,8 @@ def _one_at_a_time(spec, world):
                     probe = GuidanceProbe()
                     steering = None
                     if plan.entries and config.gamma != 1.0 and active.any():
-                        steering = Steering(active, plan, config.gamma, config.attribute_scale)
+                        steering = Steering(active, (plan,), config.gamma,
+                                            config.attribute_scale)
                     stream = np.random.default_rng(
                         np.random.SeedSequence([spec.seed, ordinal, s_i]))
                     tapes = noise_tapes([stream], spec.steps, world.dimension)
@@ -553,20 +585,33 @@ def test_batched_prompt_equals_one_generation_at_a_time(tmp_path, world_name, po
         assert {s.prompt_ordinal for s in result.samples} >= {0, 1, 4, 5}
 
 
+def _poison_plans(monkeypatch, bad) -> list:
+    """Every (row, plan) cell whose plan satisfies `bad` goes non-finite at its
+    first steered step, in the harness and in a run alone; returns the list of
+    such cells' plans, one entry per cell and step."""
+    poisoned = []
+    steer = diffusion._steer
+
+    def wrapper(steering, eps, t, failures, probe):
+        rows = [b for b, plan in enumerate(steering.plans) if bad(plan)]
+        poisoned.extend(steering.plans[b] for b in rows)
+        eps = eps.copy()
+        eps[1, rows] = math.inf  # the first entry's target slot
+        return steer(steering, eps, t, failures, probe)
+    monkeypatch.setattr(diffusion, "_steer", wrapper)
+    return poisoned
+
+
 @pytest.mark.parametrize("policy", ["deficit", "probabilistic"])
 def test_rows_failing_under_one_plan_fail_only_prompts_that_choose_it(tmp_path, monkeypatch,
                                                                       policy):
-    """Every row steered toward female and old goes non-finite.  A prompt
-    fails only when one of its samples chooses that plan, with the message it
-    gets alone; rows of other prompts finished under the plan are discarded
-    and fail nothing."""
-    def poisoned(steering):
-        def wrapper(active, plan, gamma, scale):
-            bad = {a: e.target for a, e in plan.entries} == {"gender": "female", "age": "old"}
-            return steering(active, plan, gamma, math.inf if bad else scale)
-        return wrapper
-    monkeypatch.setattr(harness, "Steering", poisoned(harness.Steering))
-    monkeypatch.setitem(globals(), "Steering", poisoned(Steering))
+    """Every (row, plan) cell steered toward female and old goes non-finite.
+    A prompt fails only when one of its samples chooses that plan, with the
+    message it gets alone; its rows of other prompts are discarded and fail
+    nothing."""
+    def female_old(plan):
+        return {a: e.target for a, e in plan.entries} == {"gender": "female", "age": "old"}
+    poisoned = _poison_plans(monkeypatch, female_old)
     (tmp_path / "mixed.world").write_text(TWO_CONCEPT_WORLD_TEXT)
     spec = ExperimentSpec(
         world_path=str(tmp_path / "mixed.world"), prompts=MIXED_PROMPTS * 2,
@@ -582,14 +627,14 @@ def test_rows_failing_under_one_plan_fail_only_prompts_that_choose_it(tmp_path, 
         [(p, i, labels) for p, i, _, labels in samples]
     for s, (_, _, x0, _) in zip(result.samples, samples):
         np.testing.assert_array_equal(s.x, x0)
-    # A prompt that succeeded came after the first choice of the failing plan,
-    # so its rows were finished under it and discarded.
-    first = min(i for i, p in enumerate(plans) for q in p
-                if {a: e.target for a, e in q.entries} == {"gender": "female", "age": "old"})
-    assert any(i > first for i in {s.prompt_ordinal for s in result.samples})
+    # Prompts that succeeded had their rows finished under the failing plan
+    # too, and discarded: every finish runs every plan.
+    assert any(female_old(q) for p in plans for q in p)
+    assert poisoned and all(map(female_old, poisoned))
+    assert {s.prompt_ordinal for s in result.samples}
 
 
-@pytest.mark.parametrize("chunk_bytes", [1, 60_000])
+@pytest.mark.parametrize("chunk_bytes", [1, 150_000])
 def test_chunked_run_writes_the_bytes_of_one_batch(tmp_path, monkeypatch, chunk_bytes):
     """Chunks of one prompt, or of several, give the artifacts of one whole-run batch."""
     (tmp_path / "mixed.world").write_text(UNEQUAL_K_WORLD_TEXT)
@@ -692,11 +737,71 @@ class TestBlendRule:
                 split.append(list(chunks))
             assert split[0] == split[1], chunk_bytes
 
-    def test_steered_finish_carries_the_decided_plan_itself(self, world_path, monkeypatch):
+    @pytest.mark.parametrize("policy, calls", [("deficit", 2), ("vanilla", 1)])
+    def test_chained_links_shaped_run_makes_a_prefix_and_a_finish_call(self, tmp_path,
+                                                                       monkeypatch, policy,
+                                                                       calls):
+        """Three prompts of four samples on a two-attribute world of full
+        covariances: one prefix call, then one finish of all 12 rows under
+        each of the 4 plans; a vanilla run has its samples from the prefix."""
+        (tmp_path / "full.world").write_text(FULL_COV_WORLD_TEXT)
+        spec = ExperimentSpec(
+            world_path=str(tmp_path / "full.world"),
+            prompts=[PromptSpec("worker", jitter_seed=1), PromptSpec("nurse", jitter_seed=2),
+                     PromptSpec("worker", jitter_seed=3)],
+            target={"gender": {"male": 0.5, "female": 0.5}, "age": {"young": 0.5, "old": 0.5}},
+            policy=policy, samples_per_prompt=4, steps=50, beta_end=0.3, gamma=0.6,
+            attribute_scale=4.0, memory_budget=4, seed=3)
+        engine = self._engine_calls(monkeypatch)
+        result = run_generate(spec)
+        assert len(result.samples) == 12 and not result.failures
+        assert len(engine) == calls and engine[0][0] is None
+        if policy != "vanilla":
+            assert len(engine[1][0].plans) == 12 * 4
+
+    @pytest.mark.parametrize("policy", ["deficit", "probabilistic"])
+    def test_plan_space_larger_than_the_rows_finishes_each_decided_plan(self, tmp_path,
+                                                                        monkeypatch, policy):
+        """Two prompts of four samples on a 3 x 2-valued world: 12 plans
+        against 8 rows to decide, so each steered finish runs one decided plan,
+        no plan twice, and the run still equals one generation at a time."""
+        (tmp_path / "three.world").write_text(THREE_VALUED_WORLD_TEXT)
+        spec = ExperimentSpec(
+            world_path=str(tmp_path / "three.world"), prompts=[PromptSpec("worker", count=2)],
+            target=SHADE_TARGET, policy=policy, samples_per_prompt=4, steps=40, beta_end=0.3,
+            gamma=0.6, attribute_scale=4.0, window=(0.2, 0.6), seed=5)
+        world = load_world(spec.world_path)
+        samples, _, _, plans, failures = _one_at_a_time(spec, world)
+        engine = self._engine_calls(monkeypatch)
+        result = run_generate(spec, world=world)
+        steered = [s.plans for s, _, _ in engine if s is not None]
+        decided = {plan for prompt in plans for plan in prompt}
+        assert len(plan_space(world.schema, _build_policy(spec))) == 12
+        assert all(len(set(s)) == 1 for s in steered) and len(steered) == len(decided)
+        assert {s[0] for s in steered} == decided
+        assert result.failures == failures == []
+        assert [(s.prompt_id, s.sample_index, s.labels) for s in result.samples] == \
+            [(p, i, labels) for p, i, _, labels in samples]
+        for s, (_, _, x0, _) in zip(result.samples, samples):
+            np.testing.assert_array_equal(s.x, x0)
+
+    def test_chunk_too_small_for_every_plan_finishes_each_decided_plan(self, world_path,
+                                                                       monkeypatch):
+        """With a `_CHUNK_BYTES` that one prompt's rows under both plans exceed,
+        each steered finish runs one plan, though the rows outnumber the plans."""
+        monkeypatch.setattr(harness, "_CHUNK_BYTES", 1)
+        engine = self._engine_calls(monkeypatch)
+        run_generate(base_spec(world_path, gamma=0.6, attribute_scale=4.0))
+        steered = [s.plans for s, _, _ in engine if s is not None]
+        assert steered and all(len(set(s)) == 1 for s in steered)
+
+    def test_steered_finish_carries_every_decided_plan(self, world_path, monkeypatch):
+        """Every plan a sample decides is among the plans of a steered finish,
+        which runs the policy's whole plan space."""
         decided = []
 
-        def spy(*args):
-            decided.append(decide(*args))
+        def spy(*args, **kwargs):
+            decided.append(decide(*args, **kwargs))
             return decided[-1]
         monkeypatch.setattr(harness, "decide", spy)
         calls = self._engine_calls(monkeypatch)
@@ -705,9 +810,11 @@ class TestBlendRule:
         active = window_mask(linear_schedule(spec.steps, spec.beta_start, spec.beta_end),
                              GuidanceConfig(spec.gamma, spec.window, spec.attribute_scale))
         steered = [s for s, _, _ in calls if s is not None]
-        assert steered
+        assert steered and decided
+        finished = set().union(*(s.plans for s in steered))
+        assert set(decided) <= finished
+        assert finished == set(plan_space(load_world(world_path).schema, _build_policy(spec)))
         for s in steered:
-            assert any(s.plan is plan for plan in decided)
             assert (s.gamma, s.scale) == (0.6, 4.0)
             np.testing.assert_array_equal(s.active, active)
 
@@ -987,7 +1094,7 @@ class TestArmBatching:
         assert steered == any(name.endswith("diagnostics.csv") for name in files)
 
     @pytest.mark.parametrize("kind", ["sweep", "ablation"])
-    @pytest.mark.parametrize("chunk_bytes", [1, 40_000])
+    @pytest.mark.parametrize("chunk_bytes", [1, 100_000])
     def test_chunks_split_inside_and_across_arms(self, tmp_path, monkeypatch, caplog, kind,
                                                  chunk_bytes):
         spec = _arms_spec(tmp_path, "deficit", diagnostics=True)
@@ -1036,13 +1143,14 @@ class TestArmBatching:
         assert sorted(made) == ["nurse"] * 4 + ["worker"] * 3
 
     @pytest.mark.parametrize("kind, chunk_bytes, total, steered", [
-        ("sweep", None, 5, 4), ("sweep", 40_000, 22, 17),
-        ("ablation", None, 16, 10), ("ablation", 40_000, 31, 17),
+        ("sweep", None, 2, 1), ("sweep", 100_000, 10, 5),
+        ("ablation", None, 6, 3), ("ablation", 100_000, 13, 6),
     ])
     def test_chunk_finishes_each_window_and_plan_once(self, tmp_path, monkeypatch, kind,
                                                        chunk_bytes, total, steered):
         """Sweep arms share every engine call, ablation arms their common
-        prefix steps: within a chunk, no (window, plan) is finished twice.
+        prefix steps: within a chunk, one steered finish per window runs each
+        of the policy's plans, and no (window, plan) is finished twice.
         Byte-identical artifacts cannot show a lost share; the call counts can."""
         if chunk_bytes is not None:
             monkeypatch.setattr(harness, "_CHUNK_BYTES", chunk_bytes)
@@ -1052,26 +1160,25 @@ class TestArmBatching:
             calls.append("chunk")
             return noise_tapes(*args)
         monkeypatch.setattr(harness, "noise_tapes", tapes)
-        _ARM_RUNS[kind](_arms_spec(tmp_path, "deficit", diagnostics=True))
+        spec = _arms_spec(tmp_path, "deficit", diagnostics=True)
+        _ARM_RUNS[kind](spec)
+        plans = plan_space(load_world(spec.world_path).schema, _build_policy(spec))
         chunk, finishes = 0, []
         for call in calls:
             if call == "chunk":
                 chunk += 1
             elif call[0] is not None:
-                finishes.append((chunk, call[0].active.tobytes(), call[0].plan))
+                finishes.append((chunk, call[0].active.tobytes()))
+                rows = len(call[0].plans) // len(plans)
+                assert call[0].plans == tuple(p for p in plans for _ in range(rows))
         assert len(calls) - chunk == total and len(finishes) == steered
         assert len(set(finishes)) == len(finishes)
 
     def test_sweep_arm_whose_prompts_all_fail(self, tmp_path, monkeypatch, caplog):
-        """Every row steered toward female goes non-finite, so the arm whose
-        target is all female loses every prompt: the same error at the same
-        arm, the same files and warnings as the per-arm loop."""
-        def poisoned(steering):
-            def wrapper(active, plan, gamma, scale):
-                bad = dict(plan.entries)["gender"].target == "female"
-                return steering(active, plan, gamma, math.inf if bad else scale)
-            return wrapper
-        monkeypatch.setattr(harness, "Steering", poisoned(harness.Steering))
+        """Every (row, plan) cell steered toward female goes non-finite, so the
+        arm whose target is all female loses every prompt: the same error at the
+        same arm, the same files and warnings as the per-arm loop."""
+        _poison_plans(monkeypatch, lambda plan: dict(plan.entries)["gender"].target == "female")
         spec = _arms_spec(tmp_path, "deficit", diagnostics=True, sweep={
             "attribute": "gender", "value": "male", "proportions": [1.0, 0.0, 1.0]})
         batched, per_arm = _batched_and_per_arm(tmp_path, monkeypatch, caplog, run_sweep, spec)

@@ -131,6 +131,33 @@ class TestMixtureWorldValidation:
         assert "gender='female'" in message
         assert "infeasible" in message
 
+    # Two bad components of each kind (and of two kinds, the first's checked
+    # later on its own): the error names the first, with its own numbers.
+    @pytest.mark.parametrize("first, second, message", [
+        (dict(mean=(0.0, 0.0, 0.0)), dict(mean=(1.0,)), "mean shape (3,) != (2,)"),
+        (dict(cov=np.eye(3)), dict(cov=[[1.0]]), "covariance shape (3, 3) != (2, 2)"),
+        (dict(mean=(np.nan, 0.0)), dict(cov=[[np.inf, 0], [0, 1]]), "non-finite parameter"),
+        (dict(cov=[[1.0, 0.5], [0.0, 1.0]]), dict(cov=[[1.0, 0.0], [0.3, 1.0]]),
+         "covariance not symmetric"),
+        (dict(cov=[[1.0, 2.0], [2.0, 1.0]]), dict(cov=[[1.0, 3.0], [3.0, 1.0]]),
+         "covariance not positive definite (min eigenvalue -1)"),
+        (dict(weight=0.0), dict(weight=-1.0), "weight must be positive and finite, got 0.0"),
+        (dict(gender="robot"), dict(gender="alien"),
+         "unknown value 'robot' for attribute 'gender'"),
+        (dict(weight=-1.0), dict(mean=(0.0, 0.0, 0.0)),
+         "weight must be positive and finite, got -1.0"),
+        (dict(cov=[[1.0, 2.0], [2.0, 1.0]]), dict(mean=(np.nan, 0.0)),
+         "covariance not positive definite (min eigenvalue -1)"),
+    ], ids=["mean-shape", "covariance-shape", "non-finite", "symmetric", "positive-definite",
+            "weight", "tag", "weight-then-shape", "definite-then-non-finite"])
+    def test_of_two_bad_components_the_first_is_named(self, first, second, message):
+        components = [make_component(), make_component(**first), make_component(**second),
+                      make_component(gender="female")]
+        with pytest.raises(WorldValidationError) as err:
+            MixtureWorld(2, GENDER, components)
+        assert str(err.value) == f"component 1 (concept 'engineer'): {message}"
+        assert err.value.index == 1
+
     def test_arrays_are_frozen(self):
         world = build_gender_world()
         with pytest.raises(ValueError):
