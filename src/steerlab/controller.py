@@ -140,10 +140,6 @@ def plan_space(schema: AttributeSchema, policy: IndicatorPolicy) -> tuple[Guidan
     return tuple(GuidancePlan(entries) for entries in itertools.product(*choices))
 
 
-# `match`'s default in `decide` and `record`: look the condition up in the memory.
-_LOOKUP = object()
-
-
 def decide(
     memory: MemoryModule,
     cond: Condition,
@@ -151,16 +147,16 @@ def decide(
     target: TargetDistribution,
     policy: IndicatorPolicy,
     rng: np.random.Generator | None = None,
-    match=_LOOKUP,
+    *,
+    match: int | None,
 ) -> GuidancePlan:
     """Choose a steering plan for one generation; never mutates the memory.
 
     `rng` is the generation's stream; only the probabilistic policy draws from it.
-    `match` is the condition's `lookup` in this memory, when the caller has it.
+    `match` is the condition's `lookup` in this memory.
     """
     target.validate_for(schema)
-    idx = lookup(memory, cond.embedding) if match is _LOOKUP else match
-    counts = memory.clusters[idx].counts if idx is not None else {}
+    counts = memory.clusters[match].counts if match is not None else {}
     entries = []
     for attr in schema.attributes:
         values = attr.values
@@ -213,12 +209,12 @@ def _merge(a: Cluster, b: Cluster) -> Cluster:
     return Cluster(centroid, total, counts)
 
 
-def record(memory: MemoryModule, cond: Condition, outcome: dict[str, str],
-           match=_LOOKUP) -> None:
+def record(memory: MemoryModule, cond: Condition, outcome: dict[str, str], *,
+           match: int | None) -> None:
     """Fold one generation's outcome into the matching (or a new) cluster.
 
-    The outcome is a one-sample cluster, merged into the match or appended;
-    `match` is the condition's `lookup` in this memory, when the caller has it.
+    The outcome is a one-sample cluster, merged into `match`, the condition's
+    `lookup` in this memory, or appended.
     When no cluster matches and the budget is exhausted, the two nearest
     clusters are consolidated first, so the budget bound never breaks.
     Clusters are replaced, never changed in place, so a copy of the cluster
@@ -227,16 +223,15 @@ def record(memory: MemoryModule, cond: Condition, outcome: dict[str, str],
     """
     embedding = np.asarray(cond.embedding, dtype=float)
     counts = {attr: {value: 1} for attr, value in outcome.items()}
-    idx = lookup(memory, embedding) if match is _LOOKUP else match
-    if idx is None and len(memory.clusters) >= memory.budget:
+    if match is None and len(memory.clusters) >= memory.budget:
         if len(memory.clusters) >= 2:
             consolidate(memory)
         else:
-            idx = 0  # budget of one: the lone cluster absorbs every prompt
-    if idx is None:
+            match = 0  # budget of one: the lone cluster absorbs every prompt
+    if match is None:
         memory.clusters.append(Cluster(embedding.copy(), 1, counts))
     else:  # the one-sample cluster is merged, not kept, so it need not own its centroid
-        memory.clusters[idx] = _merge(memory.clusters[idx], Cluster(embedding, 1, counts))
+        memory.clusters[match] = _merge(memory.clusters[match], Cluster(embedding, 1, counts))
 
 
 def consolidate(memory: MemoryModule) -> None:

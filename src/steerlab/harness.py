@@ -13,8 +13,9 @@ the one-arm case.  A long batch is cut into chunks of whole prompts, across
 arms, that each hold under `_CHUNK_BYTES`.  A chunk runs its rows' steps
 before the window once, then finishes the rest of each window's rows in one
 engine call under every plan the policy can decide (`controller.plan_space`),
-so each sample's decision only picks its row under its plan; a plan space
-larger than the rows left to decide is finished one decided plan at a time.
+so each sample's decision only picks its row under its plan.  A plan space
+larger than those rows, or whose plans past the decided one would add more
+than `_SPARE_ROWS` rows, is finished one decided plan at a time.
 Every row is computed as if alone, so none of this changes a bit of output,
 and a row that fails (goes non-finite, or cannot take a plan) fails only a
 prompt that chooses that plan for it.  A prompt works on a copy of its arm's
@@ -72,6 +73,12 @@ log = logging.getLogger("steerlab.harness")
 _POLICY_NS = 7919   # namespace constants keeping derived seed streams disjoint
 _ARM_NS = 104729
 _CHUNK_BYTES = 64 * 2**20  # bound on what one chunk of prompts holds
+# Rows a finish may run beyond its plan's to run every plan at once.  In runs
+# on two-dimensional worlds of 2 to 36 plans, each such finish within 128
+# spare rows beat one finish per decided plan by 1.06-2.21x; past that the
+# results were mixed, and `deficit`, which decides fewest plans, lost from 396
+# on (BENCH_pr23.json, `crossover`).
+_SPARE_ROWS = 128
 
 DEFAULT_ABLATION_WINDOWS = ((0.0, 0.25), (0.375, 0.625), (0.75, 1.0))
 
@@ -396,39 +403,41 @@ class _Chunk:
         """The arms' prompt instances in chunks that each hold under `_CHUNK_BYTES`.
         A row holds its tape, its prefix latent and its base mixture gathered for
         the prefix (K components each).  For an arm that blends a step, a finish
-        holds per row and plan it runs the row's gathered tape, per slot (the base
+        holds per (row, plan) it runs the row's gathered tape, per slot (the base
         and two per attribute) its gathered mixture and noise row, and its
-        latents and probe rows, which it keeps.  Chunks that can hold as many
-        rows as the policy has plans finish every plan at once; in the others
-        each finish runs one plan, so a row keeps at most one finish per plan."""
+        latents and probe rows, which it keeps.  A row keeps at most one finish
+        per plan, and one finish runs at a time, over a chunk's rows and at most
+        `spare` more: up to `_SPARE_ROWS`, out of half the bound."""
         d, steps, n = world.dimension, schedule.steps, arms[0].spec.samples_per_prompt
         k = max(Counter(c.concept for c in world.components).values())
         mixture = 8 * k * (d * d + 2 * d + 1)  # means, log weights, eigenvalues and eigenvectors
         slots = 1 + 2 * len(world.schema.attributes)
 
-        def instance_bytes(arm: _Arm, every_plan: bool) -> int:
+        def finish_bytes(arm: _Arm) -> tuple[int, int]:
+            """What a finish holds per (row, plan) of the arm's, and what it keeps of that."""
             kept = 8 * d + 24 * int(arm.active.sum()) * arm.spec.diagnostics  # latent, probe rows
-            cell = 8 * d * (steps + 1) + slots * (mixture + 8 * d) + 8 * 3 * d + kept
-            finishes = (len(arm.plans) * cell if every_plan else
-                        bool(arm.plans) * cell + len(arm.plans) * kept)
-            return n * (8 * d * (steps + 2) + mixture + finishes)
-        fits = _CHUNK_BYTES // max(instance_bytes(arm, True) for arm in arms)
-        every_plan = fits * n >= max(len(arm.plans) for arm in arms)
-        per_chunk = max(1, fits if every_plan else
-                        _CHUNK_BYTES // max(instance_bytes(arm, False) for arm in arms))
+            return 8 * d * (steps + 1) + slots * (mixture + 8 * d) + 8 * 3 * d + kept, kept
+
+        def instance_bytes(arm: _Arm) -> int:
+            cell, kept = finish_bytes(arm)
+            return n * (8 * d * (steps + 2) + mixture + bool(arm.plans) * cell
+                        + len(arm.plans) * kept)
+        cell = max((finish_bytes(arm)[0] for arm in arms if arm.plans), default=0)
+        spare = min(_SPARE_ROWS, _CHUNK_BYTES // 2 // cell) if cell else 0
+        per_chunk = max(1, (_CHUNK_BYTES - spare * cell) // max(map(instance_bytes, arms)))
         instances = [(arm, prompt, i) for arm in arms for prompt in arm.spec.prompts
                      for i in range(prompt.count)]
         made: dict[tuple, Condition | SteerlabError] = {}
         for lo in range(0, len(instances), per_chunk):
-            yield cls(world, schedule, instances[lo:lo + per_chunk], made, every_plan)
+            yield cls(world, schedule, instances[lo:lo + per_chunk], made, spare)
 
     def __init__(self, world: MixtureWorld, schedule, instances: list[tuple],
-                 made: dict[tuple, Condition | SteerlabError], every_plan: bool):
+                 made: dict[tuple, Condition | SteerlabError], spare: int):
         """Rows for `instances`, each (arm, prompt, instance index), which take
         their arms' next ordinals; `made` holds each instance's condition, or the
         error making it raised, keyed by what it is made from, so arms share it.
-        `every_plan` lets a finish run every plan of its arm's."""
-        self.world, self.schedule, self.every_plan = world, schedule, every_plan
+        A finish may run `spare` rows beyond its plan's to run every plan."""
+        self.world, self.schedule, self.spare = world, schedule, spare
         self.prompts: list[tuple] = []  # (arm, prompt, prompt id, ordinal, condition, first row)
         self.conds: list[Condition] = []
         self.arms: list[_Arm] = []
@@ -470,25 +479,31 @@ class _Chunk:
         self.runs: dict[tuple, tuple] = {}
 
     def finish(self, arm: _Arm, plan, r: int) -> tuple[np.ndarray, list[tuple]]:
-        """Row `r`'s clean latent under `plan` and `arm`'s config (window), and
-        its probe rows; a row that failed raises its message as a SteerlabError.
+        """Row `r`'s clean latent under `plan` and `arm`'s config (window), a
+        copy that keeps no chunk array alive, and its probe rows; a row that
+        failed raises its message as a SteerlabError.
 
         An arm that blends no step has its latents from the prefix.  Otherwise
         the first row to need a (config, plan) finishes, as one batch, every
         row from it to the end of the chunk whose arm has that config, each
-        under its own condition's edited mixtures: under every plan the arm's
-        policy can decide when the chunk allows it and there are no more of
-        them than rows to decide, else under `plan` alone.  Later rows that
+        under its own condition's edited mixtures.  The config's first finish
+        runs every plan the arm's policy can decide, when those rows could
+        decide each of them and the plans other than `plan` add at most
+        `spare` rows; any other finish runs `plan` alone, since the plans that
+        no row has needed yet are the ones the policy chooses least.  Later rows that
         need a (config, plan) it ran, of that arm or a later one, take theirs
         from it."""
         if r in self.prefix_failed:
             raise SteerlabError(self.prefix_failed[r])
         if not arm.plans:
-            return self.x[r], []
+            return self.x[r].copy(), []
         if (arm.config, plan) not in self.runs:
             going = [q for q in range(r, len(self.arms))
                      if self.arms[q].config == arm.config and q not in self.prefix_failed]
-            plans = arm.plans if self.every_plan and len(arm.plans) <= len(going) else (plan,)
+            first = not any((arm.config, p) in self.runs for p in arm.plans)
+            every = (first and len(arm.plans) <= len(going)
+                     and (len(arm.plans) - 1) * len(going) <= self.spare)
+            plans = arm.plans if every else (plan,)
             probe = GuidanceProbe() if arm.spec.diagnostics else None
             steering = Steering(arm.active, tuple(p for p in plans for _ in going),
                                 arm.config.gamma, arm.config.attribute_scale)
@@ -502,7 +517,7 @@ class _Chunk:
         j = at + rank[r]
         if j in failed:
             raise SteerlabError(failed[j])
-        return finished[j], probe.stream(j) if probe else []
+        return finished[j].copy(), probe.stream(j) if probe else []
 
 
 def _run_batch(specs: list[ExperimentSpec], world: MixtureWorld,

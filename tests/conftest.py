@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from steerlab.controller import decide, lookup, record
 from steerlab.world import Attribute, AttributeSchema, Component, MixtureWorld
 from steerlab.worldfile import default_world_path, load_world
 
@@ -83,3 +84,13 @@ def two_attribute_world(covariances: dict | None = None) -> MixtureWorld:
         comp((4, 0), 0.3, "female", "old"),
         comp((0, 4), 0.3, "female", "young"),
     ])
+
+
+def decide_matching(memory, cond, *args):
+    """`decide` given the condition's `lookup` in the memory, as the harness gives it."""
+    return decide(memory, cond, *args, match=lookup(memory, cond.embedding))
+
+
+def record_matching(memory, cond, outcome):
+    """`record` given the condition's `lookup` in the memory, as the harness gives it."""
+    record(memory, cond, outcome, match=lookup(memory, cond.embedding))

@@ -29,8 +29,6 @@ from steerlab.controller import (
     IndicatorPolicy,
     MemoryModule,
     consolidate,
-    decide,
-    record,
     restore_memory,
     snapshot_memory,
 )
@@ -46,7 +44,7 @@ from steerlab.world import Condition, TargetDistribution, conditional_components
 from steerlab.worldfile import default_world_path
 from steerlab.cli import main as cli_main
 
-from conftest import build_gender_world, single_gaussian_world
+from conftest import build_gender_world, decide_matching, record_matching, single_gaussian_world
 from test_diffusion import scipy_mixture_logpdf
 
 UNIFORM_GENDER = {"gender": {"male": 0.5, "female": 0.5}}
@@ -210,8 +208,9 @@ def test_c04_deficit_counts_stay_within_one_generation(default_world, verdict):
         policy = IndicatorPolicy("deficit")
         counts = {"male": 0, "female": 0}
         for n in range(1, 10001):
-            chosen = dict(decide(memory, cond, schema, target, policy).entries)["gender"].target
-            record(memory, cond, {"gender": chosen})
+            plan = decide_matching(memory, cond, schema, target, policy)
+            chosen = dict(plan.entries)["gender"].target
+            record_matching(memory, cond, {"gender": chosen})
             counts[chosen] += 1
             dev = max(abs(counts["male"] - n * p), abs(counts["female"] - n * (1.0 - p)))
             worst = max(worst, dev)
@@ -331,12 +330,12 @@ def test_c08_memory_survives_random_operation_storm(default_world, tmp_path, ver
             roll = rng.random()
             if roll < 0.7 or not memory.clusters:
                 value = "male" if rng.random() < 0.5 else "female"
-                record(memory, Condition("p", {}, rng.uniform(-6, 6, 2)),
-                       {"gender": value})
+                record_matching(memory, Condition("p", {}, rng.uniform(-6, 6, 2)),
+                                {"gender": value})
                 records += 1
             elif roll < 0.9:
-                decide(memory, Condition("p", {}, rng.uniform(-6, 6, 2)),
-                       schema, target, policy)
+                decide_matching(memory, Condition("p", {}, rng.uniform(-6, 6, 2)),
+                                schema, target, policy)
             elif len(memory.clusters) >= 2:
                 consolidate(memory)
             failure = _memory_invariant_failure(memory, records)

@@ -16,17 +16,15 @@ from steerlab.controller import (
     MemoryModule,
     _container_checksum,
     consolidate,
-    decide,
     default_match_threshold,
     lookup,
     plan_space,
-    record,
     restore_memory,
     snapshot_memory,
 )
 from steerlab.world import Attribute, AttributeSchema, Condition, TargetDistribution
 
-from conftest import build_gender_world, single_gaussian_world
+from conftest import build_gender_world, decide_matching, record_matching, single_gaussian_world
 
 GENDER = AttributeSchema([Attribute("gender", ("male", "female"))])
 UNIFORM = TargetDistribution({"gender": {"male": 0.5, "female": 0.5}})
@@ -120,7 +118,7 @@ class TestDecideDeficit:
             Cluster(np.zeros(2), total=4,
                     counts={"gender": {"male": 3, "female": 1}}),
         ])
-        plan = decide(mem, cond_at(0, 0), GENDER, UNIFORM, self.deficit())
+        plan = decide_matching(mem, cond_at(0, 0), GENDER, UNIFORM, self.deficit())
         entry = dict(plan.entries)["gender"]
         assert entry.target == "female"
         assert entry.reference == "male"
@@ -128,7 +126,8 @@ class TestDecideDeficit:
     def test_unmatched_prompt_uses_target_alone(self):
         mem = MemoryModule(budget=4, tau=1.0)
         skew = TargetDistribution({"gender": {"male": 1.0, "female": 0.0}})
-        entry = dict(decide(mem, cond_at(9, 9), GENDER, skew, self.deficit()).entries)["gender"]
+        entry = dict(decide_matching(mem, cond_at(9, 9),
+                                     GENDER, skew, self.deficit()).entries)["gender"]
         assert entry.target == "male"
         assert entry.reference == "female"
 
@@ -137,7 +136,8 @@ class TestDecideDeficit:
             Cluster(np.zeros(2), total=10,
                     counts={"gender": {"male": 5, "female": 5}}),
         ])
-        entry = dict(decide(mem, cond_at(0, 0), GENDER, UNIFORM, self.deficit()).entries)["gender"]
+        entry = dict(decide_matching(mem, cond_at(0, 0),
+                                     GENDER, UNIFORM, self.deficit()).entries)["gender"]
         assert entry.target == "male"
         assert entry.reference == "female"
 
@@ -147,7 +147,8 @@ class TestDecideDeficit:
             Cluster(np.zeros(2), total=10,
                     counts={"shade": {"a": 5, "b": 3, "c": 2}}),
         ])
-        entry = dict(decide(mem, cond_at(0, 0), TRI, target, self.deficit()).entries)["shade"]
+        entry = dict(decide_matching(mem, cond_at(0, 0),
+                                     TRI, target, self.deficit()).entries)["shade"]
         # deficits: a -0.3, b 0.0, c +0.3; excesses among (a, b): a +0.3, b 0.0
         assert entry.target == "c"
         assert entry.reference == "a"
@@ -157,7 +158,7 @@ class TestDecideDeficit:
             Cluster(np.zeros(2), total=4, counts={"gender": {"male": 3, "female": 1}}),
         ])
         before = copy.deepcopy(mem.clusters)
-        decide(mem, cond_at(0, 0), GENDER, UNIFORM, self.deficit())
+        decide_matching(mem, cond_at(0, 0), GENDER, UNIFORM, self.deficit())
         after = mem.clusters
         assert len(before) == len(after)
         for b, a in zip(before, after):
@@ -168,7 +169,7 @@ class TestDecideDeficit:
         mem = MemoryModule(budget=2, tau=1.0)
         bad = TargetDistribution({"age": {"young": 0.5, "old": 0.5}})
         with pytest.raises(Exception, match="target"):
-            decide(mem, cond_at(0, 0), GENDER, bad, self.deficit())
+            decide_matching(mem, cond_at(0, 0), GENDER, bad, self.deficit())
 
     def test_boundedness_under_perfect_enforcement(self):
         """With outcomes always honoring the plan, realized counts stay within
@@ -179,9 +180,9 @@ class TestDecideDeficit:
             cond = cond_at(0, 0)
             counts = {"male": 0, "female": 0}
             for n in range(1, 1001):
-                plan = decide(mem, cond, GENDER, target, IndicatorPolicy("deficit"))
+                plan = decide_matching(mem, cond, GENDER, target, IndicatorPolicy("deficit"))
                 chosen = dict(plan.entries)["gender"].target
-                record(mem, cond, {"gender": chosen})
+                record_matching(mem, cond, {"gender": chosen})
                 counts[chosen] += 1
                 for v, p in (("male", p_male), ("female", 1 - p_male)):
                     assert abs(counts[v] - n * p) <= 1.0 + 1e-9
@@ -191,7 +192,7 @@ class TestDecideProbabilistic:
     def test_needs_rng(self):
         mem = MemoryModule(budget=2, tau=1.0)
         with pytest.raises(ValueError, match="rng"):
-            decide(mem, cond_at(0, 0), GENDER, UNIFORM, IndicatorPolicy("probabilistic"))
+            decide_matching(mem, cond_at(0, 0), GENDER, UNIFORM, IndicatorPolicy("probabilistic"))
 
     def test_target_follows_proportions(self):
         mem = MemoryModule(budget=2, tau=1.0)
@@ -199,7 +200,8 @@ class TestDecideProbabilistic:
         policy, rng = IndicatorPolicy("probabilistic"), np.random.default_rng(5)
         males = 0
         for _ in range(300):
-            entry = dict(decide(mem, cond_at(0, 0), GENDER, target, policy, rng).entries)["gender"]
+            entry = dict(decide_matching(mem, cond_at(0, 0),
+                                         GENDER, target, policy, rng).entries)["gender"]
             males += entry.target == "male"
             assert entry.reference != entry.target
         assert 210 <= males <= 270  # ~Binomial(300, 0.8)
@@ -210,7 +212,8 @@ class TestDecideProbabilistic:
         policy, rng = IndicatorPolicy("probabilistic"), np.random.default_rng(6)
         refs = {"b": 0, "c": 0}
         for _ in range(400):
-            entry = dict(decide(mem, cond_at(0, 0), TRI, target, policy, rng).entries)["shade"]
+            entry = dict(decide_matching(mem, cond_at(0, 0),
+                                         TRI, target, policy, rng).entries)["shade"]
             assert entry.target == "a"
             refs[entry.reference] += 1
         assert 140 <= refs["b"] <= 260
@@ -221,7 +224,8 @@ class TestDecideProbabilistic:
         def run(seed):
             policy, rng = IndicatorPolicy("probabilistic"), np.random.default_rng(seed)
             return [
-                dict(decide(mem, cond_at(0, 0), GENDER, UNIFORM, policy, rng).entries)["gender"].target
+                dict(decide_matching(mem, cond_at(0, 0),
+                                     GENDER, UNIFORM, policy, rng).entries)["gender"].target
                 for _ in range(20)
             ]
 
@@ -234,20 +238,21 @@ class TestDecideStatic:
         mem = MemoryModule(budget=2, tau=1.0)
         policy = IndicatorPolicy("static", static_pairs={"gender": ("female", "male")})
         for _ in range(3):
-            entry = dict(decide(mem, cond_at(0, 0), GENDER, UNIFORM, policy).entries)["gender"]
+            entry = dict(decide_matching(mem, cond_at(0, 0),
+                                         GENDER, UNIFORM, policy).entries)["gender"]
             assert (entry.target, entry.reference) == ("female", "male")
 
     def test_missing_attribute_pair(self):
         mem = MemoryModule(budget=2, tau=1.0)
         policy = IndicatorPolicy("static", static_pairs={})
         with pytest.raises(ValueError, match="no pair"):
-            decide(mem, cond_at(0, 0), GENDER, UNIFORM, policy)
+            decide_matching(mem, cond_at(0, 0), GENDER, UNIFORM, policy)
 
     def test_unknown_value_in_pair(self):
         mem = MemoryModule(budget=2, tau=1.0)
         policy = IndicatorPolicy("static", static_pairs={"gender": ("robot", "male")})
         with pytest.raises(Exception, match="unknown value"):
-            decide(mem, cond_at(0, 0), GENDER, UNIFORM, policy)
+            decide_matching(mem, cond_at(0, 0), GENDER, UNIFORM, policy)
 
     def test_policy_kind_validation(self):
         with pytest.raises(ValueError, match="unknown policy"):
@@ -283,10 +288,10 @@ class TestPlanSpace:
                 label=f"counts {a.name}")))
         clusters = [Cluster(np.zeros(2), 1, counts)] if data.draw(st.booleans()) else []
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-        plans = plan_space(schema, IndicatorPolicy(kind, static_pairs=pairs))
-        plan = decide(memory_with(clusters), cond_at(0, 0), schema,
-                      TargetDistribution(proportions), IndicatorPolicy(kind, static_pairs=pairs),
-                      rng)
+        policy = IndicatorPolicy(kind, static_pairs=pairs)
+        plans = plan_space(schema, policy)
+        plan = decide_matching(memory_with(clusters), cond_at(0, 0), schema,
+                               TargetDistribution(proportions), policy, rng)
         assert plan in plans
         expected = 1 if kind == "static" else int(np.prod([v * (v - 1) for v in sizes]))
         assert len(plans) == len(set(plans)) == expected
@@ -296,7 +301,7 @@ class TestRecord:
     def test_running_mean_centroid(self):
         mem = memory_with([Cluster(np.array([0.0, 0.0]), total=4,
                                    counts={"gender": {"male": 4}})], tau=2.0)
-        record(mem, cond_at(1.0, 0.0), {"gender": "female"})
+        record_matching(mem, cond_at(1.0, 0.0), {"gender": "female"})
         c = mem.clusters[0]
         np.testing.assert_allclose(c.centroid, [0.2, 0.0], atol=1e-15)
         assert c.total == 5
@@ -304,7 +309,7 @@ class TestRecord:
 
     def test_new_cluster_under_budget(self):
         mem = MemoryModule(budget=2, tau=0.5)
-        record(mem, cond_at(3.0, 4.0), {"gender": "male"})
+        record_matching(mem, cond_at(3.0, 4.0), {"gender": "male"})
         assert len(mem.clusters) == 1
         c = mem.clusters[0]
         np.testing.assert_array_equal(c.centroid, [3.0, 4.0])
@@ -314,7 +319,7 @@ class TestRecord:
     def test_embedding_array_is_copied(self):
         mem = MemoryModule(budget=2, tau=0.5)
         emb = np.array([1.0, 1.0])
-        record(mem, Condition("p", {}, emb), {"gender": "male"})
+        record_matching(mem, Condition("p", {}, emb), {"gender": "male"})
         emb[0] = 99.0
         assert mem.clusters[0].centroid[0] == 1.0
 
@@ -323,7 +328,7 @@ class TestRecord:
             Cluster(np.array([0.0, 0.0]), total=10, counts={"gender": {"male": 10}}),
             Cluster(np.array([0.1, 0.0]), total=4, counts={"gender": {"female": 4}}),
         ], budget=2, tau=0.05)
-        record(mem, cond_at(10.0, 10.0), {"gender": "female"})
+        record_matching(mem, cond_at(10.0, 10.0), {"gender": "female"})
         assert len(mem.clusters) == 2
         merged, fresh = mem.clusters
         np.testing.assert_allclose(merged.centroid, [0.4 / 14, 0.0], atol=1e-15)
@@ -336,7 +341,7 @@ class TestRecord:
         rng = np.random.default_rng(3)
         mem = MemoryModule(budget=3, tau=0.25)
         for _ in range(200):
-            record(mem, cond_at(*rng.uniform(-8, 8, size=2)), {"gender": "male"})
+            record_matching(mem, cond_at(*rng.uniform(-8, 8, size=2)), {"gender": "male"})
             assert len(mem.clusters) <= 3
 
 
@@ -404,8 +409,8 @@ class TestSnapshot:
         rng = np.random.default_rng(11)
         for _ in range(25):
             emb = rng.uniform(-6, 6, size=2)
-            record(mem, Condition("p", {}, emb),
-                   {"gender": rng.choice(["male", "female"])})
+            record_matching(mem, Condition("p", {}, emb),
+                            {"gender": rng.choice(["male", "female"])})
         return mem
 
     def test_round_trip(self, tmp_path):
@@ -429,8 +434,8 @@ class TestSnapshot:
         rng = np.random.default_rng(7)
         for _ in range(20):
             cond = cond_at(*rng.uniform(-6, 6, size=2))
-            a = decide(mem, cond, GENDER, UNIFORM, IndicatorPolicy("deficit"))
-            b = decide(restored, cond, GENDER, UNIFORM, IndicatorPolicy("deficit"))
+            a = decide_matching(mem, cond, GENDER, UNIFORM, IndicatorPolicy("deficit"))
+            b = decide_matching(restored, cond, GENDER, UNIFORM, IndicatorPolicy("deficit"))
             assert a == b
 
     def test_snapshot_is_idempotent(self, tmp_path):
@@ -608,8 +613,9 @@ class TestRestoreFuzz:
             if not args:
                 assert main(["inspect-memory", "--memory", path, "--out", path + ".csv"]) == 0
             else:
-                decide(restored, cond_at(0, 0), GENDER, UNIFORM, IndicatorPolicy("deficit"))
-                record(restored, cond_at(0, 0), {"gender": "male"})
+                decide_matching(restored, cond_at(0, 0), GENDER, UNIFORM,
+                                IndicatorPolicy("deficit"))
+                record_matching(restored, cond_at(0, 0), {"gender": "male"})
 
 
 class TestStagedCopy:
@@ -618,7 +624,7 @@ class TestStagedCopy:
         before = [(c.centroid.copy(), c.total, json.dumps(c.counts)) for c in mem.clusters]
         staged = replace(mem, clusters=list(mem.clusters))
         for c in mem.clusters:  # each record matches an existing cluster
-            record(staged, Condition("p", {}, c.centroid + 0.1), {"gender": "female"})
+            record_matching(staged, Condition("p", {}, c.centroid + 0.1), {"gender": "female"})
         assert len(staged.clusters) == len(mem.clusters)
         assert sum(c.total for c in staged.clusters) == sum(t for _, t, _ in before) + len(before)
         after = [(c.centroid, c.total, json.dumps(c.counts)) for c in mem.clusters]
@@ -646,7 +652,7 @@ class TestInvariantsUnderRandomOperations:
     def test_record_preserves_all_invariants(self, budget, tau, ops):
         mem = MemoryModule(budget=budget, tau=tau)
         for n, (x, y, value) in enumerate(ops, start=1):
-            record(mem, cond_at(x, y), {"gender": value})
+            record_matching(mem, cond_at(x, y), {"gender": value})
             assert 1 <= len(mem.clusters) <= budget
             total = sum(c.total for c in mem.clusters)
             assert total == n  # every recorded outcome is accounted for exactly once
@@ -663,8 +669,8 @@ class TestInvariantsUnderRandomOperations:
         rng = np.random.default_rng(seed)
         mem = MemoryModule(budget=int(rng.integers(1, 5)), tau=float(rng.uniform(0.3, 2.0)))
         for _ in range(int(rng.integers(1, 30))):
-            record(mem, cond_at(*rng.uniform(-6, 6, size=2)),
-                   {"gender": str(rng.choice(["male", "female"]))})
+            record_matching(mem, cond_at(*rng.uniform(-6, 6, size=2)),
+                            {"gender": str(rng.choice(["male", "female"]))})
         path = str(tmp_path_factory.mktemp("mem") / "m.json")
         snapshot_memory(mem, path, GENDER, prompts_seen=17)
         restored, seen = restore_memory(path, GENDER)
@@ -688,9 +694,9 @@ class TestVarianceContrast:
                 policy = IndicatorPolicy(kind)
                 females = 0
                 for _ in range(n_gen):
-                    plan = decide(mem, cond_at(0, 0), GENDER, UNIFORM, policy, rng)
+                    plan = decide_matching(mem, cond_at(0, 0), GENDER, UNIFORM, policy, rng)
                     chosen = dict(plan.entries)["gender"].target
-                    record(mem, cond_at(0, 0), {"gender": chosen})
+                    record_matching(mem, cond_at(0, 0), {"gender": chosen})
                     females += chosen == "female"
                 achieved[kind].append(females / n_gen)
         std_def = np.std(achieved["deficit"], ddof=1)

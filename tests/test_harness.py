@@ -26,7 +26,6 @@ from steerlab.controller import (
     default_match_threshold,
     lookup,
     plan_space,
-    record,
     restore_memory,
     snapshot_memory,
 )
@@ -39,7 +38,7 @@ from steerlab.worldfile import default_world_path, load_world
 from steerlab import harness
 from steerlab.harness import _POLICY_NS, _build_policy, _child_seed, load_samples_csv, sweep_targets
 
-from conftest import build_gender_world, single_gaussian_world
+from conftest import build_gender_world, decide_matching, record_matching, single_gaussian_world
 import reference
 from reference import quality_score
 
@@ -205,9 +204,9 @@ class TestRunGenerate:
                                                                    policy):
         streams = []
 
-        def spy(memory, cond, schema, target, indicator, rng, match):
+        def spy(memory, cond, schema, target, indicator, rng, *, match):
             streams.append(rng)
-            return decide(memory, cond, schema, target, indicator, rng, match)
+            return decide(memory, cond, schema, target, indicator, rng, match=match)
         monkeypatch.setattr(harness, "decide", spy)
         pairs = {"gender": ["female", "male"]} if policy == "static" else None
         run_generate(base_spec(world_path, policy=policy, static_pairs=pairs))
@@ -216,6 +215,15 @@ class TestRunGenerate:
             assert all(isinstance(rng, np.random.Generator) for rng in streams)
         else:
             assert all(rng is None for rng in streams)
+
+    @pytest.mark.parametrize("policy", ["vanilla", "deficit", "probabilistic"])
+    def test_a_sample_holds_its_latent_alone(self, world_path, policy):
+        """A sample's latent owns its d floats: it keeps no finish, which holds
+        a row per (row, plan), nor the chunk's latents alive after the chunk."""
+        result = run_generate(base_spec(world_path, policy=policy, gamma=0.6))
+        assert len(result.samples) == 8 * 5
+        for s in result.samples:
+            assert s.x.base is None and s.x.shape == (2,)
 
     @pytest.mark.parametrize("policy", ["deficit", "probabilistic", "static"])
     @pytest.mark.parametrize("budget, tau", [(16, None), (2, 0.05), (1, 0.05)])
@@ -423,7 +431,7 @@ def _one_at_a_time(spec, world):
                         if policy.kind == "probabilistic":
                             rng = np.random.default_rng(
                                 np.random.SeedSequence([spec.seed, _POLICY_NS, ordinal, s_i]))
-                        plan = decide(staged, cond, world.schema, target, policy, rng)
+                        plan = decide_matching(staged, cond, world.schema, target, policy, rng)
                     plans[-1].append(plan)
                     probe = GuidanceProbe()
                     steering = None
@@ -440,8 +448,8 @@ def _one_at_a_time(spec, world):
                     x0 = x[0]
                     labels, _ = discriminate(world, x0)
                     if policy is not None:
-                        record(staged, cond, {a: e.target for a, e in plan.entries}
-                               if spec.record_intent else labels)
+                        record_matching(staged, cond, {a: e.target for a, e in plan.entries}
+                                        if spec.record_intent else labels)
                     rows.append((prompt_id, s_i, x0, labels))
                     probes += [(prompt_id, s_i) + r for r in probe.stream(0)]
             except SteerlabError as exc:
@@ -612,6 +620,13 @@ def test_rows_failing_under_one_plan_fail_only_prompts_that_choose_it(tmp_path, 
     def female_old(plan):
         return {a: e.target for a, e in plan.entries} == {"gender": "female", "age": "old"}
     poisoned = _poison_plans(monkeypatch, female_old)
+    cells, advance = [], harness._advance  # the chunk rows of the poisoned cells
+
+    def spy(world, schedule, conds, tapes, rows, x, start, stop, steering=None, probe=None):
+        if steering is not None:
+            cells.extend(r for r, plan in zip(rows, steering.plans) if female_old(plan))
+        return advance(world, schedule, conds, tapes, rows, x, start, stop, steering, probe)
+    monkeypatch.setattr(harness, "_advance", spy)
     (tmp_path / "mixed.world").write_text(TWO_CONCEPT_WORLD_TEXT)
     spec = ExperimentSpec(
         world_path=str(tmp_path / "mixed.world"), prompts=MIXED_PROMPTS * 2,
@@ -627,11 +642,19 @@ def test_rows_failing_under_one_plan_fail_only_prompts_that_choose_it(tmp_path, 
         [(p, i, labels) for p, i, _, labels in samples]
     for s, (_, _, x0, _) in zip(result.samples, samples):
         np.testing.assert_array_equal(s.x, x0)
-    # Prompts that succeeded had their rows finished under the failing plan
-    # too, and discarded: every finish runs every plan.
     assert any(female_old(q) for p in plans for q in p)
     assert poisoned and all(map(female_old, poisoned))
-    assert {s.prompt_ordinal for s in result.samples}
+    # A prompt that succeeded came after the first choice of the failing plan.
+    first = min(i for i, p in enumerate(plans) for q in p if female_old(q))
+    succeeded = {s.prompt_ordinal for s in result.samples}
+    assert any(i > first for i in succeeded)
+    # The run is one chunk and every condition is made, so row r is a sample
+    # of prompt r // n.  The failing plan's finish ran from the first row,
+    # before any sample chose it, and its rows of prompts that succeeded were
+    # discarded.
+    n = spec.samples_per_prompt
+    assert min(cells) == 0
+    assert succeeded & {r // n for r in cells}
 
 
 @pytest.mark.parametrize("chunk_bytes", [1, 150_000])
@@ -760,14 +783,21 @@ class TestBlendRule:
             assert len(engine[1][0].plans) == 12 * 4
 
     @pytest.mark.parametrize("policy", ["deficit", "probabilistic"])
-    def test_plan_space_larger_than_the_rows_finishes_each_decided_plan(self, tmp_path,
-                                                                        monkeypatch, policy):
-        """Two prompts of four samples on a 3 x 2-valued world: 12 plans
-        against 8 rows to decide, so each steered finish runs one decided plan,
-        no plan twice, and the run still equals one generation at a time."""
+    @pytest.mark.parametrize("count, spare, every", [(3, 132, True), (3, 131, False),
+                                                     (2, 10**6, False)])
+    def test_finish_runs_every_plan_within_the_spare_rows(self, tmp_path, monkeypatch, policy,
+                                                          count, spare, every):
+        """Prompts of four samples on a 3 x 2-valued world of 12 plans.  With
+        12 rows, finishing every plan runs 11 x 12 = 132 rows more than one:
+        within `_SPARE_ROWS` one steered finish runs them all.  Past it, or
+        with 8 rows, too few to decide each plan, each steered finish runs one
+        decided plan, though the 11 plans left after the first would spare
+        only 10 x 11 = 110 rows: only a first finish runs every plan.  No plan
+        is finished twice, and the run equals one generation at a time."""
+        monkeypatch.setattr(harness, "_SPARE_ROWS", spare)
         (tmp_path / "three.world").write_text(THREE_VALUED_WORLD_TEXT)
         spec = ExperimentSpec(
-            world_path=str(tmp_path / "three.world"), prompts=[PromptSpec("worker", count=2)],
+            world_path=str(tmp_path / "three.world"), prompts=[PromptSpec("worker", count=count)],
             target=SHADE_TARGET, policy=policy, samples_per_prompt=4, steps=40, beta_end=0.3,
             gamma=0.6, attribute_scale=4.0, window=(0.2, 0.6), seed=5)
         world = load_world(spec.world_path)
@@ -776,9 +806,14 @@ class TestBlendRule:
         result = run_generate(spec, world=world)
         steered = [s.plans for s, _, _ in engine if s is not None]
         decided = {plan for prompt in plans for plan in prompt}
-        assert len(plan_space(world.schema, _build_policy(spec))) == 12
-        assert all(len(set(s)) == 1 for s in steered) and len(steered) == len(decided)
-        assert {s[0] for s in steered} == decided
+        space = plan_space(world.schema, _build_policy(spec))
+        assert len(space) == 12 and len(decided) > 1
+        finished = [p for s in steered for p in dict.fromkeys(s)]
+        assert len(finished) == len(set(finished)) and decided <= set(finished)
+        if every:
+            assert steered == [tuple(p for p in space for _ in range(12))]
+        else:
+            assert all(len(set(s)) == 1 for s in steered) and set(finished) == decided
         assert result.failures == failures == []
         assert [(s.prompt_id, s.sample_index, s.labels) for s in result.samples] == \
             [(p, i, labels) for p, i, _, labels in samples]
@@ -787,8 +822,8 @@ class TestBlendRule:
 
     def test_chunk_too_small_for_every_plan_finishes_each_decided_plan(self, world_path,
                                                                        monkeypatch):
-        """With a `_CHUNK_BYTES` that one prompt's rows under both plans exceed,
-        each steered finish runs one plan, though the rows outnumber the plans."""
+        """A `_CHUNK_BYTES` too small to spare a row leaves each steered finish
+        one plan, though both plans would run only a prompt's 5 rows more."""
         monkeypatch.setattr(harness, "_CHUNK_BYTES", 1)
         engine = self._engine_calls(monkeypatch)
         run_generate(base_spec(world_path, gamma=0.6, attribute_scale=4.0))
@@ -1142,18 +1177,22 @@ class TestArmBatching:
         _ARM_RUNS[kind](spec)
         assert sorted(made) == ["nurse"] * 4 + ["worker"] * 3
 
-    @pytest.mark.parametrize("kind, chunk_bytes, total, steered", [
-        ("sweep", None, 2, 1), ("sweep", 100_000, 10, 5),
-        ("ablation", None, 6, 3), ("ablation", 100_000, 13, 6),
+    @pytest.mark.parametrize("kind, chunk_bytes, spare, total, steered", [
+        ("sweep", None, 10**6, 2, 1), ("sweep", None, None, 5, 4), ("sweep", 100_000, None, 22, 17),
+        ("ablation", None, None, 6, 3), ("ablation", 100_000, None, 18, 11),
     ])
     def test_chunk_finishes_each_window_and_plan_once(self, tmp_path, monkeypatch, kind,
-                                                       chunk_bytes, total, steered):
+                                                       chunk_bytes, spare, total, steered):
         """Sweep arms share every engine call, ablation arms their common
-        prefix steps: within a chunk, one steered finish per window runs each
-        of the policy's plans, and no (window, plan) is finished twice.
+        prefix steps: within a chunk, the first steered finish per window runs
+        every plan of the policy's when that spares few enough rows (all 4
+        plans over the sweep's 3 arms of 15 rows need 135), any other one
+        decided plan, and no (window, plan) is finished twice.
         Byte-identical artifacts cannot show a lost share; the call counts can."""
         if chunk_bytes is not None:
             monkeypatch.setattr(harness, "_CHUNK_BYTES", chunk_bytes)
+        if spare is not None:
+            monkeypatch.setattr(harness, "_SPARE_ROWS", spare)
         calls = TestBlendRule._engine_calls(monkeypatch)
 
         def tapes(*args):
@@ -1163,16 +1202,20 @@ class TestArmBatching:
         spec = _arms_spec(tmp_path, "deficit", diagnostics=True)
         _ARM_RUNS[kind](spec)
         plans = plan_space(load_world(spec.world_path).schema, _build_policy(spec))
-        chunk, finishes = 0, []
+        chunk, finishes, ran = 0, 0, []
         for call in calls:
             if call == "chunk":
                 chunk += 1
             elif call[0] is not None:
-                finishes.append((chunk, call[0].active.tobytes()))
-                rows = len(call[0].plans) // len(plans)
-                assert call[0].plans == tuple(p for p in plans for _ in range(rows))
-        assert len(calls) - chunk == total and len(finishes) == steered
-        assert len(set(finishes)) == len(finishes)
+                finishes += 1
+                window, now = call[0].active.tobytes(), set(call[0].plans)
+                if len(now) > 1:  # a first finish there, of every plan
+                    assert not any(r[:2] == (chunk, window) for r in ran)
+                    rows = len(call[0].plans) // len(plans)
+                    assert call[0].plans == tuple(p for p in plans for _ in range(rows))
+                ran += [(chunk, window, p) for p in now]
+        assert (len(calls) - chunk, finishes) == (total, steered)
+        assert len(set(ran)) == len(ran)
 
     def test_sweep_arm_whose_prompts_all_fail(self, tmp_path, monkeypatch, caplog):
         """Every (row, plan) cell steered toward female goes non-finite, so the
