@@ -12,18 +12,21 @@ experiment), so read-only mixtures are prepared once per condition, responsibili
 are computed in log space, and `run_trajectories` advances many independent
 streams as one batch.  Its rows may follow any conditions under any guidance
 plans, one per row (`Steering`), and it edits each row's condition by its plan's
-entries itself, once per distinct (condition, plan): a step makes one kernel
-call per shape (component count and covariance kind) among the rows' base
-mixtures and, when steered, their edited ones, each over that shape's distinct
-mixtures stacked once and gathered per row, and the kernel gives each row the
-bits it would get alone.  `sample` with `analytic_epsilon` and
+entries itself, each edit once per distinct (condition, attribute, value): a
+step makes one kernel call per shape (component count and covariance kind)
+among the rows' base mixtures and, when steered, their edited ones, each over
+that shape's distinct mixtures stacked once and gathered per row, and the
+kernel gives each row the bits it would get alone.  A step does only that
+arithmetic: finiteness is checked once, on the call's final latents, and the
+rows that end non-finite are replayed alone with every stage checked, to name
+the step and stage where each first failed.  `sample` with `analytic_epsilon` and
 `ancestral_step` is the one-point reference path the engine is tested against.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -137,17 +140,28 @@ def _logits(mix, x: np.ndarray, a_bar: float) -> tuple[np.ndarray, np.ndarray]:
     return logits, ys
 
 
-def _score(mix, x: np.ndarray, a_bar: float) -> np.ndarray:
-    """Score (grad log density) of the noised mixture at every row of a (B, d) batch."""
+def _row_max(logits: np.ndarray) -> np.ndarray:
+    """Each row's max of a (B, K) array, column by column, in fewer numpy calls
+    than a reduction at a few columns.  Max is exact in any order, so this has
+    the bits of `logits.max(axis=1)`, NaN rows included, but for the sign of a
+    zero max, which `exp(logits - max)` cannot see."""
+    m = logits[:, 0]
+    for k in range(1, logits.shape[1]):
+        m = np.maximum(m, logits[:, k])
+    return m
+
+
+def _noise(mix, x: np.ndarray, a_bar: float, scale: float) -> np.ndarray:
+    """Exact noise prediction, scale = sqrt(1 - a_bar) times minus the score (grad
+    log density) of the noised mixture, at every row of a (B, d) batch, unchecked."""
     if mix.identity_cov and mix.means.shape[-2] == 1:
-        # One unit Gaussian: the score is minus the offset, and no weight matters.
-        return -(x - math.sqrt(a_bar) * mix.means[..., 0, :])
+        # One unit Gaussian: minus the score is the offset, and no weight matters.
+        return scale * (x - math.sqrt(a_bar) * mix.means[..., 0, :])
     logits, offsets = _logits(mix, x, a_bar)
     if not mix.identity_cov:
         offsets = np.einsum("...kij,...kj->...ki", mix.eig_vecs, offsets)
-    m = logits.max(axis=1, keepdims=True)
-    w = np.exp(logits - m)
-    return -np.matmul(w[:, None, :], offsets)[:, 0, :] / w.sum(axis=1, keepdims=True)
+    w = np.exp(logits - _row_max(logits)[:, None])
+    return scale * (np.matmul(w[:, None, :], offsets)[:, 0, :] / w.sum(axis=1, keepdims=True))
 
 
 def _logsumexp(logits: np.ndarray) -> float:
@@ -162,22 +176,12 @@ def mixture_log_density(mix: ConditionalMixture, x: np.ndarray, a_bar: float = 1
     return _logsumexp(logits) - 0.5 * x.shape[0] * _LOG_2PI
 
 
-def _noise(mix, x: np.ndarray, schedule: NoiseSchedule, t: int) -> np.ndarray:
-    """Exact noise prediction for every row of a (B, d) batch at step t, unchecked."""
-    return -schedule.sqrt_one_minus_alpha_bar[t] * _score(mix, x, float(schedule.alpha_bar[t]))
-
-
 def _check(values: np.ndarray, message: str, failures: dict[int, str]) -> None:
     """Keep message as the first failure of each row b of the (B, d) batch, or
-    of the (g, B, d) stack of batches, whose sum is non-finite (in any batch),
-    and zero those sums' rows, so that they poison neither a later sum nor
-    another row.  The whole array's sum is the fast path."""
-    if math.isfinite(values.sum()):
-        return
+    of the (g, B, d) stack of batches, whose sum is non-finite (in any batch)."""
     bad = ~np.isfinite(values.sum(axis=-1))
     for b in np.flatnonzero(bad.reshape(-1, bad.shape[-1]).any(axis=0)):
         failures.setdefault(int(b), message)
-    values[bad] = 0.0
 
 
 def analytic_epsilon(
@@ -188,7 +192,8 @@ def analytic_epsilon(
     if not 0 <= t < schedule.steps:
         raise ValueError(f"t_index {t} outside schedule range [0, {schedule.steps})")
     x = np.asarray(state.x, dtype=float)[None, :]
-    eps = _noise(conditional_components(world, cond), x, schedule, t)[0]
+    eps = _noise(conditional_components(world, cond), x, float(schedule.alpha_bar[t]),
+                 float(schedule.sqrt_one_minus_alpha_bar[t]))[0]
     if not math.isfinite(eps.sum()):
         raise NumericsError(f"non-finite noise estimate at step {t}")
     return eps
@@ -272,9 +277,10 @@ def _operands(mixes: list, pick: np.ndarray) -> list[tuple]:
     return operands
 
 
-def _steer(steering: Steering, eps: np.ndarray, t: int, failures: dict[int, str], probe
+def _steer(steering: Steering, eps: np.ndarray, t: int, failures: dict[int, str] | None, probe
            ) -> np.ndarray:
-    """A steered step's blended noise from its (slots, B, d) noise stack, in `_edited`'s order."""
+    """A steered step's blended noise from its (slots, B, d) noise stack, in `_edited`'s
+    order, checked into failures when they are given."""
     base = eps[0]
     acc = np.zeros_like(base)
     for target, reference in zip(eps[1::2], eps[2::2]):
@@ -283,52 +289,104 @@ def _steer(steering: Steering, eps: np.ndarray, t: int, failures: dict[int, str]
     if probe is not None:
         probe.record(t, base, attr_term)
     out = steering.gamma * base + (1.0 - steering.gamma) * attr_term
-    _check(out, f"non-finite steered noise at step {t}", failures)
+    if failures is not None:
+        _check(out, f"non-finite steered noise at step {t}", failures)
     return out
 
 
-def _edited(world: MixtureWorld, cond: Condition, plan) -> tuple[ConditionalMixture, ...] | str:
+def _edited(world: MixtureWorld, cond: Condition, key: tuple, plan, edits: dict
+            ) -> tuple[ConditionalMixture, ...] | str:
     """The condition's edited mixtures, each plan entry's target then reference, after the base
-    slot, or the message of the error an edit raises."""
-    try:
-        return tuple(conditional_components(world, edit_condition(world, cond, attribute, value))
-                     for attribute, entry in plan.entries
-                     for value in (entry.target, entry.reference))
-    except SteerlabError as exc:
-        return str(exc)
+    slot, or the message of the first edit in plan order that raises.  `edits` keeps each
+    (condition key, attribute, value)'s mixture or message, so each is resolved once."""
+    row = []
+    for attribute, entry in plan.entries:
+        for value in (entry.target, entry.reference):
+            if (key, attribute, value) not in edits:
+                try:
+                    edits[key, attribute, value] = conditional_components(
+                        world, edit_condition(world, cond, attribute, value))
+                except SteerlabError as exc:
+                    edits[key, attribute, value] = str(exc)
+            edit = edits[key, attribute, value]
+            if isinstance(edit, str):
+                return edit
+            row.append(edit)
+    return tuple(row)
 
 
 def _mixtures(world: MixtureWorld, conds: list[Condition], steering: Steering | None,
               failures: dict[int, str]) -> tuple[list[ConditionalMixture], np.ndarray]:
     """The distinct mixtures the rows follow, and the (slots, B) index of the one
     row b follows in slot j: its base, then, when steered, its plan's edits.
-    Edits are resolved once per (condition key, plan).  A row whose condition
-    cannot take its plan's edits fails unrun, its base filling its edit slots."""
+    Rows are resolved once per (condition key, plan), and edits once per
+    (condition key, attribute, value).  A row whose condition cannot take its
+    plan's edits fails unrun, its base filling its edit slots."""
     mixes: list[ConditionalMixture] = []
     ids: dict[int, int] = {}  # id of a mixture -> its index in mixes
     resolved: dict[tuple, tuple[tuple[int, ...], str | None]] = {}  # -> its picks, failure
+    edits: dict[tuple, ConditionalMixture | str] = {}
     slots = 1 if steering is None else 1 + 2 * len(steering.plans[0].entries)
     picks = []
     for b, c in enumerate(conds):
         plan = None if steering is None else steering.plans[b]
-        key = c.key(), plan
-        if key not in resolved:
+        key = c.key()
+        if (key, plan) not in resolved:
             base = conditional_components(world, c)
-            edits = () if plan is None else _edited(world, c, plan)
-            message, row = (edits, (base,) * slots) if isinstance(edits, str) else (
-                None, (base, *edits))
+            edited = () if plan is None else _edited(world, c, key, plan, edits)
+            message, row = (edited, (base,) * slots) if isinstance(edited, str) else (
+                None, (base, *edited))
             if len(row) != slots:
                 raise ValueError("a steering's plans must all hold the same number of entries")
             for m in row:
                 if id(m) not in ids:
                     ids[id(m)] = len(mixes)
                     mixes.append(m)
-            resolved[key] = tuple(ids[id(m)] for m in row), message
-        pick, message = resolved[key]
+            resolved[key, plan] = tuple(ids[id(m)] for m in row), message
+        pick, message = resolved[key, plan]
         if message is not None:
             failures[b] = message
         picks.append(pick)
     return mixes, np.array(picks).T
+
+
+def _reverse(schedule: NoiseSchedule, mixes: list, pick: np.ndarray, steering: Steering | None,
+             tapes: np.ndarray, x: np.ndarray, start: int, stop: int, probe,
+             failures: dict[int, str] | None) -> np.ndarray:
+    """Reverse steps start..stop-1 of the (B, d) batch x, row b following mixes[pick[j, b]]
+    in slot j, as `run_trajectories` runs them.  With a failures dict, every stage
+    is checked as `sample` checks it alone (`_check`); without one, a step does
+    only its rows' arithmetic and reduces nothing across a row."""
+    steps = schedule.steps
+    lo, hi = steps - stop, steps - start  # t runs from hi - 1 down to lo
+    coefs = [a[lo:hi][::-1].tolist() for a in (
+        schedule.alpha_bar, schedule.sqrt_one_minus_alpha_bar, schedule.inv_sqrt_alpha,
+        schedule.noise_coef, schedule.sqrt_beta)]
+    active = [False] * len(coefs[0]) if steering is None else steering.active[lo:hi][::-1].tolist()
+    plain = steered = _operands(mixes, pick[:1])
+    if steering is not None:
+        steered = _operands(mixes, pick)
+    n, d = x.shape
+    for i, a_bar, scale, inv, coef, sqrt_beta, blend in zip(range(start, stop), *coefs, active):
+        t = steps - 1 - i
+        operands = steered if blend else plain
+        if len(operands) == 1 and operands[0][2] is None:  # one call over the batch itself
+            eps = _noise(operands[0][0], x, a_bar, scale)
+        else:
+            eps = np.empty(((len(pick) if blend else 1) * n, d))
+            for mix, at, rows in operands:
+                eps[at] = _noise(mix, x if rows is None else x[rows], a_bar, scale)
+            eps = eps.reshape(-1, n, d) if blend else eps
+        if failures is not None:
+            _check(eps, f"non-finite noise estimate at step {t}", failures)
+        if blend:
+            eps = _steer(steering, eps, t, failures, probe)
+        x = inv * (x - coef * eps)
+        if t >= 1:
+            x = x + sqrt_beta * tapes[i + 1]
+        if failures is not None:
+            _check(x, f"non-finite latent produced at step {t}", failures)
+    return x
 
 
 def noise_tapes(rngs: list[np.random.Generator], steps: int, d: int) -> np.ndarray:
@@ -362,22 +420,31 @@ def run_trajectories(
     number of steps, so that the result is the clean samples.  conds[b] is
     row b's condition, of any shape, and the steering's plans[b] its plan: a
     step makes one kernel call per shape among its base and edited mixtures
-    (`_operands`).  Edits are resolved once per (condition key, plan), and each
-    shape's operand gathers its rows from that shape's distinct mixtures,
-    stacked once; the probe, if any, receives at each steered step the batch's
-    rows, in batch order.  Every operation is row-wise, so row b equals
+    (`_operands`).  Rows are resolved once per (condition key, plan) and edits
+    once per (condition key, attribute, value), and each shape's operand
+    gathers its rows from that shape's distinct mixtures, stacked once; the
+    probe, if any, receives at each steered step the batch's rows, in batch
+    order.  Every operation is row-wise, so row b equals
     `sample` with the same steering run on stream b's generator alone, however
     the trajectory is split and the rows grouped.
+
+    No step checks finiteness: a step does only its rows' arithmetic.  A
+    non-finite value never turns finite again (inf meets inf and gives NaN,
+    and NaN stays NaN), so the call checks its final latents once, and runs
+    each row that ends non-finite again alone, from the call's x, with every
+    stage checked as `sample` checks it; one such replay covers the call's
+    failed rows.  Every row computes as if alone, so the replay repeats the
+    bits and names the first failing step and stage.
 
     Returns the latents and the failed rows: each row that goes non-finite
     maps to the message it would raise alone, and each row whose condition
     cannot take the steering's edits to that error's message, from before its
-    first step.  A failed row's latents are NaN.  The other rows carry on
-    untouched, and numpy's floating-point warnings are silenced, since the
-    failed rows are the report.
+    first step.  A failed row's latents are NaN, and its probe rows, if any,
+    are not those of a run alone.  The other rows carry on untouched, and
+    numpy's floating-point warnings are silenced, since the failed rows are
+    the report.
     """
-    steps = schedule.steps
-    stop = steps if stop is None else stop
+    stop = schedule.steps if stop is None else stop
     if x is None and start:
         raise ValueError("x is needed to start past step 0")
     x = (tapes[0] if x is None else x).copy()  # failed rows are marked in a copy, not in x
@@ -385,27 +452,18 @@ def run_trajectories(
         raise ValueError(f"{len(steering.plans)} plans for {len(conds)} rows")
     failures: dict[int, str] = {}
     mixes, pick = _mixtures(world, conds, steering, failures)
-    plain = steered = _operands(mixes, pick[:1])
-    if steering is not None:
-        steered = _operands(mixes, pick)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for i in range(start, stop):
-            t = steps - 1 - i
-            blend = steering is not None and steering.active[t]
-            operands = steered if blend else plain
-            if len(operands) == 1 and operands[0][2] is None:  # one call over the batch itself
-                eps = _noise(operands[0][0], x, schedule, t)
-            else:
-                eps = np.empty(((len(pick) if blend else 1) * len(x), x.shape[1]))
-                for mix, at, rows in operands:
-                    eps[at] = _noise(mix, x if rows is None else x[rows], schedule, t)
-                eps = eps.reshape(-1, *x.shape) if blend else eps
-            _check(eps, f"non-finite noise estimate at step {t}", failures)
-            if blend:
-                eps = _steer(steering, eps, t, failures, probe)
-            x = schedule.inv_sqrt_alpha[t] * (x - schedule.noise_coef[t] * eps)
-            if t >= 1:
-                x = x + schedule.sqrt_beta[t] * tapes[i + 1]
-            _check(x, f"non-finite latent produced at step {t}", failures)
-    x[list(failures)] = np.nan
-    return x, failures
+        out = _reverse(schedule, mixes, pick, steering, tapes, x, start, stop, probe, None)
+        # A non-finite latent stays non-finite, so a row that failed at any stage ends so.
+        ended = ~np.isfinite(out.sum(axis=1))
+        ended[list(failures)] = False
+        if ended.any():
+            rows = np.flatnonzero(ended)
+            alone = None if steering is None else replace(
+                steering, plans=tuple(steering.plans[b] for b in rows))
+            replayed: dict[int, str] = {}
+            _reverse(schedule, mixes, pick[:, rows], alone, tapes[:, rows], x[rows], start, stop,
+                     None, replayed)
+            failures.update((int(rows[j]), message) for j, message in replayed.items())
+    out[list(failures)] = np.nan
+    return out, failures

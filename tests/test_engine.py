@@ -6,6 +6,7 @@ the batch size and however a trajectory is split into runs.
 """
 
 import itertools
+import math
 from collections import Counter
 
 import numpy as np
@@ -194,14 +195,21 @@ def test_starting_past_step_zero_needs_a_state():
         run_trajectories(world, schedule, [make_condition(world, "engineer")] * 2, tapes, start=3)
 
 
+@pytest.mark.parametrize("every_reversal", [False, True])
 @pytest.mark.parametrize("n", [2, 5, 16])
-def test_edits_are_resolved_once_per_condition_key(monkeypatch, n):
-    """Rows of two condition keys under the two-attribute plan: each key is
-    edited to each of the plan's four values once, whatever the batch size."""
+def test_edits_are_resolved_once_per_condition_key(monkeypatch, n, every_reversal):
+    """Rows of two condition keys under the two-attribute plan, or under it and
+    its three reversals by turns: each key is edited to each of the four
+    (attribute, value) pairs once, whatever the batch size, though every plan
+    holds every pair."""
     world = parse_world(GRID_WORLD)
     schedule = linear_schedule(10)
     conds = [make_condition(world, ("worker", "nurse")[b % 2], jitter_seed=b, jitter_scale=0.2)
              for b in range(n)]
+    plans = _reversals(TWO_ATTR) if every_reversal else [TWO_ATTR]
+    steering = Steering(window_mask(schedule, CONFIG),
+                        tuple(plans[b // 2 % len(plans)] for b in range(n)), CONFIG.gamma,
+                        CONFIG.attribute_scale)
     edits = []
     edit = diffusion.edit_condition
 
@@ -209,8 +217,7 @@ def test_edits_are_resolved_once_per_condition_key(monkeypatch, n):
         edits.append((cond.concept, attribute, value))
         return edit(world, cond, attribute, value)
     monkeypatch.setattr(diffusion, "edit_condition", counted)
-    _, failures = run_trajectories(world, schedule, conds, noise_tapes(_rngs(n), 10, 2),
-                                   _steering(schedule, TWO_ATTR, n))
+    _, failures = run_trajectories(world, schedule, conds, noise_tapes(_rngs(n), 10, 2), steering)
     assert not failures
     assert len(edits) == 2 * 4 and len(set(edits)) == 2 * 4
 
@@ -418,7 +425,7 @@ def test_poisoned_row_fails_alone_and_its_neighbours_keep_their_bits(name, poiso
 def test_a_step_makes_one_kernel_call_per_mixture_shape(monkeypatch, conditions, calls, plain):
     """A steered step makes 1 kernel call per distinct shape among the rows'
     base and four edited mixtures; an unsteered step 1 per distinct shape
-    among their base mixtures."""
+    among their base mixtures.  The kernel is told its step by alpha_bar."""
     world = parse_world(GRID_WORLD)
     schedule = linear_schedule(10)
     conds = [make_condition(world, *c) for c in conditions]
@@ -426,16 +433,17 @@ def test_a_step_makes_one_kernel_call_per_mixture_shape(monkeypatch, conditions,
     seen = []
     noise = diffusion._noise
 
-    def counted(mix, x, schedule, t):
-        seen.append(t)
-        return noise(mix, x, schedule, t)
+    def counted(mix, x, a_bar, scale):
+        seen.append(a_bar)
+        return noise(mix, x, a_bar, scale)
     monkeypatch.setattr(diffusion, "_noise", counted)
     _, failures = run_trajectories(world, schedule, conds,
                                    noise_tapes(_rngs(len(conds)), 10, 2), steering)
     assert not failures
     per_step = Counter(seen)
-    assert steering.active.sum() == 3
-    assert all(per_step[t] == (calls if steering.active[t] else plain) for t in range(10))
+    assert steering.active.sum() == 3 and len(per_step) == 10
+    assert all(per_step[schedule.alpha_bar[t]] == (calls if steering.active[t] else plain)
+               for t in range(10))
 
 
 @pytest.mark.parametrize("picks", [(2, 2, 0, 0), (0, 0, 2, 2)])
@@ -522,3 +530,221 @@ def test_vanilla_run_equals_reference_sampler():
         rng = np.random.default_rng(np.random.SeedSequence([spec.seed, s.prompt_ordinal,
                                                             s.sample_index]))
         np.testing.assert_array_equal(s.x, _reference(world, schedule, cond, rng))
+
+
+# Young x holds only shade=a, so its edits to b and to c both fail; old x lacks a.
+SHADE_WORLD = """\
+dimension 2
+attribute shade a b c
+attribute age young old
+component x shade=a age=young mean=0,0 weight=1
+component x shade=b age=old   mean=3,0 weight=1
+component x shade=c age=old   mean=0,3 weight=1
+"""
+
+
+def test_a_row_fails_with_its_plans_first_failing_edit():
+    """Young x under (a -> c) resolves c's failing edit first; young x under
+    (b -> c) must still fail with b's, the first in its plan, as it does alone."""
+    world = parse_world(SHADE_WORLD)
+    schedule = linear_schedule(10)
+    a_to_c, b_to_c = (GuidancePlan((("shade", PlanEntry(v, "c")),)) for v in ("a", "b"))
+    rows = [("young", a_to_c), ("young", b_to_c), ("old", b_to_c), ("old", a_to_c)]
+    conds = [make_condition(world, "x", {"age": age}) for age, _ in rows]
+    steering = Steering(window_mask(schedule, CONFIG), tuple(p for _, p in rows), CONFIG.gamma,
+                        CONFIG.attribute_scale)
+    out, failures = run_trajectories(world, schedule, conds, noise_tapes(_rngs(4), 10, 2),
+                                     steering)
+    assert sorted(failures) == [0, 1, 3]
+    assert [f"shade={v!r}" in failures[b] for b, v in ((0, "c"), (1, "b"), (3, "a"))] == [True] * 3
+    for b in (0, 1, 3):
+        with pytest.raises(InfeasibleConditionError) as alone:
+            _reference(world, schedule, conds[b], _rngs(4)[b], rows[b][1])
+        assert failures[b] == str(alone.value)
+    np.testing.assert_array_equal(out[2], _reference(world, schedule, conds[2], _rngs(4)[2],
+                                                     b_to_c))
+
+
+REVERSED = _reversals(ONE_ATTR)[1]
+WINDOW_STEPS = 20  # under CONFIG, steps t = 9..15 are blended
+
+
+def _poison_steered(monkeypatch, t):
+    """At step t, every row steered by REVERSED gets an inf target slot, which
+    only the blend's check sees (as in `test_harness._poison_plans`)."""
+    steer = diffusion._steer
+
+    def wrapper(steering, eps, step, failures, probe):
+        if step == t:
+            eps = eps.copy()
+            eps[1, [b for b, plan in enumerate(steering.plans) if plan == REVERSED]] = math.inf
+        return steer(steering, eps, step, failures, probe)
+    monkeypatch.setattr(diffusion, "_steer", wrapper)
+
+
+@pytest.mark.parametrize("name", WORLDS)
+@pytest.mark.parametrize("stage, t", [
+    ("noise estimate", 14), ("noise estimate", 5), ("steered noise", 13), ("steered noise", 9),
+    ("latent", 13), ("latent", 5),
+])
+def test_a_row_poisoned_at_any_stage_is_replayed_to_its_first_failure(monkeypatch, name, stage,
+                                                                       t):
+    """Row 2 of four is poisoned at step t: a huge draw at step t + 1
+    overflows step t's noise estimate, an inf draw at step t the latent, and a
+    wrapped blend the steered noise.  The row fails with the message of its
+    step and stage, as alone, and the other rows keep the bits of a run
+    without it."""
+    world = WORLDS[name]()
+    schedule = linear_schedule(WINDOW_STEPS, beta_end=0.3)
+    conds = [make_condition(world, *ROW_CONDITIONS[c]) for c in (0, 1, 0, 1)]  # two components
+    plans = (ONE_ATTR, ONE_ATTR, REVERSED, ONE_ATTR)
+    values = np.zeros((WINDOW_STEPS, 2))  # tape row i is drawn by step WINDOW_STEPS - i
+    if stage == "noise estimate":
+        values[WINDOW_STEPS - 1 - t, 0] = 1e300
+    elif stage == "latent":
+        values[WINDOW_STEPS - t, 0] = math.inf
+    else:
+        _poison_steered(monkeypatch, t)
+    message = f"non-finite {'latent produced' if stage == 'latent' else stage} at step {t}"
+    rngs = _rngs(4, seed=6)
+    rngs[2] = _Tape(values.ravel())
+    tapes = noise_tapes(rngs, WINDOW_STEPS, 2)
+    active = window_mask(schedule, CONFIG)
+    out, failures = run_trajectories(world, schedule, conds, tapes,
+                                     Steering(active, plans, CONFIG.gamma, CONFIG.attribute_scale))
+    assert failures == {2: message} and np.isnan(out[2]).all()
+    if stage != "steered noise":  # alone, the overflow warns as it fails
+        with pytest.raises(NumericsError, match=f"^{message}$"), np.errstate(all="ignore"):
+            _reference(world, schedule, conds[2], _Tape(values.ravel()), REVERSED)
+    kept = [0, 1, 3]
+    without, failed = run_trajectories(
+        world, schedule, [conds[b] for b in kept], tapes[:, kept],
+        Steering(active, tuple(plans[b] for b in kept), CONFIG.gamma, CONFIG.attribute_scale))
+    assert not failed
+    np.testing.assert_array_equal(out[kept].view(np.int64), without.view(np.int64))
+
+
+@pytest.mark.parametrize("steered", [False, True])
+def test_only_the_replay_of_failed_rows_checks_a_step(monkeypatch, steered):
+    """A run that fails no row checks no stage; one whose rows 1 and 4 go
+    non-finite replays those two rows, once, checking every stage of every step."""
+    world = WORLDS["identity"]()
+    schedule = linear_schedule(WINDOW_STEPS, beta_end=0.3)
+    conds = [make_condition(world, *ROW_CONDITIONS[c % 2]) for c in range(6)]
+    steering = Steering(window_mask(schedule, CONFIG), (ONE_ATTR,) * 6, CONFIG.gamma,
+                        CONFIG.attribute_scale) if steered else None
+    checks, runs = [], []
+    check, reverse = diffusion._check, diffusion._reverse
+
+    def counted_check(values, message, failures):
+        checks.append(values.shape[-2])
+        return check(values, message, failures)
+
+    def counted_reverse(schedule, mixes, pick, steering, tapes, x, *rest):
+        runs.append((len(x), rest[-1] is not None))
+        return reverse(schedule, mixes, pick, steering, tapes, x, *rest)
+    monkeypatch.setattr(diffusion, "_check", counted_check)
+    monkeypatch.setattr(diffusion, "_reverse", counted_reverse)
+    rngs = _rngs(6, seed=2)
+    _, failures = run_trajectories(world, schedule, conds,
+                                   noise_tapes(rngs, WINDOW_STEPS, 2), steering)
+    assert not failures and not checks and runs == [(6, False)]
+    runs.clear()
+    for b, i in ((1, 14), (4, 6)):  # inf draws at steps 6 and 14
+        values = np.zeros((WINDOW_STEPS, 2))
+        values[i, 1] = -math.inf
+        rngs[b] = _Tape(values.ravel())
+    _, failures = run_trajectories(world, schedule, conds,
+                                   noise_tapes(rngs, WINDOW_STEPS, 2), steering)
+    assert sorted(failures) == [1, 4] and runs == [(6, False), (2, True)]
+    stages = 2 * WINDOW_STEPS + (int(steering.active.sum()) if steered else 0)
+    assert checks == [2] * stages
+
+
+def test_a_row_that_cannot_take_its_plan_is_not_replayed(monkeypatch):
+    """Row 1 fails before its first step, so its edit's message stands, though
+    its latent, run under its base mixture, also goes non-finite."""
+    world = two_attribute_world()
+    schedule = linear_schedule(20, beta_end=0.3)
+    conds = [make_condition(world, "worker", c) for c in ({}, {"age": "old"}, {})]
+    runs, reverse = [], diffusion._reverse
+
+    def counted(*args):
+        runs.append(len(args[5]))
+        return reverse(*args)
+    monkeypatch.setattr(diffusion, "_reverse", counted)
+    rngs = _rngs(3)
+    values = np.zeros((20, 2))
+    values[4, 0] = math.inf
+    rngs[1] = _Tape(values.ravel())
+    _, failures = run_trajectories(world, schedule, conds, noise_tapes(rngs, 20, 2),
+                                   _steering(schedule, ONE_ATTR, 3))
+    assert list(failures) == [1] and "gender='male'" in failures[1] and runs == [3]
+
+
+# The design rests on two facts, tested here: a non-finite latent stays
+# non-finite to the end of a run, and the kernel's column-by-column max has the
+# bits of numpy's max reduction.
+NONFINITE_CONDITIONS = {"one component": ("engineer", {"gender": "male"}),
+                        "two components": ("engineer", {})}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    world_name=st.sampled_from(sorted(WORLDS)),
+    components=st.sampled_from(sorted(NONFINITE_CONDITIONS)),
+    steered=st.booleans(),
+    gamma=st.sampled_from([0.0, 0.6, 1.0]),
+    value=st.sampled_from([math.inf, -math.inf, math.nan]),
+    coord=st.integers(0, 1),
+    steps=st.integers(1, 30),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_a_non_finite_latent_ends_non_finite(world_name, components, steered, gamma, value,
+                                             coord, steps, seed, data):
+    """Row 1's latent is set to inf or NaN after k steps; the unchecked pass
+    ends it non-finite, whether each step is blended or none is, so the
+    replay names the noise estimate of step k."""
+    world = WORLDS[world_name]()
+    schedule = linear_schedule(steps, beta_end=0.3)
+    k = data.draw(st.integers(0, steps - 1), label="k")
+    conds = [make_condition(world, *NONFINITE_CONDITIONS[components])] * 3
+    tapes = noise_tapes(_rngs(3, seed), steps, world.dimension)
+    x = tapes[0].copy()
+    x[1, coord] = value
+    steering = (Steering(np.ones(steps, dtype=bool), (ONE_ATTR,) * 3, gamma,
+                         CONFIG.attribute_scale) if steered else None)
+    ends = []
+    reverse = diffusion._reverse
+
+    def kept(*args):
+        ends.append(reverse(*args))
+        return ends[-1]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(diffusion, "_reverse", kept)
+        out, failures = run_trajectories(world, schedule, conds, tapes, steering, k, steps, x)
+    assert np.isfinite(ends[0][[0, 2]]).all() and not np.isfinite(ends[0][1]).any()
+    assert failures == {1: f"non-finite noise estimate at step {steps - 1 - k}"}
+
+
+@settings(max_examples=150, deadline=None)
+@given(k=st.integers(1, 12), b=st.integers(1, 16), data=st.data())
+def test_row_max_has_the_bits_of_a_max_reduction(k, b, data):
+    """Bit for bit but for the sign of a zero max (a reduction over 8 or more
+    columns may order +0 and -0 otherwise), which the weights cannot see."""
+    values = data.draw(st.lists(
+        st.one_of(st.floats(), st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan])),
+        min_size=b * k, max_size=b * k))
+    logits = np.array(values).reshape(b, k)
+    ours, theirs = diffusion._row_max(logits), logits.max(axis=1)
+    nan = np.isnan(theirs)
+    np.testing.assert_array_equal(np.isnan(ours), nan)
+    signed = ~nan & (theirs != 0)
+    np.testing.assert_array_equal(ours[signed].view(np.int64), theirs[signed].view(np.int64))
+    np.testing.assert_array_equal(ours[~nan], theirs[~nan])
+    with np.errstate(all="ignore"):
+        ours, theirs = (np.exp(logits - m[:, None]) for m in (ours, theirs))
+    nan = np.isnan(theirs)  # any payload
+    np.testing.assert_array_equal(np.isnan(ours), nan)
+    np.testing.assert_array_equal(ours[~nan].view(np.int64), theirs[~nan].view(np.int64))
