@@ -271,7 +271,7 @@ def snapshot_memory(
     payload["checksum"] = _container_checksum({k: v for k, v in payload.items()})
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1)
+        fh.write(json.dumps(payload, indent=1))  # one write, not one per encoder chunk
     os.replace(tmp, path)
 
 

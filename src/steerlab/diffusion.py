@@ -192,8 +192,9 @@ def analytic_epsilon(
     if not 0 <= t < schedule.steps:
         raise ValueError(f"t_index {t} outside schedule range [0, {schedule.steps})")
     x = np.asarray(state.x, dtype=float)[None, :]
-    eps = _noise(conditional_components(world, cond), x, float(schedule.alpha_bar[t]),
-                 float(schedule.sqrt_one_minus_alpha_bar[t]))[0]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # NumericsError below
+        eps = _noise(conditional_components(world, cond), x, float(schedule.alpha_bar[t]),
+                     float(schedule.sqrt_one_minus_alpha_bar[t]))[0]
     if not math.isfinite(eps.sum()):
         raise NumericsError(f"non-finite noise estimate at step {t}")
     return eps

@@ -389,7 +389,7 @@ def _close_arm(arm: _Arm, world: MixtureWorld, t_start: float) -> RunResult:
     )
     if out_dir is not None:
         with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
-            json.dump(manifest.__dict__, fh, indent=1, sort_keys=True)
+            fh.write(json.dumps(manifest.__dict__, indent=1, sort_keys=True))
     return RunResult(arm.samples, report, manifest, arm.failures, arm.memory, arm.ordinal)
 
 

@@ -4,6 +4,12 @@ Each mixture component carries a concept label (the "subject" of a prompt) and
 exactly one value per schema attribute.  Conditions select subsets of
 components; embeddings of conditions live in the same space as the mixture so
 that prompt-similarity lookups stay geometric.
+
+A world is immutable once built.  It prepares each conditional mixture, and
+each value derived from the world alone (its digest, concept centroids and
+their smallest separation), once, on first use.  `worldfile.load_world`
+shares one world among all loads of the same file content, so callers must
+not mutate a world or the arrays it returns.
 """
 
 from __future__ import annotations
@@ -191,7 +197,13 @@ class MixtureWorld:
             c.mean.setflags(write=False)
             c.covariance.setflags(write=False)
         self.concepts: tuple[str, ...] = tuple(dict.fromkeys(c.concept for c in components))
-        self._cache: dict[tuple, ConditionalMixture] = {}
+        self._cache: dict[tuple, object] = {}  # prepared mixtures and derived values
+
+    def _memo(self, key: tuple, compute):
+        """The value under key, computed on first use: the world is immutable."""
+        if key not in self._cache:
+            self._cache[key] = compute()
+        return self._cache[key]
 
     def _label_problem(self, c: Component) -> str | None:
         """The first problem of a component's weight or tags."""
@@ -208,40 +220,46 @@ class MixtureWorld:
         return None
 
     def concept_centroid(self, concept: str) -> np.ndarray:
-        group = [c for c in self.components if c.concept == concept]
-        if not group:
-            raise InfeasibleConditionError(f"unknown concept {concept!r}")
-        w = np.array([c.weight for c in group])
-        w = w / w.sum()
-        return np.einsum("k,kd->d", w, np.array([c.mean for c in group]))
+        """The concept's weighted mean of component means, read-only."""
+        def compute():
+            group = [c for c in self.components if c.concept == concept]
+            if not group:
+                raise InfeasibleConditionError(f"unknown concept {concept!r}")
+            w = np.array([c.weight for c in group])
+            w = w / w.sum()
+            centroid = np.einsum("k,kd->d", w, np.array([c.mean for c in group]))
+            centroid.setflags(write=False)
+            return centroid
+        return self._memo(("centroid", concept), compute)
 
     def min_concept_separation(self) -> float | None:
         """Smallest pairwise distance between concept centroids, None if < 2 concepts."""
-        cents = [self.concept_centroid(c) for c in self.concepts]
-        return min((float(np.linalg.norm(a - b)) for a, b in itertools.combinations(cents, 2)),
-                   default=None)
+        def compute():
+            cents = [self.concept_centroid(c) for c in self.concepts]
+            return min((float(np.linalg.norm(a - b))
+                        for a, b in itertools.combinations(cents, 2)), default=None)
+        return self._memo(("separation",), compute)
 
     def digest(self) -> str:
-        payload = {
-            "dimension": self.dimension,
-            "schema": [[a.name, list(a.values)] for a in self.schema.attributes],
-            "components": [
-                [c.concept, sorted(c.tags.items()), c.mean.tolist(),
-                 c.covariance.tolist(), c.weight]
-                for c in self.components
-            ],
-        }
-        return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
+        def compute():
+            payload = {
+                "dimension": self.dimension,
+                "schema": [[a.name, list(a.values)] for a in self.schema.attributes],
+                "components": [
+                    [c.concept, sorted(c.tags.items()), c.mean.tolist(),
+                     c.covariance.tolist(), c.weight]
+                    for c in self.components
+                ],
+            }
+            return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
+        return self._memo(("digest",), compute)
 
     def all_components(self) -> ConditionalMixture:
         """Prepared view over every component under prior weights."""
-        key = ("all",)
-        mix = self._cache.get(key)
-        if mix is None:
+        def compute():
             w = np.array([c.weight for c in self.components])
-            mix = _prepare(list(self.components), w / w.sum())
-            self._cache[key] = mix
-        return mix
+            return _prepare(list(self.components), w / w.sum())
+        return self._memo(("all",), compute)
 
 
 @dataclass

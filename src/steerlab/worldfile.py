@@ -19,6 +19,12 @@ This module checks syntax only; `world.AttributeSchema` and
 `world.MixtureWorld` check every semantic invariant once the whole file has
 parsed.  Either way the WorldFileError names the file and the line: that of
 the attribute or component at fault, or 0 for a whole-world problem.
+
+`load_world` reads the file on every call, but parses and validates each
+distinct content once per process: the same bytes, from any path, give the
+same shared world, with the mixtures and values it has already prepared.  A
+world is immutable after load, and callers must not mutate it.  A file that
+fails to load is not kept, and an edited file is parsed again.
 """
 
 from __future__ import annotations
@@ -36,15 +42,27 @@ def default_world_path() -> str:
     return str(importlib.resources.files("steerlab") / "worlds" / "default.world")
 
 
+# The worlds of the last _LOADED_MAX distinct file contents, least recently loaded first.
+_LOADED: dict[bytes, MixtureWorld] = {}
+_LOADED_MAX = 8
+
+
 def load_world(path: str) -> MixtureWorld:
+    """The world the file holds; the one already built when its bytes were loaded before."""
     with open(path, "rb") as fh:
         data = fh.read()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise WorldFileError(f"not UTF-8 text ({exc})", path,
-                             len(data[:exc.start + 1].splitlines())) from None
-    return parse_world(text, path=path)
+    world = _LOADED.pop(data, None)
+    if world is None:
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise WorldFileError(f"not UTF-8 text ({exc})", path,
+                                 len(data[:exc.start + 1].splitlines())) from None
+        world = parse_world(text, path=path)
+        if len(_LOADED) >= _LOADED_MAX:
+            del _LOADED[next(iter(_LOADED))]
+    _LOADED[data] = world
+    return world
 
 
 def parse_world(text: str, path: str = "<world>") -> MixtureWorld:

@@ -4,12 +4,13 @@ import importlib.util
 import json
 import os
 import re
+import shutil
 import types
 
 import pytest
 
 import steerlab
-from steerlab import cli, harness
+from steerlab import cli, harness, worldfile
 from steerlab.cli import _parse_target, _parse_window, main
 from steerlab.controller import _container_checksum, default_match_threshold, restore_memory
 from steerlab.diffusion import run_trajectories
@@ -542,6 +543,51 @@ class TestOtherCommands:
         assert [code for code, _, _ in shared[0]] == [0, 0, 2]
         assert "config needs at least 'world_path' and 'prompts'" in shared[0][2][2]
         assert shared == run("fresh", fresh=True)
+
+    def test_chained_links_leave_the_same_bytes_whether_the_world_is_loaded_or_not(self, tmp_path):
+        """Three links of `generate --memory` then `render` on a two-attribute
+        full-covariance world leave the same files, memory included, with the
+        loaded world shared by every link and with it parsed afresh per link."""
+        (tmp_path / "two.world").write_text(
+            "dimension 2\nattribute gender male female\nattribute age young old\n" + "".join(
+                f"component {c} gender={g} age={a} mean={x + 3 * i},{y + 9 * j} weight=1 "
+                f"cov=1,{0.2 * (i - j)};{0.2 * (i - j)},0.7\n"
+                for j, c in enumerate(("nurse", "pilot", "clerk"))
+                for i, (g, a, x, y) in enumerate((("male", "young", 0, 0),
+                                                  ("male", "old", 0, 2),
+                                                  ("female", "young", 2, 0),
+                                                  ("female", "old", 2, 2)))))
+        (tmp_path / "run.json").write_text(json.dumps({
+            "world_path": "two.world",
+            "prompts": [{"concept": c, "count": 1} for c in ("nurse", "pilot", "clerk")],
+            "target": {"gender": {"male": 0.5, "female": 0.5}, "age": {"young": 0.7, "old": 0.3}},
+            "samples_per_prompt": 3, "steps": 30, "beta_end": 0.3, "gamma": 0.6,
+            "attribute_scale": 4.0, "memory_budget": 2, "seed": 4}))
+        memory, out = tmp_path / "memory.json", tmp_path / "out"
+
+        def links(fresh):
+            files = {}
+            for k in range(3):
+                link = out / str(k)
+                for argv in (["generate", "--config", str(tmp_path / "run.json"),
+                              "--memory", str(memory), "--out", str(link)],
+                             ["render", "--samples", str(link / "samples.csv"),
+                              "--world", str(tmp_path / "two.world"),
+                              "--out", str(link / "scatter.svg")]):
+                    if fresh:
+                        worldfile._LOADED.clear()
+                    assert main(argv) == 0
+                files.update({f"{k}/{p.name}": p.read_bytes() for p in link.iterdir()
+                              if p.name != "manifest.json"})  # it holds wall-clock timings
+                files[f"{k}/memory.json"] = memory.read_bytes()
+            shutil.rmtree(out)
+            memory.unlink()
+            return files
+
+        fresh = links(fresh=True)
+        assert sorted(fresh) == sorted(f"{k}/{name}" for k in range(3) for name in (
+            "memory.json", "report.csv", "samples.csv", "scatter.svg"))
+        assert links(fresh=False) == fresh
 
     @pytest.mark.parametrize("row, named", [
         ("p,1.0", "2 cells under a 4-column header"),

@@ -119,6 +119,16 @@ class TestAnalyticEpsilon:
         with pytest.raises(NumericsError, match="step 5"):
             analytic_epsilon(world, sched, state, cond)
 
+    def test_huge_finite_input_raises_numerics_error_not_a_warning(self):
+        """The test settings make a RuntimeWarning an error, so a warning numpy
+        emitted inside the kernel would escape here before the NumericsError."""
+        world = build_gender_world()
+        sched = linear_schedule(10)
+        cond = make_condition(world, "engineer")
+        state = LatentState(np.array([1e300, -1e300]), 5)
+        with pytest.raises(NumericsError, match="^non-finite noise estimate at step 5$"):
+            analytic_epsilon(world, sched, state, cond)
+
 
 def scipy_mixture_logpdf(mix, x, a_bar):
     """Independent density route: explicit scipy mixture of noised Gaussians."""

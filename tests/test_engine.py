@@ -35,6 +35,7 @@ from steerlab.worldfile import default_world_path, load_world, parse_world
 from steerlab.harness import ExperimentSpec, PromptSpec, _advance
 
 from conftest import build_gender_world, two_attribute_world
+from reference import affine_trajectories
 
 FULL_COV = {
     ("engineer", "male"): [[2.0, 0.6], [0.6, 1.0]],
@@ -134,6 +135,44 @@ def test_two_attribute_plan_equals_reference(name):
         theirs = _reference(world, schedule, cond, rng_b, TWO_ATTR, probe_b)
         np.testing.assert_array_equal(ours, theirs)
         assert probe_a.stream(0) and probe_a.stream(0) == probe_b.stream(0)
+
+
+# One full-covariance component per (gender, age) cell: a condition that pins
+# both attributes is one Gaussian, and so is each of its one-attribute edits.
+GAUSSIAN_CELLS = """\
+dimension 2
+attribute gender male female
+attribute age young old
+component worker gender=male   age=young mean=0,0 weight=0.3 cov=1.5,0.4;0.4,0.8
+component worker gender=female age=old   mean=4,0 weight=0.2 cov=0.6,0.1;0.1,1.2
+component worker gender=female age=young mean=0,4 weight=0.3 cov=0.9,-0.3;-0.3,0.7
+component worker gender=male   age=old   mean=4,4 weight=0.2 cov=1.1,0.2;0.2,0.5
+"""
+
+
+def test_steered_rows_of_gaussian_cells_follow_the_affine_recursion():
+    """Rows of every cell under every two-attribute plan, in one batch, each
+    agree within 1e-12 with `reference.affine_trajectories`, which shares no code
+    with the density kernel."""
+    world = parse_world(GAUSSIAN_CELLS)
+    schedule = linear_schedule(60, beta_end=0.3)
+    config = GuidanceConfig(gamma=0.6, window=(0.2, 0.6), attribute_scale=4.0)
+    pairs = {"gender": ("female", "male"), "age": ("old", "young")}
+    plans = [GuidancePlan(tuple((attr, PlanEntry(*pair[::flip])) for attr, pair, flip
+                                in zip(pairs, pairs.values(), flips)))
+             for flips in itertools.product((1, -1), repeat=2)]
+    rows = [({"gender": g, "age": a}, plan) for g, a, plan
+            in itertools.product(pairs["gender"], pairs["age"], plans)] * 2
+    conds = [make_condition(world, "worker", cell) for cell, _ in rows]
+    active = window_mask(schedule, config)
+    assert 0 < active.sum() < schedule.steps
+    steering = Steering(active, tuple(plan for _, plan in rows), config.gamma,
+                        config.attribute_scale)
+    tapes = noise_tapes(_rngs(len(rows), seed=5), schedule.steps, world.dimension)
+    x, failures = run_trajectories(world, schedule, conds, tapes, steering)
+    assert not failures
+    np.testing.assert_allclose(x, affine_trajectories(world, schedule, conds, tapes, steering),
+                               rtol=0, atol=1e-12)
 
 
 @settings(max_examples=25, deadline=None)

@@ -3,7 +3,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from steerlab import WorldFileError
+from steerlab import WorldFileError, worldfile
 from steerlab.worldfile import default_world_path, load_world, parse_world
 
 GOOD = textwrap.dedent("""\
@@ -191,3 +191,90 @@ class TestFileLevelErrors:
     def test_load_world_missing_file(self):
         with pytest.raises(OSError):
             load_world("/nonexistent/void.world")
+
+
+class TestLoadedWorlds:
+    """load_world parses and validates each distinct file content once."""
+
+    @pytest.fixture()
+    def parses(self, monkeypatch):
+        """The texts load_world has parsed in the test."""
+        seen = []
+
+        def counted(text, path="<world>"):
+            seen.append(text)
+            return parse_world(text, path)
+
+        monkeypatch.setattr(worldfile, "parse_world", counted)
+        return seen
+
+    @staticmethod
+    def _text(tmp_path, text=GOOD):
+        """The text under a comment naming the test's directory, so no other test loads it."""
+        return f"# {tmp_path}\n{text}"
+
+    def test_same_bytes_from_one_path_or_two_give_one_world(self, tmp_path, parses):
+        a, b = tmp_path / "a.world", tmp_path / "b.world"
+        a.write_text(self._text(tmp_path))
+        b.write_text(self._text(tmp_path))
+        world = load_world(str(a))
+        assert load_world(str(a)) is world
+        assert load_world(str(b)) is world
+        assert len(parses) == 1
+
+    def test_rewritten_file_gives_the_new_world_and_digest(self, tmp_path):
+        path = tmp_path / "w.world"
+        path.write_text(self._text(tmp_path))
+        old = load_world(str(path))
+        edited = self._text(tmp_path, GOOD.replace("mean=4,6", "mean=5,6"))
+        path.write_text(edited)
+        new = load_world(str(path))
+        assert new is not old
+        assert new.components[2].mean.tolist() == [5.0, 6.0]
+        assert new.digest() != old.digest()
+        assert new.digest() == parse_world(edited).digest()
+
+    def test_file_broken_after_a_good_load_names_file_and_line(self, tmp_path):
+        path = tmp_path / "w.world"
+        path.write_text(self._text(tmp_path))
+        world = load_world(str(path))
+        path.write_text(self._text(tmp_path, GOOD.replace("weight=0.25 cov", "weight=x cov")))
+        with pytest.raises(WorldFileError, match=r"w\.world:8: bad weight 'x'"):
+            load_world(str(path))
+        path.write_text(self._text(tmp_path))
+        assert load_world(str(path)) is world
+
+    def test_bad_file_is_not_kept(self, tmp_path, parses):
+        bad = self._text(tmp_path, "dimension 2\nwibble 3\n")
+        for name in ("a.world", "b.world"):
+            (tmp_path / name).write_text(bad)
+            with pytest.raises(WorldFileError, match=rf"{name}:3: unknown directive"):
+                load_world(str(tmp_path / name))
+        assert len(parses) == 2
+
+    def test_only_the_latest_contents_are_kept(self, tmp_path, parses):
+        paths = []
+        for i in range(worldfile._LOADED_MAX + 1):
+            paths.append(tmp_path / f"{i}.world")
+            paths[-1].write_text(self._text(tmp_path, f"# {i}\n{GOOD}"))
+            load_world(str(paths[-1]))
+        load_world(str(paths[-1]))
+        assert len(parses) == worldfile._LOADED_MAX + 1
+        load_world(str(paths[0]))
+        assert len(parses) == worldfile._LOADED_MAX + 2
+
+    def test_derived_values_equal_fresh_ones_and_the_centroid_is_read_only(self, tmp_path):
+        path = tmp_path / "w.world"
+        path.write_text(self._text(tmp_path))
+        world = load_world(str(path))
+        digest, centroid = world.digest(), world.concept_centroid("teacher")
+        world = load_world(str(path))
+        fresh = parse_world(GOOD)
+        assert world.digest() is digest
+        assert digest == fresh.digest()
+        assert world.concept_centroid("teacher") is centroid
+        np.testing.assert_array_equal(centroid, [2.0, 6.0])
+        np.testing.assert_array_equal(centroid, fresh.concept_centroid("teacher"))
+        assert world.min_concept_separation() == 6.0
+        with pytest.raises(ValueError, match="read-only"):
+            centroid[0] = 0.0
