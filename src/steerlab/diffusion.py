@@ -210,10 +210,12 @@ def ancestral_step(
     t = state.t_index
     if not 0 <= t < schedule.steps:
         raise ValueError(f"t_index {t} outside schedule range [0, {schedule.steps})")
-    x = schedule.inv_sqrt_alpha[t] * (state.x - schedule.noise_coef[t] * epsilon_hat)
-    if t >= 1:
-        x = x + schedule.sqrt_beta[t] * rng.standard_normal(x.shape[0])
-    if not math.isfinite(float(x.sum())):
+    with np.errstate(over="ignore", invalid="ignore"):  # NumericsError below
+        x = schedule.inv_sqrt_alpha[t] * (state.x - schedule.noise_coef[t] * epsilon_hat)
+        if t >= 1:
+            x = x + schedule.sqrt_beta[t] * rng.standard_normal(x.shape[0])
+        total = float(x.sum())
+    if not math.isfinite(total):
         raise NumericsError(f"non-finite latent produced at step {t}")
     return LatentState(x, t - 1)
 

@@ -596,18 +596,14 @@ def _load_world(spec: ExperimentSpec) -> MixtureWorld:
                         exc.filename) from None
 
 
-def run_generate(
-    spec: ExperimentSpec, out_dir: str | None = None, world: MixtureWorld | None = None
-) -> RunResult:
+def run_generate(spec: ExperimentSpec, out_dir: str | None = None) -> RunResult:
     """Execute one arm: decide, sample, discriminate, record — per generation.
 
     A failing prompt is logged and skipped with none of its state committed;
     the rest of the run continues and the failure list marks the run as partial.
     This is the one-arm case of the batch that sweeps and ablations run.
     """
-    if world is None:
-        world = _load_world(spec)
-    return next(_run_batch([spec], world, [out_dir]))
+    return next(_run_batch([spec], _load_world(spec), [out_dir]))
 
 
 def write_samples_csv(samples: list[GeneratedSample], world: MixtureWorld, path: str,
@@ -719,13 +715,14 @@ class ArmsResult:
     results: list[RunResult]
 
 
-def _run_arms(spec: ExperimentSpec, world: MixtureWorld, arms: list[tuple[str, dict]],
-              kind: str, out_dir: str | None) -> ArmsResult:
+def _run_arms(spec: ExperimentSpec, arms: list[tuple[str, dict]], kind: str,
+              out_dir: str | None) -> ArmsResult:
     """One arm per (label, spec overrides), each with a fresh memory and derived
     seed, all run as row groups of one batch.
 
     Writes `<kind>.csv`; only a sweep's carries the avg/std summary lines.
     """
+    world = _load_world(spec)
     specs = [replace(spec, **overrides, memory_path=None, seed=_child_seed(spec.seed, _ARM_NS, i))
              for i, (_, overrides) in enumerate(arms)]
     out_dirs = [os.path.join(out_dir, f"arm_{i:02d}") if out_dir else None
@@ -750,15 +747,13 @@ def _run_arms(spec: ExperimentSpec, world: MixtureWorld, arms: list[tuple[str, d
 
 def run_sweep(spec: ExperimentSpec, out_dir: str | None = None) -> ArmsResult:
     """One arm per sweep target; writes sweep.csv."""
-    world = _load_world(spec)
     arms = [(_describe_target(t), {"target": t, "sweep": None})
-            for t in sweep_targets(spec, world)]
-    return _run_arms(spec, world, arms, "sweep", out_dir)
+            for t in sweep_targets(spec, _load_world(spec))]
+    return _run_arms(spec, arms, "sweep", out_dir)
 
 
 def run_window_ablation(spec: ExperimentSpec, out_dir: str | None = None) -> ArmsResult:
     """One arm per guidance window (defaults: early, middle, late); writes ablation.csv."""
-    world = _load_world(spec)
     arms = [(f"window={lo:g},{hi:g}", {"window": (lo, hi), "windows": None})
             for lo, hi in (spec.windows or DEFAULT_ABLATION_WINDOWS)]
-    return _run_arms(spec, world, arms, "ablation", out_dir)
+    return _run_arms(spec, arms, "ablation", out_dir)

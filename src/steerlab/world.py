@@ -5,11 +5,12 @@ exactly one value per schema attribute.  Conditions select subsets of
 components; embeddings of conditions live in the same space as the mixture so
 that prompt-similarity lookups stay geometric.
 
-A world is immutable once built.  It prepares each conditional mixture, and
-each value derived from the world alone (its digest, concept centroids and
-their smallest separation), once, on first use.  `worldfile.load_world`
-shares one world among all loads of the same file content, so callers must
-not mutate a world or the arrays it returns.
+A world is a value: its components are frozen copies of the caller's, with
+read-only arrays and tags, kept in a tuple, so no write reaches them.  It
+prepares each conditional mixture, and each value derived from the world
+alone (its digest, concept centroids and their smallest separation), once,
+on first use, so `worldfile.load_world` can share one world among all loads
+of the same file content.
 """
 
 from __future__ import annotations
@@ -20,7 +21,9 @@ import json
 import math
 import numbers
 import re
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, replace
+from types import MappingProxyType
 
 import numpy as np
 
@@ -89,7 +92,7 @@ class AttributeSchema:
         return f"AttributeSchema({list(self.attributes)!r})"
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Component:
     """One Gaussian component with its concept label and attribute tags."""
 
@@ -97,14 +100,14 @@ class Component:
     covariance: np.ndarray
     weight: float
     concept: str
-    tags: dict[str, str]
+    tags: Mapping[str, str]
 
 
 @dataclass(frozen=True)
 class ConditionalMixture:
     """A renormalized component subset, read-only; the kernel derives per-level values itself."""
 
-    components: list[Component]
+    components: tuple[Component, ...]
     weights: np.ndarray          # renormalized, sums to 1
     means: np.ndarray            # (K, d)
     log_weights: np.ndarray      # (K,)
@@ -113,7 +116,7 @@ class ConditionalMixture:
     eig_vecs: np.ndarray | None  # (K, d, d) matching eigenvectors (columns)
 
 
-def _prepare(components: list[Component], weights: np.ndarray) -> ConditionalMixture:
+def _prepare(components: tuple[Component, ...], weights: np.ndarray) -> ConditionalMixture:
     means = np.ascontiguousarray([c.mean for c in components], dtype=float)
     d = means.shape[1]
     identity = all(np.array_equal(c.covariance, np.eye(d)) for c in components)
@@ -136,20 +139,6 @@ def _prepare(components: list[Component], weights: np.ndarray) -> ConditionalMix
     return mix
 
 
-def _number_problems(means: np.ndarray, covs: np.ndarray) -> list[str | None]:
-    """Each component's first problem among non-finite numbers, a covariance
-    that is not symmetric (`np.allclose`'s rule) and one that is not positive
-    definite, for (n, d) means and (n, d, d) covariances checked as one stack."""
-    finite = np.isfinite(means).all(axis=1) & np.isfinite(covs).all(axis=(1, 2))
-    with np.errstate(invalid="ignore", over="ignore"):
-        symmetric = np.isclose(covs, covs.transpose(0, 2, 1), atol=1e-9).all(axis=(1, 2))
-    low = np.full(len(covs), np.inf)
-    low[finite & symmetric] = np.linalg.eigvalsh(covs[finite & symmetric]).min(axis=1)
-    return ["non-finite parameter" if not ok else "covariance not symmetric" if not sym
-            else f"covariance not positive definite (min eigenvalue {m:g})" if m <= 1e-12
-            else None for ok, sym, m in zip(finite, symmetric, low)]
-
-
 class MixtureWorld:
     """Immutable mixture world; the one place that checks its invariants."""
 
@@ -160,24 +149,14 @@ class MixtureWorld:
             raise WorldValidationError("world has no components")
         self.dimension = dimension
         self.schema = schema
-        self.components = components
-        d = dimension
-        for c in components:
-            c.mean = np.asarray(c.mean, dtype=float)
-            c.covariance = np.asarray(c.covariance, dtype=float)
-        # Shapes first, so that the numbers of every component before the first
-        # misshapen one are checked as one stack; each component's first problem wins.
-        shapes = [f"mean shape {c.mean.shape} != ({d},)" if c.mean.shape != (d,) else
-                  f"covariance shape {c.covariance.shape} != ({d}, {d})"
-                  if c.covariance.shape != (d, d) else None for c in components]
-        n = next((i for i, problem in enumerate(shapes) if problem), len(components))
-        problems = _number_problems(np.array([c.mean for c in components[:n]]).reshape(n, d),
-                                    np.array([c.covariance for c in components[:n]]
-                                             ).reshape(n, d, d)) + shapes[n:n + 1]
-        for i, problem in enumerate(problems):
-            problem = problem or self._label_problem(components[i])
+        # Copies, so that the caller's components stay as given.
+        components = [Component(np.array(c.mean, dtype=float), np.array(c.covariance, dtype=float),
+                                c.weight, c.concept, MappingProxyType(dict(c.tags)))
+                      for c in components]
+        for i, c in enumerate(components):
+            problem = self._component_problem(c)
             if problem:
-                raise _invalid(f"component {i} (concept {components[i].concept!r}): {problem}", i)
+                raise _invalid(f"component {i} (concept {c.concept!r}): {problem}", i)
         # Attribute control is infeasible unless every (concept, attribute,
         # value) triple has at least one component.
         for concept in dict.fromkeys(c.concept for c in components):
@@ -192,8 +171,8 @@ class MixtureWorld:
         total = sum(c.weight for c in components)
         if not math.isfinite(total):
             raise WorldValidationError(f"component weights sum to {total}, expected a finite total")
-        for c in components:
-            c.weight = c.weight / total
+        self.components = tuple(replace(c, weight=c.weight / total) for c in components)
+        for c in self.components:
             c.mean.setflags(write=False)
             c.covariance.setflags(write=False)
         self.concepts: tuple[str, ...] = tuple(dict.fromkeys(c.concept for c in components))
@@ -205,8 +184,21 @@ class MixtureWorld:
             self._cache[key] = compute()
         return self._cache[key]
 
-    def _label_problem(self, c: Component) -> str | None:
-        """The first problem of a component's weight or tags."""
+    def _component_problem(self, c: Component) -> str | None:
+        """The component's first problem, None if it has none."""
+        d = self.dimension
+        if c.mean.shape != (d,):
+            return f"mean shape {c.mean.shape} != ({d},)"
+        if c.covariance.shape != (d, d):
+            return f"covariance shape {c.covariance.shape} != ({d}, {d})"
+        if not np.all(np.isfinite(c.mean)) or not np.all(np.isfinite(c.covariance)):
+            return "non-finite parameter"
+        with np.errstate(over="ignore"):  # a difference past the float range is not close
+            if not np.allclose(c.covariance, c.covariance.T, atol=1e-9):
+                return "covariance not symmetric"
+        low = np.linalg.eigvalsh(c.covariance).min()
+        if low <= 1e-12:
+            return f"covariance not positive definite (min eigenvalue {low:g})"
         if not 0 < c.weight < math.inf:
             return f"weight must be positive and finite, got {c.weight}"
         missing = sorted(set(self.schema.names()) - set(c.tags))
@@ -258,7 +250,7 @@ class MixtureWorld:
         """Prepared view over every component under prior weights."""
         def compute():
             w = np.array([c.weight for c in self.components])
-            return _prepare(list(self.components), w / w.sum())
+            return _prepare(self.components, w / w.sum())
         return self._memo(("all",), compute)
 
 
@@ -297,7 +289,7 @@ def conditional_components(world: MixtureWorld, cond: Condition) -> ConditionalM
             )
         group = kept
     w = np.array([c.weight for c in group])
-    mix = _prepare(group, w / w.sum())
+    mix = _prepare(tuple(group), w / w.sum())
     world._cache[key] = mix
     return mix
 

@@ -22,9 +22,10 @@ the attribute or component at fault, or 0 for a whole-world problem.
 
 `load_world` reads the file on every call, but parses and validates each
 distinct content once per process: the same bytes, from any path, give the
-same shared world, with the mixtures and values it has already prepared.  A
-world is immutable after load, and callers must not mutate it.  A file that
-fails to load is not kept, and an edited file is parsed again.
+same shared world, with the mixtures and values it has already prepared.
+Sharing relies on a world's components, arrays and tags being read-only
+once built (see `world.MixtureWorld`).  A file that fails to load is not kept, and an edited
+file is parsed again.
 """
 
 from __future__ import annotations

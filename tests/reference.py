@@ -33,7 +33,7 @@ def quality_score(world: MixtureWorld, concept: str, samples: np.ndarray) -> Qua
     return QualityScores(hits / len(samples), log_density / len(samples))
 
 
-def run_arms(spec, world, arms, kind, out_dir) -> ArmsResult:
+def run_arms(spec, arms, kind, out_dir) -> ArmsResult:
     """`harness._run_arms` as one `run_generate` per arm, in arm order.
 
     The arm-batched runner must leave the same artifacts, results, warnings
@@ -44,7 +44,7 @@ def run_arms(spec, world, arms, kind, out_dir) -> ArmsResult:
         arm_spec = replace(spec, **overrides, memory_path=None,
                            seed=_child_seed(spec.seed, _ARM_NS, i))
         arm_dir = os.path.join(out_dir, f"arm_{i:02d}") if out_dir else None
-        result = run_generate(arm_spec, out_dir=arm_dir, world=world)
+        result = run_generate(arm_spec, out_dir=arm_dir)
         if result.report is None:
             raise SteerlabError(f"{kind} arm {i} produced no successful prompts")
         rows.append(ArmRow(i, label, result.report.combined, result.report.quality))

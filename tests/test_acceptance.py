@@ -223,7 +223,7 @@ def test_c04_deficit_counts_stay_within_one_generation(default_world, verdict):
     )
 
 
-def test_c05_deficit_variance_dominates_probabilistic(default_world, verdict):
+def test_c05_deficit_variance_dominates_probabilistic(verdict):
     """100 trials of 50 real guided generations per policy: the deficit loop's
     achieved-proportion variance must beat the probabilistic policy's
     (one-sided F-test at alpha = 0.01)."""
@@ -237,7 +237,7 @@ def test_c05_deficit_variance_dominates_probabilistic(default_world, verdict):
                 policy=policy,
                 seed=1_000_000 * (p_i + 1) + trial,
             )
-            result = run_generate(spec, world=default_world)
+            result = run_generate(spec)
             labels = [s.labels["gender"] == "female" for s in result.samples]
             achieved[policy].append(float(np.mean(labels)))
     var_def = float(np.var(achieved["deficit"], ddof=1))

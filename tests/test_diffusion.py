@@ -250,6 +250,13 @@ class TestAncestralStep:
             ancestral_step(sched, state, np.array([np.inf, 0.0]),
                            np.random.default_rng(0))
 
+    def test_latent_near_the_float_limit_raises_numerics_error_not_a_warning(self):
+        """The test settings make a RuntimeWarning an error, so an overflow
+        numpy warned of would escape here before the NumericsError."""
+        state = LatentState(np.array([1.797e308, 0.0]), 5)
+        with pytest.raises(NumericsError, match="^non-finite latent produced at step 5$"):
+            ancestral_step(linear_schedule(10), state, np.zeros(2), np.random.default_rng(0))
+
 
 class TestSampler:
     def test_deterministic_under_seed(self):

@@ -8,6 +8,7 @@ the batch size and however a trajectory is split into runs.
 import itertools
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from steerlab.guidance import (
     combined_noise,
     window_mask,
 )
-from steerlab.world import make_condition
+from steerlab.world import MixtureWorld, make_condition
 from steerlab.worldfile import default_world_path, load_world, parse_world
 from steerlab.harness import ExperimentSpec, PromptSpec, _advance
 
@@ -173,6 +174,50 @@ def test_steered_rows_of_gaussian_cells_follow_the_affine_recursion():
     assert not failures
     np.testing.assert_allclose(x, affine_trajectories(world, schedule, conds, tapes, steering),
                                rtol=0, atol=1e-12)
+
+
+# A 2 x 2 covariance as (variance, variance, correlation): positive definite.
+COVARIANCES = st.tuples(st.floats(0.3, 2.0), st.floats(0.3, 2.0), st.floats(-0.8, 0.8)).map(
+    lambda v: [[v[0], v[2] * math.sqrt(v[0] * v[1])], [v[2] * math.sqrt(v[0] * v[1]), v[1]]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    covariances=st.lists(COVARIANCES, min_size=4, max_size=4),
+    gamma=st.floats(0.0, 1.0),
+    window=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2, unique=True).map(sorted),
+    scale=st.floats(0.1, 6.0),
+    steps=st.integers(1, 60),
+    both=st.booleans(),
+    rows=st.lists(st.tuples(st.integers(0, 3), st.booleans(), st.booleans(), st.booleans()),
+                  min_size=1, max_size=12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_mixed_steered_rows_of_gaussian_cells_follow_the_affine_recursion(
+        covariances, gamma, window, scale, steps, both, rows, seed):
+    """One batch of rows of any cell, each under its own plan: both attributes
+    or one of them, each entry either way round.  The engine agrees with
+    `reference.affine_trajectories` within 1e-12 of the latents' size, for any
+    gamma, window, scale and full covariances."""
+    cells = parse_world(GAUSSIAN_CELLS)
+    world = MixtureWorld(2, cells.schema, [replace(c, covariance=np.array(cov))
+                                           for c, cov in zip(cells.components, covariances)])
+    pairs = {"gender": ("female", "male"), "age": ("old", "young")}
+    plans, conds = [], []
+    for cell, flip_gender, flip_age, gender_only in rows:
+        attributes = ("gender", "age") if both else ("gender",) if gender_only else ("age",)
+        flips = {"gender": flip_gender, "age": flip_age}
+        plans.append(GuidancePlan(tuple((a, PlanEntry(*pairs[a][::-1 if flips[a] else 1]))
+                                        for a in attributes)))
+        conds.append(make_condition(world, "worker", dict(cells.components[cell].tags)))
+    schedule = linear_schedule(steps, beta_end=0.3)
+    config = GuidanceConfig(gamma=gamma, window=tuple(window), attribute_scale=scale)
+    steering = Steering(window_mask(schedule, config), tuple(plans), gamma, scale)
+    tapes = noise_tapes(_rngs(len(rows), seed=seed), steps, world.dimension)
+    x, failures = run_trajectories(world, schedule, conds, tapes, steering)
+    assert not failures
+    expected = affine_trajectories(world, schedule, conds, tapes, steering)
+    assert np.abs(x - expected).max() <= 1e-12 * max(1.0, np.abs(expected).max())
 
 
 @settings(max_examples=25, deadline=None)
@@ -556,7 +601,7 @@ def test_vanilla_run_equals_reference_sampler():
     )
     world = load_world(spec.world_path)
     schedule = linear_schedule(spec.steps, spec.beta_start, spec.beta_end)
-    result = run_generate(spec, world=world)
+    result = run_generate(spec)
     assert len(result.samples) == 9
     for s in result.samples:
         instance = s.prompt_ordinal if s.concept == "engineer" else 0

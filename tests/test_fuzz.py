@@ -218,12 +218,11 @@ _SPEC_RUNS = {"generate": run_generate, "sweep": run_sweep, "ablation": run_wind
 
 def _run_spec(command: str, **fields_) -> None:
     """Run CONFIG as a spec built in Python, with `fields_` replaced, in a
-    fresh directory holding its world; `run_generate` is handed the world."""
+    fresh directory holding its world."""
     with fresh_cwd():
         Path("fuzz.world").write_text(WORLD)
         spec = replace(ExperimentSpec.from_dict(CONFIG), **fields_)
-        world = {"world": parse_world(WORLD, path="fuzz.world")} if command == "generate" else {}
-        _SPEC_RUNS[command](spec, out_dir="out", **world)
+        _SPEC_RUNS[command](spec, out_dir="out")
 
 
 @given(data=st.data())

@@ -548,7 +548,7 @@ def test_batched_prompt_equals_one_generation_at_a_time(tmp_path, world_name, po
     world = load_world(spec.world_path)
     samples, memory, probe_rows, plans, failures = _one_at_a_time(spec, world)
     out = tmp_path / "run"
-    result = run_generate(spec, out_dir=str(out), world=world)
+    result = run_generate(spec, out_dir=str(out))
 
     assert result.failures == failures
     assert not failures or world_name == "failing-prompt"
@@ -635,7 +635,7 @@ def test_rows_failing_under_one_plan_fail_only_prompts_that_choose_it(tmp_path, 
     )
     world = load_world(spec.world_path)
     samples, _, _, plans, failures = _one_at_a_time(spec, world)
-    result = run_generate(spec, world=world)
+    result = run_generate(spec)
     assert result.failures == failures
     assert failures and all("non-finite steered noise" in message for _, message in failures)
     assert [(s.prompt_id, s.sample_index, s.labels) for s in result.samples] == \
@@ -725,25 +725,32 @@ class TestBlendRule:
         monkeypatch.setattr(harness, "run_trajectories", spy)
         return calls
 
+    @staticmethod
+    def _spec(world_path, tmp_path, arm, **overrides):
+        """base_spec under the arm's overrides; the no-attributes arm runs on
+        `single_gaussian_world()`, written to a file."""
+        if arm == "no-attributes":
+            world_path = tmp_path / "origin.world"
+            world_path.write_text("dimension 2\ncomponent origin mean=0,0 weight=1\n")
+        return base_spec(str(world_path), **overrides, **_UNBLENDED_ARMS[arm])
+
     @pytest.mark.parametrize("arm", sorted(_UNBLENDED_ARMS))
     def test_arm_that_blends_no_step_gives_the_engine_no_steering(self, world_path, tmp_path,
                                                                    monkeypatch, arm):
         """Its rows also take the whole trajectory in the prefix call."""
-        world = single_gaussian_world() if arm == "no-attributes" else load_world(world_path)
         calls = self._engine_calls(monkeypatch)
-        spec = base_spec(world_path, diagnostics=True, **_UNBLENDED_ARMS[arm])
-        result = run_generate(spec, out_dir=str(tmp_path / "out"), world=world)
+        spec = self._spec(world_path, tmp_path, arm, diagnostics=True)
+        result = run_generate(spec, out_dir=str(tmp_path / "out"))
         assert result.samples and not result.failures
         assert calls and all(s is None for s, _, _ in calls)
         assert calls[0][1:] == (0, spec.steps)
         assert not (tmp_path / "out" / "diagnostics.csv").exists()
 
     @pytest.mark.parametrize("arm", ["gamma-1", "vanilla", "no-attributes"])
-    def test_chunks_of_an_arm_that_blends_no_step_ignore_diagnostics(self, world_path,
+    def test_chunks_of_an_arm_that_blends_no_step_ignore_diagnostics(self, world_path, tmp_path,
                                                                       monkeypatch, arm):
         """The chunk estimate counts probe rows for the steps an arm blends
         only; it used to count the window's steps for these arms."""
-        world = single_gaussian_world() if arm == "no-attributes" else load_world(world_path)
         chunks = []
 
         def tapes(rngs, steps, d):
@@ -755,8 +762,7 @@ class TestBlendRule:
             split = []
             for diagnostics in (False, True):
                 chunks.clear()
-                run_generate(base_spec(world_path, diagnostics=diagnostics,
-                                       **_UNBLENDED_ARMS[arm]), world=world)
+                run_generate(self._spec(world_path, tmp_path, arm, diagnostics=diagnostics))
                 split.append(list(chunks))
             assert split[0] == split[1], chunk_bytes
 
@@ -803,7 +809,7 @@ class TestBlendRule:
         world = load_world(spec.world_path)
         samples, _, _, plans, failures = _one_at_a_time(spec, world)
         engine = self._engine_calls(monkeypatch)
-        result = run_generate(spec, world=world)
+        result = run_generate(spec)
         steered = [s.plans for s, _, _ in engine if s is not None]
         decided = {plan for prompt in plans for plan in prompt}
         space = plan_space(world.schema, _build_policy(spec))

@@ -139,6 +139,8 @@ class TestMixtureWorldValidation:
         (dict(mean=(np.nan, 0.0)), dict(cov=[[np.inf, 0], [0, 1]]), "non-finite parameter"),
         (dict(cov=[[1.0, 0.5], [0.0, 1.0]]), dict(cov=[[1.0, 0.0], [0.3, 1.0]]),
          "covariance not symmetric"),
+        (dict(cov=[[1.0, 1.7e308], [-1.7e308, 1.0]]), dict(cov=[[1.0, 0.0], [0.3, 1.0]]),
+         "covariance not symmetric"),
         (dict(cov=[[1.0, 2.0], [2.0, 1.0]]), dict(cov=[[1.0, 3.0], [3.0, 1.0]]),
          "covariance not positive definite (min eigenvalue -1)"),
         (dict(weight=0.0), dict(weight=-1.0), "weight must be positive and finite, got 0.0"),
@@ -148,7 +150,8 @@ class TestMixtureWorldValidation:
          "weight must be positive and finite, got -1.0"),
         (dict(cov=[[1.0, 2.0], [2.0, 1.0]]), dict(mean=(np.nan, 0.0)),
          "covariance not positive definite (min eigenvalue -1)"),
-    ], ids=["mean-shape", "covariance-shape", "non-finite", "symmetric", "positive-definite",
+    ], ids=["mean-shape", "covariance-shape", "non-finite", "symmetric",
+            "symmetric-past-float-range", "positive-definite",
             "weight", "tag", "weight-then-shape", "definite-then-non-finite"])
     def test_of_two_bad_components_the_first_is_named(self, first, second, message):
         components = [make_component(), make_component(**first), make_component(**second),
@@ -162,6 +165,17 @@ class TestMixtureWorldValidation:
         world = build_gender_world()
         with pytest.raises(ValueError):
             world.components[0].mean[0] = 99.0
+
+    def test_the_callers_components_stay_as_given(self):
+        given = [make_component(weight=0.1), make_component(gender="female", weight=0.2)]
+        world = MixtureWorld(2, GENDER, given)
+        assert [c.weight for c in given] == [0.1, 0.2]
+        assert all(c.mean.flags.writeable and c.covariance.flags.writeable for c in given)
+        given[0].mean[0] = 99.0
+        given[0].tags["gender"] = "female"
+        assert world.components[0].mean[0] == 0.0
+        assert world.components[0].tags["gender"] == "male"
+        assert [c.weight for c in world.components] == [0.1 / (0.1 + 0.2), 0.2 / (0.1 + 0.2)]
 
     def test_concepts_in_first_seen_order(self):
         world = build_gender_world()

@@ -1,3 +1,5 @@
+import dataclasses
+import operator
 import textwrap
 
 import numpy as np
@@ -278,3 +280,30 @@ class TestLoadedWorlds:
         assert world.min_concept_separation() == 6.0
         with pytest.raises(ValueError, match="read-only"):
             centroid[0] = 0.0
+
+    @pytest.mark.parametrize("write, error", [
+        (lambda w: setattr(w.components[0], "weight", 1.0), dataclasses.FrozenInstanceError),
+        (lambda w: setattr(w.components[0], "mean", np.zeros(2)),
+         dataclasses.FrozenInstanceError),
+        (lambda w: operator.setitem(w.components[0].covariance, (0, 1), 0.5), ValueError),
+        (lambda w: operator.setitem(w.components[0].tags, "gender", "female"), TypeError),
+        (lambda w: w.components[0].tags.update(gender="female"), AttributeError),
+        (lambda w: operator.setitem(w.components, 0, w.components[1]), TypeError),
+        (lambda w: w.components.append(w.components[0]), AttributeError),
+        (lambda w: w.all_components().components.append(w.components[0]), AttributeError),
+    ], ids=["weight", "mean", "covariance-entry", "tag", "tags-update", "component",
+            "components-append", "mixture-components-append"])
+    def test_a_loaded_world_cannot_be_changed(self, tmp_path, write, error):
+        """A write raises, and the next load of the same bytes gives the world
+        and digest of a fresh parse."""
+        path = tmp_path / "w.world"
+        path.write_text(self._text(tmp_path))
+        world = load_world(str(path))
+        digest = world.digest()
+        with pytest.raises(error):
+            write(world)
+        again = load_world(str(path))
+        fresh = parse_world(self._text(tmp_path))
+        assert again.digest() == digest == fresh.digest()
+        assert [(c.weight, dict(c.tags)) for c in again.components] == \
+            [(c.weight, dict(c.tags)) for c in fresh.components]
