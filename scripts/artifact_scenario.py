@@ -26,7 +26,9 @@ the list's own sha256 beside its file and command counts.
 A refactor that must not move a bit of output should give the same list on
 its parent and on itself.  The work directory is emptied first; it must be
 absent, empty, or left by an earlier run of this script.  Takes about a
-third of a minute; it is not part of the test suite.
+third of a minute.  `tests/test_artifacts.py` runs the same scenario in
+process, through `cli.main`, and compares its list with
+`tests/artifact_list.txt`.
 """
 
 from __future__ import annotations

@@ -17,9 +17,11 @@ step makes one kernel call per shape (component count and covariance kind)
 among the rows' base mixtures and, when steered, their edited ones, each over
 that shape's distinct mixtures stacked once and gathered per row, and the
 kernel gives each row the bits it would get alone.  A step does only that
-arithmetic: finiteness is checked once, on the call's final latents, and the
-rows that end non-finite are replayed alone with every stage checked, to name
-the step and stage where each first failed.  `sample` with `analytic_epsilon` and
+arithmetic, in scratch arrays each kernel call is given once per engine call,
+and advances the call's own copy of the latents in place: finiteness is
+checked once, on the call's final latents, and the rows that end non-finite
+are replayed alone with every stage checked, to name the step and stage where
+each first failed.  `sample` with `analytic_epsilon` and
 `ancestral_step` is the one-point reference path the engine is tested against.
 """
 
@@ -29,6 +31,15 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+# The kernel and the step loop call numpy's functions by bare name: at a few
+# dozen floats per array, looking each up on the numpy module costs a
+# measurable share of a step.  c_einsum is the C function np.einsum runs.
+from numpy import add, divide, exp, log, matmul, maximum, multiply, subtract, take
+
+try:
+    from numpy._core.multiarray import c_einsum
+except ImportError:  # numpy < 2
+    c_einsum = np.einsum
 
 from .errors import NumericsError, SteerlabError
 from .world import (Condition, ConditionalMixture, MixtureWorld, conditional_components,
@@ -115,53 +126,95 @@ class RowMixtures:
             setattr(self, name, None if arrays[0] is None else np.stack(arrays)[pick])
 
 
-def _logits(mix, x: np.ndarray, a_bar: float) -> tuple[np.ndarray, np.ndarray]:
+def _einsum(subscripts: str, a: np.ndarray, b: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """np.einsum(subscripts, a, b, out=out) by the C function it runs, so with its
+    bits, less a Python-level dispatch that costs about as much again at these sizes."""
+    return c_einsum(subscripts, a, b) if out is None else c_einsum(subscripts, a, b, out=out)
+
+
+class _Scratch:
+    """The arrays a kernel writes its stages into, with views of them made once.
+    The engine makes one per operand per call (`_scratch`).  A stage left None
+    is allocated by numpy, as `out=None` does: `_FRESH` runs `_logits` so for
+    its one-point callers."""
+
+    means = diff = logits = marginal = logs = log_det = y = ys = None
+    columns = weights = peak = total = out = None
+
+
+_FRESH = _Scratch()
+
+
+def _scratch(mix, rows: int, out: np.ndarray | None = None) -> _Scratch:
+    """The kernel's arrays for `rows` rows of mix, its result landing in out, (rows, 1, d)."""
+    k, d = mix.means.shape[-2:]
+    s = _Scratch()
+    s.means, s.out = np.empty(mix.means.shape), (np.empty((rows, 1, d)) if out is None else out)
+    if mix.identity_cov and k == 1:
+        return s
+    s.diff, s.logits, s.peak, s.total = (np.empty((rows, k, d)), np.empty((rows, k)),
+                                         np.empty((rows, 1)), np.empty((rows, 1, 1)))
+    s.columns, s.weights = [s.logits[:, j:j + 1] for j in range(k)], s.logits[:, None, :]
+    if not mix.identity_cov:
+        s.marginal, s.logs = np.empty(mix.eig_vals.shape), np.empty(mix.eig_vals.shape)
+        s.log_det, s.y, s.ys = (np.empty(mix.eig_vals.shape[:-1]), np.empty((rows, k, d)),
+                                np.empty((rows, k, d)))
+    return s
+
+
+def _logits(mix, x: np.ndarray, a_bar: float, s: _Scratch = _FRESH
+            ) -> tuple[np.ndarray, np.ndarray]:
     """(B, K) logits log w_k + log N(x; sqrt(a_bar) mu_k, a_bar Sigma_k + (1 - a_bar) I),
-    less d/2 log(2 pi), at a (B, d) batch, plus the per-component offsets the
+    less d/2 log(2 pi), at a (B, 1, d) batch, plus the per-component offsets the
     score needs (in the eigenbasis, over the marginal eigenvalues, for full
     covariances).  The mixture's arrays may carry a leading row axis
-    (`RowMixtures`); the kernel only reads them.  No operation mixes rows, so
-    bits depend neither on B nor on which mixture the other rows follow.
+    (`RowMixtures`); the kernel only reads them and x, and writes each stage
+    into s.  No operation mixes rows, so bits depend neither on B nor on which
+    mixture the other rows follow.
     """
-    sab = math.sqrt(a_bar)
-    diff = x[:, None, :] - sab * mix.means                  # (B, K, d)
-    if mix.identity_cov:
-        # Sigma_k = I makes every marginal covariance exactly I.
-        if mix.means.shape[-2] == 1:
-            sq = np.matmul(diff, diff.transpose(0, 2, 1))[:, :, 0]
-        else:
-            sq = np.einsum("bkd,bkd->bk", diff, diff)
-        return mix.log_weights - 0.5 * sq, diff
-    s = a_bar * mix.eig_vals + (1.0 - a_bar)                # marginal eigenvalues
-    log_det = np.log(s).sum(axis=-1)
-    y = np.einsum("...kji,...kj->...ki", mix.eig_vecs, diff)  # rotate into eigenbasis
-    ys = y / s
-    logits = mix.log_weights - 0.5 * (np.einsum("bki,bki->bk", y, ys) + log_det)
-    return logits, ys
+    diff = subtract(x, multiply(mix.means, math.sqrt(a_bar), s.means), s.diff)  # (B, K, d)
+    if mix.identity_cov:  # Sigma_k = I makes every marginal covariance exactly I
+        sq = (matmul(diff, diff.transpose(0, 2, 1))[:, :, 0] if diff.shape[1] == 1 else
+              _einsum("bkd,bkd->bk", diff, diff, s.logits))
+        return subtract(mix.log_weights, multiply(sq, 0.5, sq), sq), diff
+    marginal = add(multiply(mix.eig_vals, a_bar, s.marginal), 1.0 - a_bar, s.marginal)
+    log_det = add.reduce(log(marginal, s.logs), -1, None, s.log_det)
+    y = _einsum("...kji,...kj->...ki", mix.eig_vecs, diff, s.y)  # rotate into eigenbasis
+    ys = divide(y, marginal, s.ys)
+    q = _einsum("bki,bki->bk", y, ys, s.logits)
+    return subtract(mix.log_weights, multiply(add(q, log_det, q), 0.5, q), q), ys
 
 
-def _row_max(logits: np.ndarray) -> np.ndarray:
-    """Each row's max of a (B, K) array, column by column, in fewer numpy calls
-    than a reduction at a few columns.  Max is exact in any order, so this has
-    the bits of `logits.max(axis=1)`, NaN rows included, but for the sign of a
-    zero max, which `exp(logits - max)` cannot see."""
-    m = logits[:, 0]
-    for k in range(1, logits.shape[1]):
-        m = np.maximum(m, logits[:, k])
+def _row_max(columns, out: np.ndarray | None = None) -> np.ndarray:
+    """Each row's max of a (B, K) array from its K columns, one by one, in fewer
+    numpy calls than a reduction at a few columns.  Max is exact in any order,
+    so this has the bits of `logits.max(axis=1)`, NaN rows included, but for the
+    sign of a zero max, which `exp(logits - max)` cannot see."""
+    m = columns[0]
+    for column in columns[1:]:
+        m = maximum(m, column, out=out)
     return m
 
 
-def _noise(mix, x: np.ndarray, a_bar: float, scale: float) -> np.ndarray:
+def _noise(mix, x: np.ndarray, a_bar: float, scale: float, s: _Scratch | None = None
+           ) -> np.ndarray:
     """Exact noise prediction, scale = sqrt(1 - a_bar) times minus the score (grad
-    log density) of the noised mixture, at every row of a (B, d) batch, unchecked."""
+    log density) of the noised mixture, at every row of a (B, 1, d) batch,
+    unchecked.  Every stage is written into s, made for the call when not given,
+    and the result is s.out, (B, 1, d)."""
+    s = _scratch(mix, len(x)) if s is None else s
+    out = s.out
     if mix.identity_cov and mix.means.shape[-2] == 1:
         # One unit Gaussian: minus the score is the offset, and no weight matters.
-        return scale * (x - math.sqrt(a_bar) * mix.means[..., 0, :])
-    logits, offsets = _logits(mix, x, a_bar)
+        subtract(x, multiply(mix.means, math.sqrt(a_bar), s.means), out)
+        return multiply(out, scale, out)
+    w, offsets = _logits(mix, x, a_bar, s)
     if not mix.identity_cov:
-        offsets = np.einsum("...kij,...kj->...ki", mix.eig_vecs, offsets)
-    w = np.exp(logits - _row_max(logits)[:, None])
-    return scale * (np.matmul(w[:, None, :], offsets)[:, 0, :] / w.sum(axis=1, keepdims=True))
+        offsets = _einsum("...kij,...kj->...ki", mix.eig_vecs, offsets, s.y)
+    exp(subtract(w, _row_max(s.columns, s.peak), w), w)
+    matmul(s.weights, offsets, out)
+    divide(out, add.reduce(s.weights, -1, None, s.total, True), out)
+    return multiply(out, scale, out)
 
 
 def _logsumexp(logits: np.ndarray) -> float:
@@ -172,7 +225,7 @@ def _logsumexp(logits: np.ndarray) -> float:
 def mixture_log_density(mix: ConditionalMixture, x: np.ndarray, a_bar: float = 1.0) -> float:
     """Log density of the conditional mixture noised to level a_bar (1 = data level)."""
     x = np.asarray(x, dtype=float)
-    logits = _logits(mix, x[None, :], a_bar)[0][0]
+    logits = _logits(mix, x[None, None, :], a_bar)[0][0]
     return _logsumexp(logits) - 0.5 * x.shape[0] * _LOG_2PI
 
 
@@ -191,10 +244,10 @@ def analytic_epsilon(
     t = state.t_index
     if not 0 <= t < schedule.steps:
         raise ValueError(f"t_index {t} outside schedule range [0, {schedule.steps})")
-    x = np.asarray(state.x, dtype=float)[None, :]
+    x = np.asarray(state.x, dtype=float)[None, None, :]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # NumericsError below
         eps = _noise(conditional_components(world, cond), x, float(schedule.alpha_bar[t]),
-                     float(schedule.sqrt_one_minus_alpha_bar[t]))[0]
+                     float(schedule.sqrt_one_minus_alpha_bar[t]))[0, 0]
     if not math.isfinite(eps.sum()):
         raise NumericsError(f"non-finite noise estimate at step {t}")
     return eps
@@ -254,11 +307,13 @@ class Steering:
     scale: float
 
 
-def _operands(mixes: list, pick: np.ndarray) -> list[tuple]:
+def _operands(mixes: list, pick: np.ndarray, x: np.ndarray, noise: np.ndarray) -> list[tuple]:
     """A step's kernel calls, one per shape among the mixtures `pick` names, where
     row b follows mixes[pick[j, b]] in slot j (0 the base, then the plan's edits):
-    (operand, its rows of the (slots * B, d) noise stack, its rows of x or None for all)."""
-    n = pick.shape[1]
+    (operand, its scratch, its rows' latents, those rows of the (B, 1, d) latents
+    x or None for all, its cells of the (slots * B, 1, d) noise stack or None when
+    it writes them in place).  The scratch is made here, once per engine call."""
+    n = x.shape[0]
     flat = pick.ravel()
     shapes: dict[tuple, int] = {}
     shape = np.array([shapes.setdefault((m.means.shape, m.identity_cov), len(shapes))
@@ -273,25 +328,30 @@ def _operands(mixes: list, pick: np.ndarray) -> list[tuple]:
         mix = (mixes[members[0]] if len(members) == 1 else
                RowMixtures([mixes[i] for i in members], (np.cumsum(used) - 1)[flat[at]]))
         whole = len(at) == n and at[0] % n == 0 and at[-1] - at[0] == n - 1  # one slot's rows
-        rows = None if whole else at % n
-        if at[-1] - at[0] == len(at) - 1:
-            at = slice(int(at[0]), int(at[-1]) + 1)
-        operands.append((mix, at, rows))
+        rows, xs = (None, x) if whole else (at % n, np.empty((len(at),) + x.shape[1:]))
+        if at[-1] - at[0] == len(at) - 1:  # adjacent cells: the kernel writes into the stack
+            operands.append((mix, _scratch(mix, len(at), noise[at[0]:at[-1] + 1]), xs, rows, None))
+        else:
+            operands.append((mix, _scratch(mix, len(at)), xs, rows, at))
     return operands
 
 
 def _steer(steering: Steering, eps: np.ndarray, t: int, failures: dict[int, str] | None, probe
            ) -> np.ndarray:
     """A steered step's blended noise from its (slots, B, d) noise stack, in `_edited`'s
-    order, checked into failures when they are given."""
-    base = eps[0]
-    acc = np.zeros_like(base)
-    for target, reference in zip(eps[1::2], eps[2::2]):
-        acc += target - reference
-    attr_term = steering.scale * acc / (len(eps) // 2)
+    order, checked into failures when they are given.  The blend is computed in the
+    stack, which it overwrites, and returned in its base slot."""
+    base, acc = eps[0], eps[1]
+    add(subtract(acc, eps[2], acc), 0.0, acc)  # from 0.0, for combined_noise's sign of zero
+    for target, reference in zip(eps[3::2], eps[4::2]):
+        add(acc, subtract(target, reference, target), acc)
+    attr_term = multiply(acc, steering.scale, acc)
+    if len(eps) > 3:
+        divide(attr_term, len(eps) // 2, attr_term)
     if probe is not None:
         probe.record(t, base, attr_term)
-    out = steering.gamma * base + (1.0 - steering.gamma) * attr_term
+    out = add(multiply(base, steering.gamma, base),
+              multiply(attr_term, 1.0 - steering.gamma, attr_term), base)
     if failures is not None:
         _check(out, f"non-finite steered noise at step {t}", failures)
     return out
@@ -356,37 +416,41 @@ def _mixtures(world: MixtureWorld, conds: list[Condition], steering: Steering | 
 def _reverse(schedule: NoiseSchedule, mixes: list, pick: np.ndarray, steering: Steering | None,
              tapes: np.ndarray, x: np.ndarray, start: int, stop: int, probe,
              failures: dict[int, str] | None) -> np.ndarray:
-    """Reverse steps start..stop-1 of the (B, d) batch x, row b following mixes[pick[j, b]]
-    in slot j, as `run_trajectories` runs them.  With a failures dict, every stage
-    is checked as `sample` checks it alone (`_check`); without one, a step does
-    only its rows' arithmetic and reduces nothing across a row."""
+    """Reverse steps start..stop-1 of a copy of the (B, d) batch x, advanced in place,
+    row b following mixes[pick[j, b]] in slot j, as `run_trajectories` runs them.
+    With a failures dict, every stage is checked as `sample` checks it alone
+    (`_check`); without one, a step does only its rows' arithmetic and reduces
+    nothing across a row."""
     steps = schedule.steps
     lo, hi = steps - stop, steps - start  # t runs from hi - 1 down to lo
     coefs = [a[lo:hi][::-1].tolist() for a in (
         schedule.alpha_bar, schedule.sqrt_one_minus_alpha_bar, schedule.inv_sqrt_alpha,
         schedule.noise_coef, schedule.sqrt_beta)]
     active = [False] * len(coefs[0]) if steering is None else steering.active[lo:hi][::-1].tolist()
-    plain = steered = _operands(mixes, pick[:1])
-    if steering is not None:
-        steered = _operands(mixes, pick)
+    x = np.array(x, dtype=float)  # the call's own latents, advanced in place
     n, d = x.shape
+    stack = np.empty((len(pick) if steering is not None else 1, n, d))  # each slot's noise
+    noise, base, x3 = stack.reshape(-1, 1, d), stack[0], x[:, None, :]
+    plain = steered = _operands(mixes, pick[:1], x3, noise)
+    if steering is not None:
+        steered = _operands(mixes, pick, x3, noise)
+    fresh = np.empty((n, d))
     for i, a_bar, scale, inv, coef, sqrt_beta, blend in zip(range(start, stop), *coefs, active):
         t = steps - 1 - i
-        operands = steered if blend else plain
-        if len(operands) == 1 and operands[0][2] is None:  # one call over the batch itself
-            eps = _noise(operands[0][0], x, a_bar, scale)
-        else:
-            eps = np.empty(((len(pick) if blend else 1) * n, d))
-            for mix, at, rows in operands:
-                eps[at] = _noise(mix, x if rows is None else x[rows], a_bar, scale)
-            eps = eps.reshape(-1, n, d) if blend else eps
+        for mix, s, xs, rows, at in steered if blend else plain:
+            if rows is not None:
+                take(x3, rows, axis=0, out=xs)
+            eps = _noise(mix, xs, a_bar, scale, s)
+            if at is not None:
+                noise[at] = eps
+        eps = stack if blend else base
         if failures is not None:
             _check(eps, f"non-finite noise estimate at step {t}", failures)
         if blend:
             eps = _steer(steering, eps, t, failures, probe)
-        x = inv * (x - coef * eps)
+        multiply(subtract(x, multiply(eps, coef, eps), x), inv, x)
         if t >= 1:
-            x = x + sqrt_beta * tapes[i + 1]
+            add(x, multiply(tapes[i + 1], sqrt_beta, fresh), x)
         if failures is not None:
             _check(x, f"non-finite latent produced at step {t}", failures)
     return x
@@ -439,7 +503,8 @@ def run_trajectories(
     failed rows.  Every row computes as if alone, so the replay repeats the
     bits and names the first failing step and stage.
 
-    Returns the latents and the failed rows: each row that goes non-finite
+    Returns the latents, an array of the call's own (x and the tapes are
+    only read), and the failed rows: each row that goes non-finite
     maps to the message it would raise alone, and each row whose condition
     cannot take the steering's edits to that error's message, from before its
     first step.  A failed row's latents are NaN, and its probe rows, if any,
@@ -450,7 +515,7 @@ def run_trajectories(
     stop = schedule.steps if stop is None else stop
     if x is None and start:
         raise ValueError("x is needed to start past step 0")
-    x = (tapes[0] if x is None else x).copy()  # failed rows are marked in a copy, not in x
+    x = tapes[0] if x is None else x
     if steering is not None and len(steering.plans) != len(conds):
         raise ValueError(f"{len(steering.plans)} plans for {len(conds)} rows")
     failures: dict[int, str] = {}

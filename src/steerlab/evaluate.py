@@ -25,7 +25,7 @@ def discriminate(world: MixtureWorld, x0: np.ndarray) -> tuple[dict[str, str], d
     """Attribute labels (marginal argmax, ties by schema order) and concept posterior."""
     x0 = np.asarray(x0, dtype=float)
     mix = world.all_components()
-    logits = _logits(mix, x0[None, :], 1.0)[0][0]
+    logits = _logits(mix, x0[None, None, :], 1.0)[0][0]
     post = np.exp(logits - _logsumexp(logits))
     # Each mass adds its components' posteriors from 0 in component order.
     concept_mass = dict.fromkeys(world.concepts, 0)

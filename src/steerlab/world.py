@@ -5,12 +5,13 @@ exactly one value per schema attribute.  Conditions select subsets of
 components; embeddings of conditions live in the same space as the mixture so
 that prompt-similarity lookups stay geometric.
 
-A world is a value: its components are frozen copies of the caller's, with
-read-only arrays and tags, kept in a tuple, so no write reaches them.  It
-prepares each conditional mixture, and each value derived from the world
-alone (its digest, concept centroids and their smallest separation), once,
-on first use, so `worldfile.load_world` can share one world among all loads
-of the same file content.
+A world is a value: its attributes cannot be set or deleted once built, and
+its components are frozen copies of the caller's, with read-only arrays and
+tags, kept in a tuple, so no write reaches them.  It prepares each
+conditional mixture, and each value derived from the world alone (its
+digest, concept centroids and their smallest separation), once, on first
+use, so `worldfile.load_world` can share one world among all loads of the
+same file content.
 """
 
 from __future__ import annotations
@@ -176,7 +177,15 @@ class MixtureWorld:
             c.mean.setflags(write=False)
             c.covariance.setflags(write=False)
         self.concepts: tuple[str, ...] = tuple(dict.fromkeys(c.concept for c in components))
-        self._cache: dict[tuple, object] = {}  # prepared mixtures and derived values
+        self._cache: dict[tuple, object] = {}  # prepared mixtures and derived values; set last
+
+    def __setattr__(self, name, value):
+        if "_cache" in self.__dict__:  # __init__ has finished
+            raise AttributeError(f"a MixtureWorld cannot be changed (set {name!r})")
+        super().__setattr__(name, value)
+
+    def __delattr__(self, name):
+        raise AttributeError(f"a MixtureWorld cannot be changed (delete {name!r})")
 
     def _memo(self, key: tuple, compute):
         """The value under key, computed on first use: the world is immutable."""

@@ -509,7 +509,8 @@ def test_poisoned_row_fails_alone_and_its_neighbours_keep_their_bits(name, poiso
 def test_a_step_makes_one_kernel_call_per_mixture_shape(monkeypatch, conditions, calls, plain):
     """A steered step makes 1 kernel call per distinct shape among the rows'
     base and four edited mixtures; an unsteered step 1 per distinct shape
-    among their base mixtures.  The kernel is told its step by alpha_bar."""
+    among their base mixtures.  The kernel is told its step by alpha_bar, and
+    takes its operand's scratch, made once per engine call."""
     world = parse_world(GRID_WORLD)
     schedule = linear_schedule(10)
     conds = [make_condition(world, *c) for c in conditions]
@@ -517,9 +518,9 @@ def test_a_step_makes_one_kernel_call_per_mixture_shape(monkeypatch, conditions,
     seen = []
     noise = diffusion._noise
 
-    def counted(mix, x, a_bar, scale):
+    def counted(mix, x, a_bar, scale, scratch):
         seen.append(a_bar)
-        return noise(mix, x, a_bar, scale)
+        return noise(mix, x, a_bar, scale, scratch)
     monkeypatch.setattr(diffusion, "_noise", counted)
     _, failures = run_trajectories(world, schedule, conds,
                                    noise_tapes(_rngs(len(conds)), 10, 2), steering)
@@ -821,7 +822,7 @@ def test_row_max_has_the_bits_of_a_max_reduction(k, b, data):
         st.one_of(st.floats(), st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan])),
         min_size=b * k, max_size=b * k))
     logits = np.array(values).reshape(b, k)
-    ours, theirs = diffusion._row_max(logits), logits.max(axis=1)
+    ours, theirs = diffusion._row_max(logits.T), logits.max(axis=1)
     nan = np.isnan(theirs)
     np.testing.assert_array_equal(np.isnan(ours), nan)
     signed = ~nan & (theirs != 0)
@@ -832,3 +833,81 @@ def test_row_max_has_the_bits_of_a_max_reduction(k, b, data):
     nan = np.isnan(theirs)  # any payload
     np.testing.assert_array_equal(np.isnan(ours), nan)
     np.testing.assert_array_equal(ours[~nan].view(np.int64), theirs[~nan].view(np.int64))
+
+
+def _accumulated_blend(steering, eps):
+    """The blend as `combined_noise` forms it: an accumulator from zeros, then
+    scaled and divided by the entry count."""
+    acc = np.zeros_like(eps[0])
+    for target, reference in zip(eps[1::2], eps[2::2]):
+        acc += target - reference
+    attr_term = steering.scale * acc / (len(eps) // 2)
+    return steering.gamma * eps[0] + (1.0 - steering.gamma) * attr_term, attr_term
+
+
+class _KeptProbe:
+    def record(self, t, base, attr_term):
+        self.rows = base.copy(), attr_term.copy()
+
+
+def _assert_blend_bits(eps, gamma, scale):
+    """`_steer` gives the accumulated blend's bits (NaN of any payload), and so
+    do the base and attribute term its probe is handed."""
+    steering = Steering(np.ones(1, dtype=bool), (), gamma, scale)
+    probe = _KeptProbe()
+    with np.errstate(all="ignore"):
+        ours = diffusion._steer(steering, eps.copy(), 0, None, probe)
+        theirs, attr_term = _accumulated_blend(steering, eps)
+    for a, b in ((ours, theirs), (probe.rows[0], eps[0]), (probe.rows[1], attr_term)):
+        nan = np.isnan(b)
+        np.testing.assert_array_equal(np.isnan(a), nan)
+        np.testing.assert_array_equal(a[~nan].view(np.int64), b[~nan].view(np.int64))
+
+
+@pytest.mark.parametrize("entries", [1, 2])
+@pytest.mark.parametrize("gamma", [0.0, 0.6])
+def test_folded_blend_keeps_the_sign_of_a_zero(entries, gamma):
+    """Every row of signed zeros across base, targets and references: a
+    difference of -0.0 summed from 0.0 is +0.0, which gamma * -0.0 shows."""
+    rows = np.array(list(itertools.product([0.0, -0.0], repeat=1 + 2 * entries)))
+    eps = np.repeat(rows.T[:, :, None], 2, axis=2)  # (slots, rows, d)
+    _assert_blend_bits(eps, gamma, 4.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(entries=st.sampled_from([1, 2]), b=st.integers(1, 6),
+       gamma=st.sampled_from([0.0, 0.6, 1.0]), scale=st.sampled_from([4.0, 0.5, 1e300]),
+       data=st.data())
+def test_folded_blend_has_the_bits_of_an_accumulated_one(entries, b, gamma, scale, data):
+    values = data.draw(st.lists(
+        st.one_of(st.floats(), st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan])),
+        min_size=(1 + 2 * entries) * b * 2, max_size=(1 + 2 * entries) * b * 2))
+    _assert_blend_bits(np.array(values).reshape(1 + 2 * entries, b, 2), gamma, scale)
+
+
+@pytest.mark.parametrize("name", WORLDS)
+@pytest.mark.parametrize("steered", [False, True])
+def test_results_share_no_memory_and_outlive_the_next_call(name, steered):
+    """A run split in two calls, the second from the first's latents, and an
+    empty third: no result shares memory with the caller's x, the tapes or
+    another result, and the second call changes neither the first's result
+    nor the tapes."""
+    world = WORLDS[name]()
+    schedule = linear_schedule(WINDOW_STEPS, beta_end=0.3)
+    conds = [make_condition(world, *ROW_CONDITIONS[c % 3]) for c in range(5)]
+    steering = Steering(window_mask(schedule, CONFIG), (ONE_ATTR,) * 5, CONFIG.gamma,
+                        CONFIG.attribute_scale) if steered else None
+    tapes = noise_tapes(_rngs(5, seed=8), WINDOW_STEPS, world.dimension)
+    drawn = tapes.copy()
+    first, failed = run_trajectories(world, schedule, conds, tapes, steering, 0, 12)
+    kept = first.copy()
+    second, failed_too = run_trajectories(world, schedule, conds, tapes, steering, 12, None, first)
+    empty, _ = run_trajectories(world, schedule, conds, tapes, steering, 12, 12, first)
+    assert not failed and not failed_too
+    np.testing.assert_array_equal(first.view(np.int64), kept.view(np.int64))
+    np.testing.assert_array_equal(empty.view(np.int64), kept.view(np.int64))
+    np.testing.assert_array_equal(tapes.view(np.int64), drawn.view(np.int64))
+    for a, b in itertools.combinations([first, second, empty, tapes], 2):
+        assert not np.shares_memory(a, b)
+    whole, _ = run_trajectories(world, schedule, conds, tapes, steering)
+    np.testing.assert_array_equal(second.view(np.int64), whole.view(np.int64))

@@ -307,3 +307,21 @@ class TestLoadedWorlds:
         assert again.digest() == digest == fresh.digest()
         assert [(c.weight, dict(c.tags)) for c in again.components] == \
             [(c.weight, dict(c.tags)) for c in fresh.components]
+
+    @pytest.mark.parametrize("name", ["dimension", "schema", "concepts", "components"])
+    def test_a_loaded_worlds_attributes_cannot_be_rebound(self, tmp_path, name):
+        """Rebinding or deleting an attribute raises; the next load of the same
+        bytes gives a fresh parse's digest and dimension, and the world's cache
+        still fills."""
+        path = tmp_path / "w.world"
+        path.write_text(self._text(tmp_path))
+        world = load_world(str(path))
+        with pytest.raises(AttributeError):
+            setattr(world, name, 3)
+        with pytest.raises(AttributeError):
+            delattr(world, name)
+        again = load_world(str(path))
+        fresh = parse_world(self._text(tmp_path))
+        assert again.dimension == fresh.dimension == 2
+        assert again.digest() == fresh.digest()
+        assert again.all_components() is again.all_components()
